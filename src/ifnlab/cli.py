@@ -6,14 +6,16 @@ Subcommands
     axioms <config>      certify the configured operations and graded norm
     reproduce <example>  re-run a bundled benchmark family with defaults
 
-Exit status: 0 converges, 1 fails, 2 inconclusive, 3 configuration error.
-``density`` exits 0 on completion; ``axioms`` exits 0 only if every report
-passes.  Config files are INI: sections [space], [lambda], [sequence],
-[query], [density], [output]; see the README for the schema.
+Exit status: 0 converges, 1 fails, 2 inconclusive, 3 configuration error,
+4 runtime fault (such as a non-finite term).  ``density`` exits 0 on
+completion; ``axioms`` exits 0 only if every report passes.  Config files
+are INI: sections [space], [lambda], [sequence], [query], [density],
+[output]; see the README for the schema.
 """
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
@@ -165,6 +167,11 @@ def from_ini(text: str) -> ExperimentConfig:
         raise ConfigError("sequence: give either example or expression, not both")
     if get("density", "set") is not None and get("density", "expression") is not None:
         raise ConfigError("density: give either set or expression, not both")
+    for section, key, variables in (("sequence", "expression", ("k", "x")),
+                                    ("sequence", "limit", ("x",)),
+                                    ("density", "expression", ("k",))):
+        if get(section, key) is not None:  # reject a bad formula at load time
+            compile_expression(get(section, key), variables)
 
     cfg = ExperimentConfig(
         norm=get("space", "norm", "abs"),
@@ -245,18 +252,48 @@ _EXPR_NAMES = {
 }
 
 
+# Syntax a config formula may use; attributes, subscripts, comprehensions,
+# lambdas and the like are rejected, so no formula can reach Python internals.
+_EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp, ast.operator,
+               ast.UnaryOp, ast.unaryop, ast.BoolOp, ast.boolop, ast.Compare, ast.cmpop,
+               ast.IfExp, ast.Call)
+
+
+def _allowed(node: ast.AST) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (int, float, complex))
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name)
+                and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords)
+    return isinstance(node, _EXPR_NODES)
+
+
 def compile_expression(text: str, variables: tuple):
-    """Compile a config formula over the given variables; whitelist names only."""
+    """Compile a config formula over the given variables.
+
+    The formula may use numeric constants, the variables, the names in
+    ``_EXPR_NAMES``, arithmetic, comparison and boolean operators,
+    if-expressions and calls of the whitelisted functions; anything else
+    is a ``ConfigError``.
+    """
     try:
-        code = compile(text, "<config expression>", "eval")
+        tree = ast.parse(text, "<config expression>", mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
-    unknown = set(code.co_names) - set(_EXPR_NAMES) - set(variables)
+    nodes = list(ast.walk(tree))
+    unknown = ({node.id for node in nodes if isinstance(node, ast.Name)}
+               - set(_EXPR_NAMES) - set(variables))
     if unknown:
         raise ConfigError(f"expression {text!r} uses unknown names {sorted(unknown)}")
+    for node in nodes:
+        if not _allowed(node):
+            raise ConfigError(f"expression {text!r}: {type(node).__name__} is not allowed")
+    code = compile(tree, "<config expression>", "eval")
 
     def run(**env):
-        return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **env})
+        # non-finite results are reported by the detectors, with (k, x)
+        with np.errstate(all="ignore"):
+            return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **env})
 
     return run
 
@@ -369,23 +406,28 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
-def _run_detection(cfg: ExperimentConfig) -> ConvergenceVerdict:
+def _run_detection(cfg: ExperimentConfig):
+    """Returns (verdict, limit-or-None)."""
     lam = _resolve_lambda(cfg)
+    if cfg.lambda_table is not None:  # the built-in families are admissible
+        failed = [r.axiom for r in validate(lam, cfg.n_max) if not r.passed]
+        if failed:
+            raise ConfigError(f"lambda.table is not admissible: fails {', '.join(failed)}")
     ifn = _resolve_space(cfg)
     grid = _resolve_grid(cfg)
     fs, limit, _ = _resolve_sequence(cfg, lam, grid)
     query = ConvergenceQuery(mode=cfg.mode, epsilon=cfg.epsilon, time=cfg.time,
                              lam=lam, n_max=cfg.n_max, stride=cfg.stride)
     if cfg.mode in CAUCHY_MODES:
-        return detect_cauchy(fs, ifn, query)
+        return detect_cauchy(fs, ifn, query), limit
     if limit is None:
         raise ConfigError("sequence.limit is required for non-Cauchy modes")
-    return detect(fs, limit, ifn, query)
+    return detect(fs, limit, ifn, query), limit
 
 
 def _cmd_analyze(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    verdict = _run_detection(cfg)
+    verdict, _ = _run_detection(cfg)
     out = Path(cfg.out_dir)
     path = _write_verdict(verdict, out)
     print(f"mode={verdict.mode} lambda={verdict.lambda_name} epsilon={verdict.epsilon!r} "
@@ -462,7 +504,7 @@ def _reproduce_config(example_arg: str) -> ExperimentConfig:
 
 def _cmd_reproduce(args) -> int:
     cfg = _apply_overrides(_reproduce_config(args.example), args)
-    verdict = _run_detection(cfg)
+    verdict, limit = _run_detection(cfg)
     out = Path(cfg.out_dir)
     path = _write_verdict(verdict, out)
 
@@ -470,11 +512,8 @@ def _cmd_reproduce(args) -> int:
           f"epsilon={cfg.epsilon!r} time={cfg.time!r} n_max={cfg.n_max} "
           f"grid={cfg.grid_points}")
     if isinstance(verdict.traces, dict):
-        lam = _resolve_lambda(cfg)
-        grid = _resolve_grid(cfg)
-        _, limit, _ = _resolve_sequence(cfg, lam, grid)
         regions: dict = {}
-        for x in grid:
+        for x in _resolve_grid(cfg):
             regions.setdefault(limit(float(x)), []).append(float(x))
         for value in sorted(regions):
             points = regions[value]
@@ -529,12 +568,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    except ValueError as exc:  # after DomainError, which subclasses it
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

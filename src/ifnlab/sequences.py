@@ -75,6 +75,10 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
     return FunctionSequence(evaluate, fs1.domain_grid, description, evaluate_many)
 
 
+# Stages per build step; bounds the build's scratch arrays at any horizon.
+_BUILD_CHUNK = 1 << 20
+
+
 class BumpIndexSet:
     """Sparse index set filled greedily against a window ladder.
 
@@ -85,48 +89,124 @@ class BumpIndexSet:
     slide forward, and the budget never shrinks), while the set itself is
     infinite because the budget diverges.  Membership is exposed as an
     explicit predicate so the per-window bound is directly testable.
+
+    The ladder must be admissible: the window lows and the budgets
+    ceil(sqrt(lambda_n)) may never decrease, and ``ensure`` raises
+    ``DomainError`` when they do.  The build is then event-driven.  With c
+    members so far, stage n is admitted iff b_n > c or low_n exceeds the
+    (b_n)-th newest member, and that test, once true, stays true until the
+    next admission.  So the build gallops from one admission to the next
+    and bisects back, instead of visiting every stage.  The members are
+    kept as one sorted int64 array; the boolean mask is a cache built from
+    it on demand.
     """
 
     def __init__(self, lam: LambdaSequence):
         self.lam = lam
-        self._flags = [False]  # index 0 unused; _flags[k] for k >= 1
-        self._members: list[int] = []
-        self._head = 0         # members before this offset have left the window
+        self._built = 0        # stages 1.._built are decided
+        self._members = np.zeros(64, dtype=np.int64)  # sorted; first _count valid
+        self._count = 0
+        self._last = (1, 1)    # window low and budget at stage _built
         self._mask_cache: np.ndarray | None = None
 
     def ensure(self, n_max: int) -> None:
-        built = len(self._flags) - 1
-        if n_max <= built:
-            return
-        ns = np.arange(built + 1, n_max + 1)
+        while self._built < n_max:
+            self._extend(min(n_max, self._built + _BUILD_CHUNK))
+
+    def _extend(self, stop: int) -> None:
+        """Decide stages _built+1 .. stop."""
+        start = self._built + 1
+        ns = np.arange(start, stop + 1, dtype=np.int64)
         lam_vals = (np.asarray(self.lam.values_many(ns), dtype=float)
                     if self.lam.values_many is not None
                     else np.array([self.lam.at(int(n)) for n in ns]))
         if np.min(lam_vals) <= 0:
             raise DomainError("lambda values must be positive")
-        widths = np.ceil(lam_vals).astype(np.int64)
-        lows = np.maximum(1, ns - widths + 1).tolist()
-        budgets = np.ceil(np.sqrt(lam_vals)).astype(np.int64).tolist()
+        widths = np.ceil(lam_vals)
+        lows = ns - widths.astype(np.int64)
+        lows += 1
+        np.maximum(lows, 1, out=lows)
+        budgets = np.ceil(np.sqrt(lam_vals, out=widths), out=widths).astype(np.int64)
+        for what, seq, before in (("window low", lows, self._last[0]),
+                                  ("budget ceil(sqrt(lambda_n))", budgets, self._last[1])):
+            if seq[0] < before or np.any(seq[1:] < seq[:-1]):
+                stage = start + int(np.argmax(np.diff(seq, prepend=before) < 0))
+                raise DomainError(f"inadmissible ladder {self.lam.name!r}: the {what} "
+                                  f"decreases at stage {stage}")
 
-        flags, members = self._flags, self._members
-        head = self._head
-        for offset, n in enumerate(range(built + 1, n_max + 1)):
-            lo = lows[offset]
-            while head < len(members) and members[head] < lo:
-                head += 1
-            if len(members) - head < budgets[offset]:
-                members.append(n)
-                flags.append(True)
-            else:
-                flags.append(False)
-        self._head = head
+        low, budget = memoryview(lows), memoryview(budgets)
+        members, c = memoryview(self._members), self._count
+        last = stop - start
+
+        def shortfall(i: int) -> int:
+            """How far the window low at offset i is from admitting it; <= 0 admits.
+
+            While the budget stands still this is also the least number of
+            stages to the next admission when lows rise by at most 1 per
+            stage, as they do for an admissible ladder; the search only
+            relies on lows and budgets never decreasing.
+            """
+            b = budget[i]
+            return members[c - b] + 1 - low[i] if b <= c else 0
+
+        def after_refusal(refused: int, step: int) -> int:
+            """First admitted offset after a refused one, or last + 1 if none.
+
+            Gallops by the shortfall (doubling while the lows stand still),
+            then bisects back; the first jump is usually exact.  The two
+            probes per admission are ``shortfall`` inlined: on dense sets
+            the call overhead would double the build time.
+            """
+            while True:
+                j = refused + step if refused + step < last else last
+                b = budget[j]
+                short = members[c - b] + 1 - low[j] if b <= c else 0
+                if short <= 0:
+                    break
+                if j == last:
+                    return last + 1
+                refused, step = j, max(short, 2 * step)
+            # the first admitted offset lies in (refused, j]; it is usually j
+            b = budget[j - 1]
+            if j - refused > 1 and (b > c or low[j - 1] > members[c - b]):
+                j -= 1
+                while j - refused > 1:
+                    mid = (refused + j) // 2
+                    if shortfall(mid) <= 0:
+                        j = mid
+                    else:
+                        refused = mid
+            return j
+
+        i, capacity = 0, len(members)
+        while i <= last:
+            b = budget[i]  # shortfall(i), inlined on the hot path
+            short = members[c - b] + 1 - low[i] if b <= c else 0
+            if short > 0:
+                i = after_refusal(i, short)
+                if i > last:
+                    break
+            if c == capacity:
+                members.release()
+                self._members = np.concatenate([self._members, np.zeros_like(self._members)])
+                members, capacity = memoryview(self._members), 2 * capacity
+            members[c] = start + i
+            c += 1
+            i += 1
+        members.release()
+
+        self._count = c
+        self._built = stop
+        self._last = (int(lows[-1]), int(budgets[-1]))
         self._mask_cache = None
 
     def contains(self, k: int) -> bool:
         if k < 1:
             raise DomainError(f"index must be >= 1, got {k}")
         self.ensure(k)
-        return self._flags[k]
+        members = self._members[: self._count]
+        pos = int(np.searchsorted(members, k))
+        return pos < members.size and int(members[pos]) == k
 
     __contains__ = contains
 
@@ -134,7 +214,8 @@ class BumpIndexSet:
         """Boolean array m with m[k] = (k in set) for k = 0..n_max (m[0] unused)."""
         self.ensure(n_max)
         if self._mask_cache is None or self._mask_cache.size < n_max + 1:
-            self._mask_cache = np.array(self._flags, dtype=bool)
+            self._mask_cache = np.zeros(self._built + 1, dtype=bool)
+            self._mask_cache[self._members[: self._count]] = True
         return self._mask_cache[: n_max + 1]
 
     def mask_for(self, ks: np.ndarray) -> np.ndarray:
@@ -155,6 +236,15 @@ def _powers(ks: np.ndarray, x: float) -> np.ndarray:
     return np.exp(ks.astype(float) * math.log(x))
 
 
+def _bump_terms(bumps: BumpIndexSet, ks: np.ndarray, x: float,
+                base: float, lift: float) -> np.ndarray:
+    """``base`` off the bump set, x**k + ``lift`` on it; powers only on the set."""
+    out = np.full(ks.shape, base)
+    in_set = bumps.mask_for(ks)
+    out[in_set] = _powers(ks[in_set], x) + lift
+    return out
+
+
 def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
     """Piecewise power family with a three-level limit.
 
@@ -170,11 +260,8 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
         x = float(x)
         if x == 1.0:
             return np.full(ks.shape, 2.0)
-        in_set = bumps.mask_for(ks)
-        p = _powers(ks, x)
-        if x >= 0.5:
-            return np.where(in_set, p + 0.5, 1.0)
-        return np.where(in_set, p + 1.0, 0.0)
+        base, lift = (1.0, 0.5) if x >= 0.5 else (0.0, 1.0)
+        return _bump_terms(bumps, ks, x, base, lift)
 
     def evaluate(k, x):
         return float(evaluate_many(np.array([k]), x)[0])
@@ -196,9 +283,7 @@ def build_example_uniform(lam: LambdaSequence, grid) -> tuple[FunctionSequence, 
     bumps = BumpIndexSet(lam)
 
     def evaluate_many(ks, x):
-        ks = np.asarray(ks, dtype=np.int64)
-        in_set = bumps.mask_for(ks)
-        return np.where(in_set, _powers(ks, float(x)) + 1.0, 0.0)
+        return _bump_terms(bumps, np.asarray(ks, dtype=np.int64), float(x), 0.0, 1.0)
 
     def evaluate(k, x):
         return float(evaluate_many(np.array([k]), x)[0])

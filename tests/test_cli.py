@@ -1,5 +1,6 @@
 """The batch runner: config parsing, subcommands, exit codes, artifacts."""
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,6 +72,34 @@ def test_expression_evaluator_is_whitelisted():
         compile_expression("open('/etc/passwd')", ("k",))
     with pytest.raises(ConfigError, match="bad expression"):
         compile_expression("k +", ("k",))
+
+
+@pytest.mark.parametrize("text", [
+    # reaches object.__subclasses__() through comprehension scopes
+    "[c.__name__ for c in [y.__class__.__mro__[-1].__subclasses__() for y in (k,)][0]]",
+    "k.__class__",
+    "(k, x)[0]",
+    "(lambda: k)()",
+    "sum(v for v in (k,))",
+    "'k' * 2",
+    "pi(k)",
+    "where(k > 0, x=1)",
+])
+def test_expression_rejects_everything_off_the_whitelist(text):
+    with pytest.raises(ConfigError):
+        compile_expression(text, ("k", "x"))
+
+
+def test_expression_whitelist_keeps_the_formula_language():
+    run = compile_expression("where(k % 2 == 0, -x, x) if k > 1 and not k < 0 else 1e-3",
+                             ("k", "x"))
+    assert run(k=4, x=2.0) == -2.0
+    assert run(k=1, x=2.0) == 1e-3
+
+
+def test_bad_expression_is_rejected_at_config_load():
+    with pytest.raises(ConfigError, match="Attribute is not allowed"):
+        from_ini("[sequence]\nexpression = k.real * x\nlimit = 0.0\n")
 
 
 # ---------------------------------------------------------------- subcommands
@@ -167,6 +196,26 @@ def test_axioms_flags_broken_lambda(tmp_path):
     ini = tmp_path / "fast.ini"
     ini.write_text("[lambda]\ntable = 1, 3, 5\n[query]\nn_max = 1000\n")
     assert run_cli("axioms", ini, "--out", tmp_path / "a") == 1
+
+
+def test_analyze_rejects_inadmissible_table(tmp_path, capsys):
+    ini = tmp_path / "fast.ini"
+    ini.write_text("[lambda]\ntable = 1, 3, 5\n[sequence]\nexample = paper-example-2\n"
+                   "[query]\nmode = uniform-lambda-stat\nn_max = 1000\n")
+    out = tmp_path / "o"
+    assert run_cli("analyze", ini, "--out", out) == 3
+    assert "slow-growth" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def test_runtime_fault_exits_four(tmp_path, capsys):
+    ini = tmp_path / "log.ini"
+    ini.write_text("[sequence]\nexpression = log(x) + 1.0 / k\nlimit = log(x)\n"
+                   "[query]\nn_max = 1000\ngrid_points = 3\n")
+    assert run_cli("analyze", ini, "--out", tmp_path / "o") == 4
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert re.search(r"\(k=1, x=(np\.float64\()?0\.0\)", err)
 
 
 def test_reproduce_small_run(tmp_path, capsys):

@@ -25,6 +25,20 @@ def budget_violations(lam, n_max: int) -> list[int]:
     return bad
 
 
+def reference_bump_mask(lam, n_max: int) -> np.ndarray:
+    """The greedy walked one stage at a time: admit n while I_n holds < ceil(sqrt(lambda_n))."""
+    flags = np.zeros(n_max + 1, dtype=bool)
+    members, head = [], 0
+    for n in range(1, n_max + 1):
+        width = math.ceil(lam.at(n))
+        while head < len(members) and members[head] < max(1, n - width + 1):
+            head += 1
+        if len(members) - head < math.ceil(math.sqrt(lam.at(n))):
+            members.append(n)
+            flags[n] = True
+    return flags
+
+
 # ------------------------------------------------------------ bump sets
 @pytest.mark.parametrize("name", ["identity", "sqrt", "log"])
 def test_bump_budget_never_exceeded(name):
@@ -39,6 +53,35 @@ def test_bump_budget_on_random_ladders(increments):
         values.append(values[-1] + step)
     lam = lambda_from_table(values)
     assert budget_violations(lam, len(values)) == []
+
+
+@given(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0]), min_size=1, max_size=300),
+       st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_bump_set_matches_reference_greedy(increments, horizons):
+    # admissible: lambda_1 = 1, steps in [0, 1]; past the table it grows by 1
+    values = [1.0]
+    for step in increments:
+        values.append(values[-1] + step)
+    lam = lambda_from_table(values)
+    bumps = BumpIndexSet(lam)
+    for n in sorted(horizons):  # built in pieces, as the detectors grow it
+        bumps.ensure(n)
+    n_max = max(horizons)
+    assert np.array_equal(bumps.mask(n_max), reference_bump_mask(lam, n_max))
+
+
+@pytest.mark.parametrize("values, what", [
+    ([1.0, 1.0, 1.0, 5.0], "window low"),   # I_4 = [1, 4] starts below I_3 = [3, 3]
+    ([1.0, 4.0, 1.0], "budget"),            # ceil(sqrt(lambda)) goes 1, 2, 1
+])
+@pytest.mark.parametrize("split", [False, True])  # the drop inside one build, or across two
+def test_bump_set_rejects_decreasing_ladders(values, what, split):
+    bumps = BumpIndexSet(lambda_from_table(values))
+    if split:
+        bumps.ensure(len(values) - 1)
+    with pytest.raises(DomainError, match=what):
+        bumps.ensure(len(values))
 
 
 def test_identity_bump_set_is_shifted_squares():
