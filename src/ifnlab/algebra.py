@@ -33,13 +33,40 @@ def _check_unit(value, label: str):
     return arr if arr.ndim else float(arr)
 
 
+def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Callable:
+    """The batched form of ``fn``, for callables that may only take scalars.
+
+    The library calls every user function on arrays; this is the one place
+    where a scalar-only callable is adapted to that.  The adapted form calls
+    ``fn`` once per element through ``np.vectorize`` and returns floats;
+    ``signature`` marks core dimensions as in numpy, such as ``"(d),()->()"``
+    for a function of one vector and one time.  With ``probe`` arguments,
+    ``fn`` is returned unchanged when its answer on them matches its
+    element-by-element answer in shape and value, i.e. when it broadcasts.
+    """
+    batched = np.vectorize(fn, otypes=[float], signature=signature)
+    if probe:
+        try:
+            out = np.asarray(fn(*probe), dtype=float)
+            ref = batched(*probe)
+            # array and scalar kernels of numpy may differ in the last ulp
+            if out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0):
+                return fn
+        # a scalar-only callable fails on arrays in these ways; an IndexError
+        # also comes from a probe vector shorter than the callable expects
+        except (TypeError, ValueError, IndexError):
+            pass
+    return batched
+
+
 @dataclass(frozen=True)
 class UnitIntervalOp:
     """A named binary operation on [0, 1] claiming t-norm or t-conorm behaviour.
 
-    ``fn`` must accept scalars; the shipped operations also broadcast over
-    numpy arrays, which the certifier exploits (scalar-only callables are
-    wrapped with ``np.vectorize`` automatically).
+    ``fn(a, b)`` broadcasts over numpy arrays, as the shipped operations do.
+    A callable that only takes two floats is accepted too: construction probes
+    it once and, if it does not broadcast, stores its ``vectorize_scalar``
+    form in ``fn``.
     """
 
     name: str
@@ -49,6 +76,8 @@ class UnitIntervalOp:
     def __post_init__(self):
         if self.kind not in ("tnorm", "tconorm"):
             raise DomainError(f"kind must be 'tnorm' or 'tconorm', got {self.kind!r}")
+        probe = (np.array([[0.25], [0.75]]), np.array([0.5, 1.0]))  # column against row
+        object.__setattr__(self, "fn", vectorize_scalar(self.fn, *probe))
 
     @property
     def identity_element(self) -> float:
@@ -126,21 +155,6 @@ def _report(axiom: str, violation: float, witness: tuple, tolerance: float) -> A
     return AxiomReport(axiom, violation <= tolerance, violation, witness, tolerance)
 
 
-def _batch(fn: Callable) -> Callable:
-    """Return a broadcasting version of ``fn``, wrapping scalar-only callables."""
-
-    def call(a, b):
-        try:
-            out = np.asarray(fn(a, b), dtype=float)
-            if out.shape == np.broadcast_shapes(np.shape(a), np.shape(b)):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.vectorize(fn, otypes=[float])(a, b)
-
-    return call
-
-
 def certify(
     op: UnitIntervalOp,
     grid_resolution: int = 101,
@@ -159,7 +173,7 @@ def certify(
         raise DomainError(f"grid_resolution must be >= 2, got {grid_resolution}")
     grid = np.linspace(0.0, 1.0, grid_resolution)
     cell = grid[1] - grid[0]
-    fn = _batch(op.fn)
+    fn = op.fn
     table = fn(grid[:, None], grid[None, :])  # table[i, j] = op(grid[i], grid[j])
 
     reports = []

@@ -74,19 +74,22 @@ def _probe_points(q: ContinuityQuery) -> np.ndarray:
     return np.array(pts)
 
 
-def _scalar_degree(fn, diff: float, t: float) -> float:
-    return float(fn(np.array([diff]), t))
+def _gap_ok(ifn_target: IFNorm, gaps: np.ndarray, q: ContinuityQuery) -> np.ndarray:
+    """Which gap vectors (coordinates on the last axis) lie in the target epsilon-ball."""
+    mu, nu = ifn_target.mu(gaps, q.time), ifn_target.nu(gaps, q.time)
+    return (mu > 1.0 - q.epsilon) & (nu < q.epsilon)
 
 
 def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
-                    dom_mu: np.ndarray, dom_nu: np.ndarray,
-                    q: ContinuityQuery) -> ContinuityResult:
+                    ifn_domain: IFNorm, q: ContinuityQuery) -> ContinuityResult:
     """Scan deltas large to small; certify the first that works.
 
     ``gap_ok[i, j]`` says term ks[i] maps probe j inside the target
     epsilon-ball.  A delta only counts when its ball captures at least one
     probe; certifying from an empty ball would be vacuous.
     """
+    offsets = (q.point - probes)[:, None]
+    dom_mu, dom_nu = ifn_domain.mu(offsets, q.time), ifn_domain.nu(offsets, q.time)
     smallest_testable = None
     for delta in sorted(q.delta_grid, reverse=True):
         in_ball = (dom_mu > 1.0 - delta) & (dom_nu < delta)
@@ -111,35 +114,22 @@ def check_equicontinuity(fs: FunctionSequence, ifn_domain: IFNorm, ifn_target: I
     probes = _probe_points(q)
     ks = np.arange(1, k_max + 1)
 
-    dom_mu = np.array([_scalar_degree(ifn_domain.mu, q.point - p, q.time) for p in probes])
-    dom_nu = np.array([_scalar_degree(ifn_domain.nu, q.point - p, q.time) for p in probes])
+    def terms(x) -> np.ndarray:
+        return np.asarray(fs.evaluate_many(ks, x), dtype=float).reshape(k_max, -1)
 
-    gap_ok = np.empty((k_max, probes.size), dtype=bool)
-    for i, k in enumerate(ks):
-        at_center = np.asarray(fs.evaluate(int(k), q.point), dtype=float).reshape(-1)
-        for j, p in enumerate(probes):
-            gap = np.asarray(fs.evaluate(int(k), p), dtype=float).reshape(-1) - at_center
-            mu = float(ifn_target.mu(gap, q.time))
-            nu = float(ifn_target.nu(gap, q.time))
-            gap_ok[i, j] = mu > 1.0 - q.epsilon and nu < q.epsilon
-    return _modulus_search(gap_ok, ks, probes, dom_mu, dom_nu, q)
+    at_center = terms(q.point)
+    gaps = np.stack([terms(p) - at_center for p in probes], axis=1)  # (k, probe, coord)
+    return _modulus_search(_gap_ok(ifn_target, gaps, q), ks, probes, ifn_domain, q)
 
 
 def check_limit_continuity(f: Callable, ifn_domain: IFNorm, ifn_target: IFNorm,
                            q: ContinuityQuery) -> ContinuityResult:
     """Same delta search for a single function (witness index reported as 0)."""
     probes = _probe_points(q)
-    dom_mu = np.array([_scalar_degree(ifn_domain.mu, q.point - p, q.time) for p in probes])
-    dom_nu = np.array([_scalar_degree(ifn_domain.nu, q.point - p, q.time) for p in probes])
-
     at_center = np.asarray(f(q.point), dtype=float).reshape(-1)
-    gap_ok = np.empty((1, probes.size), dtype=bool)
-    for j, p in enumerate(probes):
-        gap = np.asarray(f(p), dtype=float).reshape(-1) - at_center
-        mu = float(ifn_target.mu(gap, q.time))
-        nu = float(ifn_target.nu(gap, q.time))
-        gap_ok[0, j] = mu > 1.0 - q.epsilon and nu < q.epsilon
-    return _modulus_search(gap_ok, np.array([0]), probes, dom_mu, dom_nu, q)
+    gaps = np.stack([np.asarray(f(p), dtype=float).reshape(-1) - at_center for p in probes])
+    return _modulus_search(_gap_ok(ifn_target, gaps, q)[None, :], np.array([0]), probes,
+                           ifn_domain, q)
 
 
 def split_triangle_check(ifn_target: IFNorm, parts: list, time: float) -> tuple[bool, bool]:

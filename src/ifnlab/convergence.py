@@ -130,47 +130,31 @@ def _point_key(x):
     return float(arr) if arr.ndim == 0 else tuple(arr.tolist())
 
 
-def _values_matrix(fs: FunctionSequence, n_max: int, x) -> np.ndarray:
-    vals = np.asarray(fs.values_upto(n_max, x), dtype=float)
-    vals = vals.reshape(n_max, -1)
+def _values_matrix(fs: FunctionSequence, ks: np.ndarray, x) -> np.ndarray:
+    """Terms f_k(x) for the indices ``ks``, one row per index."""
+    vals = np.asarray(fs.evaluate_many(ks, x), dtype=float).reshape(ks.size, -1)
     if not np.all(np.isfinite(vals)):
-        k = int(np.flatnonzero(~np.all(np.isfinite(vals), axis=1))[0]) + 1
-        raise ValueError(f"sequence value not finite at (k={k}, x={x!r})")
+        k = int(ks[np.flatnonzero(~np.all(np.isfinite(vals), axis=1))[0]])
+        raise ValueError(f"sequence value not finite at (k={k}, x={_point_key(x)!r})")
     return vals
 
 
 def _limit_vector(f: Callable, x) -> np.ndarray:
     fx = np.asarray(f(x), dtype=float).reshape(-1)
     if not np.all(np.isfinite(fx)):
-        raise ValueError(f"limit value not finite at x={x!r}")
+        raise ValueError(f"limit value not finite at x={_point_key(x)!r}")
     return fx
 
 
-def _mu_nu(ifn, diffs: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched mu/nu over rows of ``diffs``; falls back to a scalar loop."""
-    n = diffs.shape[0]
-
-    def run(fn):
-        try:
-            out = np.asarray(fn(diffs, t), dtype=float)
-            if out.shape == (n,):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(fn(diffs[i], t)) for i in range(n)])
-
-    return run(ifn.mu), run(ifn.nu)
-
-
-def _exceptional(mu: np.ndarray, nu: np.ndarray, epsilon: float) -> np.ndarray:
+def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float) -> np.ndarray:
+    """Which rows of ``diffs`` are exceptional for (epsilon, t)."""
+    mu, nu = ifn.mu(diffs, t), ifn.nu(diffs, t)
     return (mu <= 1.0 - epsilon + GUARD) | (nu >= epsilon - GUARD)
 
 
-def _point_mask(fs, f, ifn, x, epsilon, t, n_max) -> np.ndarray:
-    vals = _values_matrix(fs, n_max, x)
-    diffs = vals - _limit_vector(f, x)[None, :]
-    mu, nu = _mu_nu(ifn, diffs, t)
-    return _exceptional(mu, nu, epsilon)
+def _point_mask(fs, f, ifn, x, epsilon, t, ks) -> np.ndarray:
+    diffs = _values_matrix(fs, ks, x) - _limit_vector(f, x)[None, :]
+    return _exceptional(ifn, diffs, epsilon, t)
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
@@ -185,12 +169,8 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     def member(k: int) -> bool:
         if k < 1:
             raise DomainError(f"index must be >= 1, got {k}")
-        val = np.asarray(fs.evaluate(int(k), x), dtype=float).reshape(-1)
-        if not np.all(np.isfinite(val)):
-            raise ValueError(f"sequence value not finite at (k={k}, x={x!r})")
-        diff = (val - fx)[None, :]
-        mu, nu = _mu_nu(ifn_target, diff, time)
-        return bool(_exceptional(mu, nu, epsilon)[0])
+        diffs = _values_matrix(fs, np.array([k]), x) - fx[None, :]
+        return bool(_exceptional(ifn_target, diffs, epsilon, time)[0])
 
     return member
 
@@ -242,13 +222,14 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
 
     lam = _effective_lambda(q)
     grid = fs.domain_grid
+    ks = np.arange(1, q.n_max + 1)
     uniform = q.mode.startswith("uniform")
 
     witnesses: list = []
     if uniform:
         shared = np.zeros(q.n_max, dtype=bool)
         for x in grid:
-            shared |= _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, q.n_max)
+            shared |= _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
         trace = density_trace(shared, lam, q.n_max, q.stride)
         verdict = _verdict_from_trace(trace)
         if verdict != "converges":
@@ -268,7 +249,7 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
     point_verdicts = []
     for x in grid:
         key = _point_key(x)
-        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, q.n_max)
+        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
         trace = density_trace(mask, lam, q.n_max, q.stride)
         traces[key] = trace
         verdict = _verdict_from_trace(trace)
@@ -283,12 +264,13 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
 def _detect_classical(fs, f, ifn_target, q: ConvergenceQuery) -> ConvergenceVerdict:
     clean_cut = int(q.n_max * CLASSICAL_CLEAN_FRACTION)
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
+    ks = np.arange(1, q.n_max + 1)
     point_verdicts = []
     witnesses: list = []
     last_exceptional: dict = {}
     for x in fs.domain_grid:
         key = _point_key(x)
-        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, q.n_max)
+        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
         hits = np.flatnonzero(mask) + 1
         k_last = int(hits[-1]) if hits.size else 0
         last_exceptional[key] = k_last
@@ -320,11 +302,10 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
     lam = q.lam
     grid = fs.domain_grid
+    ks = np.arange(1, q.n_max + 1)
 
     def masks_against(vals: np.ndarray, center: np.ndarray) -> np.ndarray:
-        diffs = vals - center[None, :]
-        mu, nu = _mu_nu(ifn_target, diffs, q.time)
-        return _exceptional(mu, nu, q.epsilon)
+        return _exceptional(ifn_target, vals - center[None, :], q.epsilon, q.time)
 
     if q.mode == "pointwise-lambda-cauchy":
         traces: dict = {}
@@ -333,7 +314,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
         witnesses: list = []
         for x in grid:
             key = _point_key(x)
-            vals = _values_matrix(fs, q.n_max, x)
+            vals = _values_matrix(fs, ks, x)
             ref_mask = masks_against(vals, vals[-1])
             pool = (np.flatnonzero(~ref_mask) + 1)[:ANCHOR_POOL]
             outcome, chosen, best_trace = "fails", None, None
@@ -361,7 +342,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
     # Uniform: one anchor must serve every grid point.
     union_ref = np.zeros(q.n_max, dtype=bool)
     for x in grid:
-        vals = _values_matrix(fs, q.n_max, x)
+        vals = _values_matrix(fs, ks, x)
         union_ref |= masks_against(vals, vals[-1])
     pool = (np.flatnonzero(~union_ref) + 1)[:ANCHOR_POOL]
 
@@ -369,7 +350,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
     for anchor in pool:
         shared = np.zeros(q.n_max, dtype=bool)
         for x in grid:
-            vals = _values_matrix(fs, q.n_max, x)
+            vals = _values_matrix(fs, ks, x)
             shared |= masks_against(vals, vals[anchor - 1])
         trace = density_trace(shared, lam, q.n_max, q.stride)
         best_trace = trace
@@ -409,6 +390,7 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
         raise DomainError("lemma check requires a lambda-stat mode")
     lam = q.lam
     uniform = q.mode == "uniform-lambda-stat"
+    ks = np.arange(1, q.n_max + 1)
 
     def zero(mask) -> bool | None:
         v = density_trace(mask, lam, q.n_max, q.stride).verdict
@@ -424,9 +406,9 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
         return a and b
 
     def point_masks(x):
-        vals = _values_matrix(fs, q.n_max, x)
+        vals = _values_matrix(fs, ks, x)
         diffs = vals - _limit_vector(f, x)[None, :]
-        mu, nu = _mu_nu(ifn_target, diffs, q.time)
+        mu, nu = ifn_target.mu(diffs, q.time), ifn_target.nu(diffs, q.time)
         m_mu = mu <= 1.0 - q.epsilon + GUARD
         m_nu = nu >= q.epsilon - GUARD
         # Value-sequence framing of statement 5: distance of mu from 1 and

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AxiomReport, DomainError, _report
+from .algebra import AxiomReport, DomainError, _report, vectorize_scalar
 
 # Verdict heuristic knobs.  The tail is the last fifth of the trace points.
 TAIL_FRACTION = 0.2
@@ -29,19 +29,23 @@ VALUE_STD_TOL = 1e-3      # a settled ratio must have tail standard deviation be
 class LambdaSequence:
     """Window-length sequence; ``values(n)`` gives lambda_n for n >= 1.
 
-    ``values_many`` is an optional vectorised form taking an integer array.
+    ``values_many(ns)`` is the batched form the library calls: it takes an
+    integer array of stages and returns the matching lambda values.  When it
+    is not given, construction builds it from ``values`` with
+    ``vectorize_scalar``.
     """
 
     name: str
     values: Callable[[int], float]
     values_many: Callable | None = None
 
+    def __post_init__(self):
+        if self.values_many is None:
+            object.__setattr__(self, "values_many", vectorize_scalar(self.values))
+
     def table(self, n_max: int) -> np.ndarray:
         """lambda_1 .. lambda_n_max as a float array."""
-        ns = np.arange(1, n_max + 1)
-        if self.values_many is not None:
-            return np.asarray(self.values_many(ns), dtype=float)
-        return np.array([float(self.values(int(n))) for n in ns])
+        return np.asarray(self.values_many(np.arange(1, n_max + 1)), dtype=float)
 
     def at(self, n: int) -> float:
         if n < 1:
@@ -160,32 +164,35 @@ def _classify(ratios: np.ndarray) -> tuple[str, float | None]:
     limit-zero needs the tail to sit under ZERO_TAIL_MAX and the last point
     to be at most DECAY_FACTOR times the ratio at the 20% horizon (decay
     evidence).  limit-one is the mirror image around 1.  limit-value accepts
-    any tail that has settled (tiny standard deviation).  Anything else is
-    inconclusive rather than a failure claim.
+    a tail that has settled (tiny standard deviation) unless the trace is
+    still decaying by that same factor: a small ratio that keeps falling is
+    no evidence of a positive limit.  Anything else is inconclusive rather
+    than a failure claim.
     """
     start = (len(ratios) * 4) // 5
     tail = ratios[start:]
     at20 = ratios[len(ratios) // 5]
     last = ratios[-1]
 
-    if np.max(tail) <= ZERO_TAIL_MAX and last <= DECAY_FACTOR * at20:
+    decaying = last <= DECAY_FACTOR * at20
+    if np.max(tail) <= ZERO_TAIL_MAX and decaying:
         return "limit-zero", float(np.mean(tail))
     gap = np.abs(1.0 - ratios)
     if np.max(gap[start:]) <= ZERO_TAIL_MAX and gap[-1] <= DECAY_FACTOR * gap[len(ratios) // 5]:
         return "limit-one", float(np.mean(tail))
-    if float(np.std(tail)) <= VALUE_STD_TOL:
+    if float(np.std(tail)) <= VALUE_STD_TOL and not decaying:
         return "limit-value", float(np.mean(tail))
     return "inconclusive", None
 
 
 def membership_array(member, n_max: int) -> np.ndarray:
-    """Boolean membership for k = 1..n_max from a predicate or an array."""
+    """Boolean membership for k = 1..n_max from a predicate on one index or an array."""
     if isinstance(member, np.ndarray):
         arr = np.asarray(member, dtype=bool).ravel()
         if arr.size < n_max:
             raise DomainError(f"membership array has {arr.size} entries, need {n_max}")
         return arr[:n_max]
-    return np.fromiter((bool(member(k)) for k in range(1, n_max + 1)), dtype=bool, count=n_max)
+    return vectorize_scalar(member)(np.arange(1, n_max + 1)).astype(bool)
 
 
 def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = None) -> DensityTrace:
@@ -209,9 +216,7 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     if ns.size == 0 or ns[-1] != n_max:
         ns = np.append(ns, n_max)
 
-    lam_vals = (np.asarray(lam.values_many(ns), dtype=float)
-                if lam.values_many is not None
-                else np.array([lam.at(int(n)) for n in ns]))
+    lam_vals = np.asarray(lam.values_many(ns), dtype=float)
     if np.min(lam_vals) <= 0:
         raise DomainError("lambda values must be positive")
     widths = np.ceil(lam_vals).astype(np.int64)

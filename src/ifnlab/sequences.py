@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError
+from .algebra import DomainError, vectorize_scalar
 from .density import LambdaSequence
 
 
@@ -28,11 +28,12 @@ class GridMismatchError(ValueError):
 class FunctionSequence:
     """A sequence of functions sampled on a fixed domain grid.
 
-    ``evaluate(k, x)`` returns the k-th term at point x (k >= 1).  The
-    optional ``evaluate_many(ks, x)`` takes an integer index array and
-    returns the matching array of values; detectors use it to scan millions
-    of indices without a Python-level loop, and fall back to ``evaluate``
-    when it is absent.
+    ``evaluate(k, x)`` returns the k-th term at point x (k >= 1).
+    ``evaluate_many(ks, x)`` is the batched form the library calls: it takes
+    an integer index array and returns the matching array of values, one
+    row per index for vector-valued terms.  When it is not given,
+    construction builds it from ``evaluate`` with ``vectorize_scalar``; that
+    form expects ``evaluate`` to return a number.
     """
 
     evaluate: Callable
@@ -47,13 +48,12 @@ class FunctionSequence:
         if not np.all(np.isfinite(grid)):
             raise DomainError("domain_grid has non-finite points")
         object.__setattr__(self, "domain_grid", grid)
+        if self.evaluate_many is None:
+            object.__setattr__(self, "evaluate_many", vectorize_scalar(self.evaluate))
 
     def values_upto(self, n_max: int, x) -> np.ndarray:
-        """Terms 1..n_max at x, using the vectorised path when available."""
-        ks = np.arange(1, n_max + 1)
-        if self.evaluate_many is not None:
-            return np.asarray(self.evaluate_many(ks, x), dtype=float)
-        return np.array([float(self.evaluate(int(k), x)) for k in ks])
+        """Terms 1..n_max at x."""
+        return np.asarray(self.evaluate_many(np.arange(1, n_max + 1), x), dtype=float)
 
 
 def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
@@ -65,11 +65,9 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
     def evaluate(k, x):
         return alpha * fs1.evaluate(k, x) + beta * fs2.evaluate(k, x)
 
-    evaluate_many = None
-    if fs1.evaluate_many is not None and fs2.evaluate_many is not None:
-        def evaluate_many(ks, x):
-            return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
-                 + beta * np.asarray(fs2.evaluate_many(ks, x))
+    def evaluate_many(ks, x):
+        return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
+             + beta * np.asarray(fs2.evaluate_many(ks, x))
 
     description = f"{alpha!r}*({fs1.description}) + {beta!r}*({fs2.description})"
     return FunctionSequence(evaluate, fs1.domain_grid, description, evaluate_many)
@@ -117,9 +115,7 @@ class BumpIndexSet:
         """Decide stages _built+1 .. stop."""
         start = self._built + 1
         ns = np.arange(start, stop + 1, dtype=np.int64)
-        lam_vals = (np.asarray(self.lam.values_many(ns), dtype=float)
-                    if self.lam.values_many is not None
-                    else np.array([self.lam.at(int(n)) for n in ns]))
+        lam_vals = np.asarray(self.lam.values_many(ns), dtype=float)
         if np.min(lam_vals) <= 0:
             raise DomainError("lambda values must be positive")
         widths = np.ceil(lam_vals)

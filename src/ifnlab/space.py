@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AxiomReport, DomainError, UnitIntervalOp, _batch, _report
+from .algebra import AxiomReport, DomainError, UnitIntervalOp, _report, vectorize_scalar
 
 # Probe times for the t -> infinity / t -> 0 limit axioms.
 LIMIT_T_LARGE = 1e9
@@ -73,16 +73,24 @@ def builtin_norm(name: str) -> Callable:
 class IFNorm:
     """Membership/non-membership functionals with their aggregation ops.
 
-    ``mu`` and ``nu`` map (vector, time) to a degree in [0, 1].  Built-in
-    instances broadcast over a leading batch axis of vectors and over array
-    times; user-supplied scalar-only callables are still accepted everywhere
-    (batch helpers fall back to loops).
+    ``mu(x, t)`` and ``nu(x, t)`` map a batch of vectors (coordinates on the
+    last axis of ``x``) and times broadcasting against the batch axes to
+    degrees in [0, 1], as the built-in functionals do.  A callable taking one
+    vector and one float time is accepted too: construction probes each
+    functional once and, if it does not broadcast, stores its
+    ``vectorize_scalar`` form instead.
     """
 
     mu: Callable
     nu: Callable
     tnorm: UnitIntervalOp
     tconorm: UnitIntervalOp
+
+    def __post_init__(self):
+        probe = (np.array([[0.5], [2.0]]), np.array([1.0, 3.0]))  # two 1-vectors, two times
+        for name in ("mu", "nu"):
+            fn = vectorize_scalar(getattr(self, name), *probe, signature="(d),()->()")
+            object.__setattr__(self, name, fn)
 
 
 def _check_time(t) -> None:
@@ -165,18 +173,6 @@ def default_times(count: int = 20, lo: float = 0.1, hi: float = 10.0) -> np.ndar
     return np.geomspace(lo, hi, count)
 
 
-def _over_times(fn: Callable, x: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Evaluate fn(x, ts) for one vector over many times, tolerating scalar-only fn."""
-    ts = np.asarray(ts, dtype=float)
-    try:
-        out = np.asarray(fn(x, ts), dtype=float)
-        if out.shape == ts.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(fn(x, t)) for t in ts.ravel()]).reshape(ts.shape)
-
-
 def certify_ifn(
     ifn: IFNorm,
     sample_vectors: Sequence,
@@ -216,8 +212,9 @@ def certify_ifn(
     zero = np.zeros(dim)
     nonzero = [v for v in vectors if np.any(v != 0.0)]
 
-    mu_tab = np.stack([_over_times(ifn.mu, v, times) for v in vectors])  # (V, T)
-    nu_tab = np.stack([_over_times(ifn.nu, v, times) for v in vectors])
+    stacked = np.stack(vectors)[:, None, :]
+    mu_tab = ifn.mu(stacked, times)  # (V, T)
+    nu_tab = ifn.nu(stacked, times)
 
     reports = []
 
@@ -239,7 +236,7 @@ def certify_ifn(
     reports.append(_report("mu-positive", worst, witness, tolerance))
 
     # Zero-vector characterisation of mu: equality at 0, strictly below 1 elsewhere.
-    mu_zero = _over_times(ifn.mu, zero, times)
+    mu_zero = ifn.mu(zero, times)
     worst = float(np.max(np.abs(mu_zero - 1.0)))
     witness = (tuple(zero), float(times[int(np.argmax(np.abs(mu_zero - 1.0)))]))
     for i, v in enumerate(vectors):
@@ -256,8 +253,8 @@ def certify_ifn(
         worst, witness = 0.0, (tuple(vectors[0]), SCALING_FACTORS[0], float(times[0]))
         for a in SCALING_FACTORS:
             for v in vectors:
-                direct = _over_times(fn, a * v, times)
-                rescaled = _over_times(fn, v, times / abs(a))
+                direct = fn(a * v, times)
+                rescaled = fn(v, times / abs(a))
                 gap = np.abs(direct - rescaled)
                 j = int(np.argmax(gap))
                 if gap[j] > worst:
@@ -269,14 +266,13 @@ def certify_ifn(
 
     t_pair = times[:, None] + times[None, :]  # (T, T) combined times
 
-    def triangle_violation(fn, combine, sign):
+    def triangle_violation(fn, tab, combine, sign):
         """sign +1 checks combine(f, f) <= f(x+y); sign -1 checks >=."""
         worst = 0.0
         witness = (tuple(vectors[0]), tuple(vectors[0]), float(times[0]), float(times[0]))
-        tab = np.stack([_over_times(fn, v, times) for v in vectors])
         for i in range(len(vectors)):
             for j in range(i, len(vectors)):
-                joint = _over_times(fn, vectors[i] + vectors[j], t_pair.ravel()).reshape(t_pair.shape)
+                joint = fn(vectors[i] + vectors[j], t_pair)
                 lhs = combine(tab[i][:, None], tab[j][None, :])
                 gap = sign * (lhs - joint)
                 a, b = np.unravel_index(np.argmax(gap), gap.shape)
@@ -286,7 +282,7 @@ def certify_ifn(
                                float(times[a]), float(times[b]))
         return max(worst, 0.0), witness
 
-    worst, witness = triangle_violation(ifn.mu, _batch(ifn.tnorm.fn), +1)
+    worst, witness = triangle_violation(ifn.mu, mu_tab, ifn.tnorm.fn, +1)
     reports.append(_report("mu-triangle", worst, witness, tolerance))
 
     def time_modulus(tab):
@@ -324,7 +320,7 @@ def certify_ifn(
         witness = (tuple(vectors[i]), float(times[j]))
     reports.append(_report("nu-below-one", worst, witness, tolerance))
 
-    nu_zero = _over_times(ifn.nu, zero, times)
+    nu_zero = ifn.nu(zero, times)
     worst = float(np.max(np.abs(nu_zero)))
     witness = (tuple(zero), float(times[int(np.argmax(np.abs(nu_zero)))]))
     for i, v in enumerate(vectors):
@@ -340,7 +336,7 @@ def certify_ifn(
     worst, witness = scaling_violation(ifn.nu)
     reports.append(_report("nu-scaling", worst, witness, tolerance))
 
-    worst, witness = triangle_violation(ifn.nu, _batch(ifn.tconorm.fn), -1)
+    worst, witness = triangle_violation(ifn.nu, nu_tab, ifn.tconorm.fn, -1)
     reports.append(_report("nu-triangle", worst, witness, tolerance))
 
     worst, witness = time_modulus(nu_tab)

@@ -215,7 +215,27 @@ def test_runtime_fault_exits_four(tmp_path, capsys):
     assert run_cli("analyze", ini, "--out", tmp_path / "o") == 4
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1
-    assert re.search(r"\(k=1, x=(np\.float64\()?0\.0\)", err)
+    assert re.search(r"\(k=1, x=0\.0\)", err)
+
+
+@pytest.mark.parametrize("n_max, code", [(1000, 2), (5000, 0)])
+def test_still_decaying_trace_is_not_a_failure(tmp_path, n_max, code):
+    # 9 exceptional indices: the ratio is 0.045 at 20% of n_max 1000 and
+    # 0.009 at the end, still falling, so not a settled positive limit
+    ini = tmp_path / "shift.ini"
+    ini.write_text("[sequence]\nexpression = x + 1.0 / k\nlimit = x\n"
+                   "[query]\ngrid_points = 3\n")
+    assert run_cli("analyze", ini, "--n-max", n_max, "--out", tmp_path / "o") == code
+
+
+def test_settled_dense_cauchy_trace_still_fails(tmp_path):
+    # sin(k) * x: the shared exceptional ratio sits flat (last/at-20% = 1.00)
+    ini = tmp_path / "dense.ini"
+    ini.write_text("[sequence]\nexpression = sin(k) * x\n"
+                   "[query]\nmode = uniform-lambda-cauchy\nn_max = 20000\n")
+    out = tmp_path / "o"
+    assert run_cli("analyze", ini, "--out", out) == 1
+    assert json.loads((out / "verdict.json").read_text())["traces"][0]["verdict"] == "limit-value"
 
 
 def test_reproduce_small_run(tmp_path, capsys):
