@@ -1,15 +1,26 @@
 """Convergence and Cauchy detection for function sequences under graded norms.
 
-Everything here reduces to one primitive: for a grid point x, candidate limit
-f, and level/time pair (epsilon, t), index k is *exceptional* when
+Every mode asks one question.  At a grid point x, with a centre c(x) and a
+level/time pair (epsilon, t), index k is *exceptional* when
 
-    mu(f_k(x) - f(x), t) <= 1 - epsilon   or   nu(f_k(x) - f(x), t) >= epsilon.
+    mu(f_k(x) - c(x), t) <= 1 - epsilon   or   nu(f_k(x) - c(x), t) >= epsilon.
 
-Windowed-statistical convergence asks the exceptional indices to have
-windowed density zero; the pointwise flavour allows a separate exceptional
-set per grid point, the uniform flavour charges one shared set (the union
-over the grid).  Classical convergence asks for a clean tail instead, and
-the Cauchy detectors replace f by an anchor term of the sequence itself.
+The centre is the candidate limit f, or an anchor term f_N in the Cauchy
+modes.  One grid pass (``_grid_masks``) answers the question at every grid
+point and hands back either one exceptional mask per point or their union.
+The masks then meet one of two judges:
+
+* windowed density (``_judge``): the stat modes trace the density of each
+  point's mask (pointwise) or of the union (uniform) and ask it to vanish;
+  the plain stat modes use lambda_n = n;
+* a tail certificate: ifn-classical asks every exceptional index to sit
+  early in the horizon.
+
+The Cauchy modes first search for an anchor (``_anchor_search``): the
+candidates are the first indices that are not exceptional against the
+latest term f_{n_max}, and the search stops at the first anchor whose
+exceptional density vanishes.  Pointwise mode searches once per grid point,
+uniform mode once over the union of the whole grid.
 
 Verdicts are three-valued: converges, fails, or inconclusive.  A trace whose
 tail has not settled is reported as inconclusive, never coerced to fails.
@@ -146,15 +157,43 @@ def _limit_vector(f: Callable, x) -> np.ndarray:
     return fx
 
 
-def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float) -> np.ndarray:
-    """Which rows of ``diffs`` are exceptional for (epsilon, t)."""
+def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float,
+                 split: bool = False) -> np.ndarray:
+    """Which rows of ``diffs`` are exceptional; ``split`` stacks the mu and nu tests."""
+    # both values before any comparison: this allocation order keeps peak RSS down
     mu, nu = ifn.mu(diffs, t), ifn.nu(diffs, t)
+    if split:
+        return np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
     return (mu <= 1.0 - epsilon + GUARD) | (nu >= epsilon - GUARD)
 
 
-def _point_mask(fs, f, ifn, x, epsilon, t, ks) -> np.ndarray:
-    diffs = _values_matrix(fs, ks, x) - _limit_vector(f, x)[None, :]
-    return _exceptional(ifn, diffs, epsilon, t)
+def _limit_centre(f: Callable) -> Callable:
+    return lambda x, vals: _limit_vector(f, x)
+
+
+def _centred(fs: FunctionSequence, ks: np.ndarray, x, centre: Callable) -> np.ndarray:
+    vals = _values_matrix(fs, ks, x)
+    return vals - centre(x, vals)[None, :]
+
+
+def _grid_masks(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre: Callable,
+                ks: np.ndarray, grid, union: bool = False, split: bool = False):
+    """The one grid pass: exceptional masks of f_k(x) - c(x) for k in ``ks``.
+
+    ``centre(x, vals)`` gives c(x) from the point and its terms.  Yields one
+    mask per point of ``grid``, in grid order, or returns their union when
+    ``union`` is set.  A point's terms live only inside the call that tests
+    them, so one point's values are held at a time.
+    """
+    masks = (_exceptional(ifn, _centred(fs, ks, x, centre), q.epsilon, q.time, split)
+             for x in grid)
+    if not union:
+        return masks
+    shared = np.zeros((2, ks.size) if split else ks.size, dtype=bool)
+    for mask in masks:
+        shared |= mask
+        del mask  # freed before the next point allocates, which keeps peak RSS down
+    return shared
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
@@ -175,12 +214,6 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     return member
 
 
-def _effective_lambda(q: ConvergenceQuery) -> LambdaSequence:
-    if q.mode in ("pointwise-stat", "uniform-stat"):
-        return lambda_family("identity")
-    return q.lam
-
-
 def _tail_witnesses(mask: np.ndarray, key, lam: LambdaSequence, n_max: int,
                     cap: int) -> list:
     w = window(lam, n_max)
@@ -198,11 +231,24 @@ def _aggregate(point_verdicts: list[str]) -> str:
 
 
 def _verdict_from_trace(trace: DensityTrace) -> str:
-    if trace.verdict == "limit-zero":
-        return "converges"
-    if trace.verdict == "inconclusive":
-        return "inconclusive"
-    return "fails"  # limit-one or settled positive value: density clearly not zero
+    # limit-one or a settled positive value: the density is clearly not zero
+    return {"limit-zero": "converges", "inconclusive": "inconclusive"}.get(trace.verdict, "fails")
+
+
+def _judge(keyed_masks, lam: LambdaSequence, q: ConvergenceQuery) -> tuple[str, dict, list]:
+    """Density judge of the stat modes over (key, mask) pairs.
+
+    Returns the aggregate verdict, the trace of each key, and up to
+    WITNESS_CAP tail witnesses (k, key) from the masks that do not converge.
+    """
+    traces, point_verdicts, witnesses = {}, [], []
+    for key, mask in keyed_masks:
+        traces[key] = trace = density_trace(mask, lam, q.n_max, q.stride)
+        point_verdicts.append(_verdict_from_trace(trace))
+        if point_verdicts[-1] != "converges" and len(witnesses) < WITNESS_CAP:
+            witnesses.extend(_tail_witnesses(mask, key, lam, q.n_max,
+                                             WITNESS_CAP - len(witnesses)))
+    return _aggregate(point_verdicts), traces, witnesses
 
 
 def detect(fs: FunctionSequence, f: Callable, ifn_target,
@@ -217,60 +263,39 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
     if q.mode in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} requires detect_cauchy")
 
-    if q.mode == "ifn-classical":
-        return _detect_classical(fs, f, ifn_target, q)
-
-    lam = _effective_lambda(q)
     grid = fs.domain_grid
     ks = np.arange(1, q.n_max + 1)
-    uniform = q.mode.startswith("uniform")
+    limit = _limit_centre(f)
+    if q.mode == "ifn-classical":
+        return _detect_classical(_grid_masks(fs, ifn_target, q, limit, ks, grid), grid, q)
 
-    witnesses: list = []
-    if uniform:
-        shared = np.zeros(q.n_max, dtype=bool)
-        for x in grid:
-            shared |= _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
-        trace = density_trace(shared, lam, q.n_max, q.stride)
-        verdict = _verdict_from_trace(trace)
-        if verdict != "converges":
-            # Attribute shared-set witnesses to the first grid point that
-            # triggers each exceptional index.
-            for k, key in _tail_witnesses(shared, None, lam, q.n_max, WITNESS_CAP):
-                for x in grid:
-                    if exceptional_set(fs, f, ifn_target, x, q.epsilon, q.time)(k):
-                        witnesses.append((k, _point_key(x)))
-                        break
-                if len(witnesses) >= WITNESS_CAP:
-                    break
-        return ConvergenceVerdict(q.mode, verdict, trace, witnesses, q.epsilon,
+    lam = lambda_family("identity") if q.mode in ("pointwise-stat", "uniform-stat") else q.lam
+    if not q.mode.startswith("uniform"):
+        verdict, traces, witnesses = _judge(
+            zip(map(_point_key, grid), _grid_masks(fs, ifn_target, q, limit, ks, grid)), lam, q)
+        return ConvergenceVerdict(q.mode, verdict, traces, witnesses, q.epsilon,
                                   q.time, lam.name, q.n_max)
 
-    traces: dict = {}
-    point_verdicts = []
-    for x in grid:
-        key = _point_key(x)
-        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
-        trace = density_trace(mask, lam, q.n_max, q.stride)
-        traces[key] = trace
-        verdict = _verdict_from_trace(trace)
-        point_verdicts.append(verdict)
-        if verdict != "converges" and len(witnesses) < WITNESS_CAP:
-            witnesses.extend(_tail_witnesses(mask, key, lam, q.n_max,
-                                             WITNESS_CAP - len(witnesses)))
-    return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), traces, witnesses,
-                              q.epsilon, q.time, lam.name, q.n_max)
+    shared = _grid_masks(fs, ifn_target, q, limit, ks, grid, union=True)
+    verdict, traces, tail = _judge([(None, shared)], lam, q)
+    witnesses: list = []
+    if tail:
+        # Attribute each shared-set witness to the first grid point where
+        # that index is exceptional.
+        tail_ks = np.array([k for k, _ in tail])
+        hits = np.array(list(_grid_masks(fs, ifn_target, q, limit, tail_ks, grid)))
+        witnesses = [(int(k), _point_key(grid[np.argmax(col)]))
+                     for k, col in zip(tail_ks, hits.T) if col.any()]
+    return ConvergenceVerdict(q.mode, verdict, traces[None], witnesses, q.epsilon,
+                              q.time, lam.name, q.n_max)
 
 
-def _detect_classical(fs, f, ifn_target, q: ConvergenceQuery) -> ConvergenceVerdict:
+def _detect_classical(masks, grid, q: ConvergenceQuery) -> ConvergenceVerdict:
     clean_cut = int(q.n_max * CLASSICAL_CLEAN_FRACTION)
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
-    ks = np.arange(1, q.n_max + 1)
-    point_verdicts = []
-    witnesses: list = []
-    last_exceptional: dict = {}
-    for x in fs.domain_grid:
+    point_verdicts, witnesses, last_exceptional = [], [], {}
+    for x, mask in zip(grid, masks):
         key = _point_key(x)
-        mask = _point_mask(fs, f, ifn_target, x, q.epsilon, q.time, ks)
         hits = np.flatnonzero(mask) + 1
         k_last = int(hits[-1]) if hits.size else 0
         last_exceptional[key] = k_last
@@ -288,84 +313,64 @@ def _detect_classical(fs, f, ifn_target, q: ConvergenceQuery) -> ConvergenceVerd
                               details={"last_exceptional": last_exceptional})
 
 
+def _anchor_search(fs: FunctionSequence, ifn, q: ConvergenceQuery, ks: np.ndarray, grid):
+    """Search an anchor f_N that serves every point of ``grid`` at once.
+
+    The candidates are the first ANCHOR_POOL indices outside the union of
+    exceptional masks against f_{n_max}; the search stops at the first
+    candidate whose union has vanishing density.  Returns the outcome, the
+    chosen anchor (None unless it converges), and the trace and union mask
+    of the last candidate tried (both None when there is no candidate).
+    """
+    def union_against(anchor):
+        return _grid_masks(fs, ifn, q, lambda x, vals: vals[anchor - 1], ks, grid, union=True)
+
+    pool = (np.flatnonzero(~union_against(q.n_max)) + 1)[:ANCHOR_POOL]
+    outcome, trace, mask = "fails", None, None
+    for anchor in pool:
+        mask = union_against(anchor)
+        trace = density_trace(mask, q.lam, q.n_max, q.stride)
+        if trace.verdict == "limit-zero":
+            return "converges", int(anchor), trace, mask
+        if trace.verdict == "inconclusive":
+            outcome = "inconclusive"
+    return outcome, None, trace, mask
+
+
 def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> ConvergenceVerdict:
     """Self-referential convergence test: no candidate limit required.
 
-    Anchor terms f_N stand in for the limit.  Candidate N values are the
-    first ANCHOR_POOL indices that are non-exceptional against the latest
-    available term (k_ref = n_max); the run converges when some anchor makes
-    the exceptional density vanish.  Pointwise mode anchors each grid point
-    separately (N may depend on x); uniform mode uses one anchor and one
-    shared exceptional set for the whole grid.
+    Anchor terms f_N stand in for the limit (see ``_anchor_search``); the
+    run converges when some anchor makes the exceptional density vanish.
+    Pointwise mode anchors each grid point separately (N may depend on x);
+    uniform mode uses one anchor and one shared exceptional set for the
+    whole grid.  A failing run reports tail witnesses of the last anchor's
+    mask.
     """
     if q.mode not in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
-    lam = q.lam
-    grid = fs.domain_grid
     ks = np.arange(1, q.n_max + 1)
 
-    def masks_against(vals: np.ndarray, center: np.ndarray) -> np.ndarray:
-        return _exceptional(ifn_target, vals - center[None, :], q.epsilon, q.time)
+    if q.mode == "uniform-lambda-cauchy":
+        outcome, chosen, trace, mask = _anchor_search(fs, ifn_target, q, ks, fs.domain_grid)
+        witnesses = (_tail_witnesses(mask, None, q.lam, q.n_max, WITNESS_CAP)
+                     if outcome == "fails" and trace is not None else [])
+        return ConvergenceVerdict(q.mode, outcome, trace, witnesses, q.epsilon,
+                                  q.time, q.lam.name, q.n_max, details={"anchor": chosen})
 
-    if q.mode == "pointwise-lambda-cauchy":
-        traces: dict = {}
-        anchors_used: dict = {}
-        point_verdicts = []
-        witnesses: list = []
-        for x in grid:
-            key = _point_key(x)
-            vals = _values_matrix(fs, ks, x)
-            ref_mask = masks_against(vals, vals[-1])
-            pool = (np.flatnonzero(~ref_mask) + 1)[:ANCHOR_POOL]
-            outcome, chosen, best_trace = "fails", None, None
-            for anchor in pool:
-                mask = masks_against(vals, vals[anchor - 1])
-                trace = density_trace(mask, lam, q.n_max, q.stride)
-                best_trace = trace
-                if trace.verdict == "limit-zero":
-                    outcome, chosen = "converges", int(anchor)
-                    break
-                if trace.verdict == "inconclusive":
-                    outcome = "inconclusive"
-            point_verdicts.append(outcome)
-            anchors_used[key] = chosen
-            if best_trace is not None:
-                traces[key] = best_trace
-            if outcome == "fails" and best_trace is not None and len(witnesses) < WITNESS_CAP:
-                last_mask = masks_against(vals, vals[(pool[-1] if pool.size else q.n_max) - 1])
-                witnesses.extend(_tail_witnesses(last_mask, key, lam, q.n_max,
+    traces, anchors_used, point_verdicts, witnesses = {}, {}, [], []
+    for x in fs.domain_grid:
+        key = _point_key(x)
+        outcome, anchors_used[key], trace, mask = _anchor_search(fs, ifn_target, q, ks, [x])
+        point_verdicts.append(outcome)
+        if trace is not None:
+            traces[key] = trace
+            if outcome == "fails" and len(witnesses) < WITNESS_CAP:
+                witnesses.extend(_tail_witnesses(mask, key, q.lam, q.n_max,
                                                  WITNESS_CAP - len(witnesses)))
-        return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), traces, witnesses,
-                                  q.epsilon, q.time, lam.name, q.n_max,
-                                  details={"anchors": anchors_used})
-
-    # Uniform: one anchor must serve every grid point.
-    union_ref = np.zeros(q.n_max, dtype=bool)
-    for x in grid:
-        vals = _values_matrix(fs, ks, x)
-        union_ref |= masks_against(vals, vals[-1])
-    pool = (np.flatnonzero(~union_ref) + 1)[:ANCHOR_POOL]
-
-    outcome, chosen, best_trace = "fails", None, None
-    for anchor in pool:
-        shared = np.zeros(q.n_max, dtype=bool)
-        for x in grid:
-            vals = _values_matrix(fs, ks, x)
-            shared |= masks_against(vals, vals[anchor - 1])
-        trace = density_trace(shared, lam, q.n_max, q.stride)
-        best_trace = trace
-        if trace.verdict == "limit-zero":
-            outcome, chosen = "converges", int(anchor)
-            break
-        if trace.verdict == "inconclusive":
-            outcome = "inconclusive"
-    witnesses: list = []
-    if outcome == "fails" and best_trace is not None:
-        # Report tail indices of the shared set for the last anchor tried.
-        witnesses = _tail_witnesses(shared, None, lam, q.n_max, WITNESS_CAP)
-        witnesses = [(k, None) for k, _ in witnesses]
-    return ConvergenceVerdict(q.mode, outcome, best_trace, witnesses, q.epsilon,
-                              q.time, lam.name, q.n_max, details={"anchor": chosen})
+    return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), traces, witnesses,
+                              q.epsilon, q.time, q.lam.name, q.n_max,
+                              details={"anchors": anchors_used})
 
 
 def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
@@ -373,7 +378,7 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     """Numerically confirm the five equivalent densities behind the detector.
 
     For each grid point (pointwise mode) or the shared union (uniform mode)
-    the five statements are evaluated independently:
+    the five statements are evaluated:
 
     1. the joint exceptional set has windowed density zero;
     2. the mu-exceptional and nu-exceptional sets each have density zero;
@@ -382,69 +387,34 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     5. the values mu(f_k - f, t) converge windowed-statistically to 1 and
        nu(f_k - f, t) to 0 (checked at the query epsilon).
 
+    At the query epsilon the index sets of statement 5, {k : 1 - mu >= eps}
+    and {k : |nu| >= eps}, are the mu- and nu-exceptional sets of statement
+    2, because nu >= 0; so statement 5 takes its verdict from statement 2's
+    masks, and a difference could only come from rounding at the boundary.
+
     Returns True when all five verdicts are decisive and identical (all true
     for a converging run, all false for a failing one); an inconclusive
     trace anywhere yields False, since agreement cannot be certified.
     """
     if q.mode not in ("pointwise-lambda-stat", "uniform-lambda-stat"):
         raise DomainError("lemma check requires a lambda-stat mode")
-    lam = q.lam
     uniform = q.mode == "uniform-lambda-stat"
-    ks = np.arange(1, q.n_max + 1)
+    masks = _grid_masks(fs, ifn_target, q, _limit_centre(f), np.arange(1, q.n_max + 1),
+                        fs.domain_grid, union=uniform, split=True)
 
-    def zero(mask) -> bool | None:
-        v = density_trace(mask, lam, q.n_max, q.stride).verdict
-        return True if v == "limit-zero" else (None if v == "inconclusive" else False)
-
-    def one(mask) -> bool | None:
-        v = density_trace(mask, lam, q.n_max, q.stride).verdict
-        return True if v == "limit-one" else (None if v == "inconclusive" else False)
+    def density(mask, target: str) -> bool | None:
+        v = density_trace(mask, q.lam, q.n_max, q.stride).verdict
+        return None if v == "inconclusive" else v == target
 
     def conj(a, b) -> bool | None:
-        if a is None or b is None:
-            return None
-        return a and b
+        return None if a is None or b is None else a and b
 
-    def point_masks(x):
-        vals = _values_matrix(fs, ks, x)
-        diffs = vals - _limit_vector(f, x)[None, :]
-        mu, nu = ifn_target.mu(diffs, q.time), ifn_target.nu(diffs, q.time)
-        m_mu = mu <= 1.0 - q.epsilon + GUARD
-        m_nu = nu >= q.epsilon - GUARD
-        # Value-sequence framing of statement 5: distance of mu from 1 and
-        # of nu from 0, thresholded at the query epsilon.
-        v_mu = (1.0 - mu) >= q.epsilon - GUARD
-        v_nu = np.abs(nu) >= q.epsilon - GUARD
-        return m_mu, m_nu, v_mu, v_nu
-
-    if uniform:
-        n = q.n_max
-        u_mu = np.zeros(n, dtype=bool)
-        u_nu = np.zeros(n, dtype=bool)
-        uv_mu = np.zeros(n, dtype=bool)
-        uv_nu = np.zeros(n, dtype=bool)
-        for x in fs.domain_grid:
-            m_mu, m_nu, v_mu, v_nu = point_masks(x)
-            u_mu |= m_mu
-            u_nu |= m_nu
-            uv_mu |= v_mu
-            uv_nu |= v_nu
-        groups = [(u_mu, u_nu, uv_mu, uv_nu)]
-    else:
-        groups = [point_masks(x) for x in fs.domain_grid]
-
-    statements: list[list] = [[], [], [], [], []]
-    for m_mu, m_nu, v_mu, v_nu in groups:
+    rows = []  # one row of the five statement values per group
+    for m_mu, m_nu in ([masks] if uniform else masks):
         joint = m_mu | m_nu
-        statements[0].append(zero(joint))
-        statements[1].append(conj(zero(m_mu), zero(m_nu)))
-        statements[2].append(one(~joint))
-        statements[3].append(conj(one(~m_mu), one(~m_nu)))
-        statements[4].append(conj(zero(v_mu), zero(v_nu)))
-
-    verdicts = []
-    for stmt in statements:
-        if any(v is None for v in stmt):
-            return False
-        verdicts.append(all(stmt))
-    return all(v == verdicts[0] for v in verdicts)
+        separate = conj(density(m_mu, "limit-zero"), density(m_nu, "limit-zero"))
+        rows.append((density(joint, "limit-zero"), separate, density(~joint, "limit-one"),
+                     conj(density(~m_mu, "limit-one"), density(~m_nu, "limit-one")), separate))
+    if any(v is None for row in rows for v in row):
+        return False
+    return len({all(stmt) for stmt in zip(*rows)}) == 1

@@ -18,8 +18,8 @@ import numpy as np
 
 from .algebra import AxiomReport, DomainError, _report, vectorize_scalar
 
-# Verdict heuristic knobs.  The tail is the last fifth of the trace points.
-TAIL_FRACTION = 0.2
+# Verdict heuristic knobs.  The tail is the last fifth of the trace points
+# (``_tail_start``); the early reference point sits at the 20% horizon.
 ZERO_TAIL_MAX = 1e-2      # a vanishing ratio must sit below this over the tail
 DECAY_FACTOR = 0.5        # ... and the last point must be <= half the 20%-horizon value
 VALUE_STD_TOL = 1e-3      # a settled ratio must have tail standard deviation below this
@@ -144,8 +144,7 @@ class DensityTrace:
         return float(self.ratios[-1])
 
     def tail(self) -> np.ndarray:
-        start = (len(self.ratios) * 4) // 5
-        return self.ratios[start:]
+        return self.ratios[_tail_start(len(self.ratios)):]
 
     @property
     def tail_max(self) -> float:
@@ -158,8 +157,13 @@ class DensityTrace:
                 fh.write(f"{int(n)},{int(lo)},{int(hi)},{int(c)},{float(r)!r}\n")
 
 
+def _tail_start(points: int) -> int:
+    """First index of the tail, the last fifth of ``points`` trace points."""
+    return (points * 4) // 5
+
+
 def _classify(ratios: np.ndarray) -> tuple[str, float | None]:
-    """Heuristic verdict on the trace tail; see module docstring knobs.
+    """Heuristic verdict on the trace tail; the knobs are the constants above.
 
     limit-zero needs the tail to sit under ZERO_TAIL_MAX and the last point
     to be at most DECAY_FACTOR times the ratio at the 20% horizon (decay
@@ -169,16 +173,14 @@ def _classify(ratios: np.ndarray) -> tuple[str, float | None]:
     no evidence of a positive limit.  Anything else is inconclusive rather
     than a failure claim.
     """
-    start = (len(ratios) * 4) // 5
+    start, early = _tail_start(len(ratios)), len(ratios) // 5
     tail = ratios[start:]
-    at20 = ratios[len(ratios) // 5]
-    last = ratios[-1]
 
-    decaying = last <= DECAY_FACTOR * at20
+    decaying = ratios[-1] <= DECAY_FACTOR * ratios[early]
     if np.max(tail) <= ZERO_TAIL_MAX and decaying:
         return "limit-zero", float(np.mean(tail))
     gap = np.abs(1.0 - ratios)
-    if np.max(gap[start:]) <= ZERO_TAIL_MAX and gap[-1] <= DECAY_FACTOR * gap[len(ratios) // 5]:
+    if np.max(gap[start:]) <= ZERO_TAIL_MAX and gap[-1] <= DECAY_FACTOR * gap[early]:
         return "limit-one", float(np.mean(tail))
     if float(np.std(tail)) <= VALUE_STD_TOL and not decaying:
         return "limit-value", float(np.mean(tail))

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from ifnlab import (ConvergenceQuery, FunctionSequence, build_example,
-                    build_reciprocal_shift, combine_linear, detect, detect_cauchy,
-                    exceptional_set, lambda_family, lemma_equivalence_check)
+from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
+                    build_reciprocal_shift, combine_linear, density_trace, detect,
+                    detect_cauchy, exceptional_set, lambda_family,
+                    lemma_equivalence_check, window)
 from ifnlab.algebra import DomainError
+from ifnlab.convergence import ANCHOR_POOL, WITNESS_CAP
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -32,6 +34,14 @@ def alternating_sign(grid):
 
     return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
                             grid, "alternating sign", evaluate_many)
+
+
+def sine_family(grid):
+    def evaluate_many(ks, x):
+        return np.sin(np.asarray(ks, dtype=float)) * x
+
+    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
+                            grid, "sin(k) * x", evaluate_many)
 
 
 # ---------------------------------------------------------------- exceptional set
@@ -168,9 +178,68 @@ def test_uniform_wrong_limit_attributes_witnesses(std_space, unit_grid):
     v = detect(fs, wrong, std_space, query("uniform-lambda-stat", 20_000, lam))
     assert v.verdict == "fails"
     assert v.witnesses
-    # every reported pair must actually satisfy the exceptional condition
+    # every reported pair must actually satisfy the exceptional condition,
+    # at the first grid point (in grid order) where index k is exceptional
     for k, x in v.witnesses:
         assert exceptional_set(fs, wrong, std_space, x, EPS, T)(k), (k, x)
+        for earlier in unit_grid[unit_grid < x]:
+            assert not exceptional_set(fs, wrong, std_space, earlier, EPS, T)(k), (k, earlier)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_grid_pass_matches_exceptional_set(std_space, unit_grid, mode):
+    # Rebuild each mode's masks from the public per-index predicate.  Against
+    # the limit 0, sin(k) * x fails in every mode, so every witness path runs.
+    n_max, lam = 2_000, lambda_family("identity")
+    fs, zero = sine_family(unit_grid), (lambda x: 0.0)
+    q = query(mode, n_max, lam)
+    final = window(lam, n_max)
+
+    def mask(f, x):
+        member = exceptional_set(fs, f, std_space, x, EPS, T)
+        return np.array([member(k) for k in range(1, n_max + 1)])
+
+    def anchored(xs, anchor):
+        """Union over xs against f_anchor; None means the last candidate tried."""
+        if anchor is None:
+            ref = np.any([mask(lambda y: fs.evaluate(n_max, y), x) for x in xs], axis=0)
+            anchor = (np.flatnonzero(~ref) + 1)[:ANCHOR_POOL][-1]
+        return np.any([mask(lambda y: fs.evaluate(anchor, y), x) for x in xs], axis=0)
+
+    def same_counts(trace, m):
+        return np.array_equal(trace.counts, density_trace(m, lam, n_max).counts)
+
+    def tail(m):
+        return list(np.flatnonzero(m[final.lo - 1:]) + final.lo)[-WITNESS_CAP:]
+
+    if mode.endswith("cauchy"):
+        v = detect_cauchy(fs, std_space, q)
+    else:
+        v = detect(fs, zero, std_space, q)
+        masks = {float(x): mask(zero, x) for x in unit_grid}
+    assert v.verdict == "fails" and v.witnesses
+
+    if mode == "ifn-classical":
+        for x, m in masks.items():
+            hits = np.flatnonzero(m) + 1
+            assert v.details["last_exceptional"][x] == (hits[-1] if hits.size else 0)
+        assert all(masks[x][k - 1] and k > 0.9 * n_max for k, x in v.witnesses)
+    elif mode.startswith("uniform") and mode.endswith("stat"):
+        shared = np.any(list(masks.values()), axis=0)
+        assert same_counts(v.traces, shared)
+        first = {k: next(x for x, m in masks.items() if m[k - 1]) for k in tail(shared)}
+        assert v.witnesses == list(first.items())
+    elif mode.endswith("stat"):
+        assert all(same_counts(v.traces[x], m) for x, m in masks.items())
+        assert all(masks[x][k - 1] and k >= final.lo for k, x in v.witnesses)
+    elif mode == "uniform-lambda-cauchy":
+        shared = anchored(unit_grid, v.details["anchor"])
+        assert same_counts(v.traces, shared)
+        assert v.witnesses == [(k, None) for k in tail(shared)]
+    else:
+        masks = {float(x): anchored([x], v.details["anchors"][float(x)]) for x in unit_grid}
+        assert all(same_counts(v.traces[x], m) for x, m in masks.items())
+        assert all(masks[x][k - 1] and k >= final.lo for k, x in v.witnesses)
 
 
 def test_oscillating_density_is_inconclusive(std_space, unit_grid):
