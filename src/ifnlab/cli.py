@@ -7,10 +7,10 @@ Subcommands
     reproduce <example>  re-run a bundled benchmark family with defaults
 
 Exit status: 0 converges, 1 fails, 2 inconclusive, 3 configuration error,
-4 runtime fault (such as a non-finite term).  ``density`` exits 0 on
-completion; ``axioms`` exits 0 only if every report passes.  Config files
-are INI: sections [space], [lambda], [sequence], [query], [density],
-[output]; see the README for the schema.
+4 runtime fault (any other error, such as a non-finite term).  ``density``
+exits 0 on completion; ``axioms`` exits 0 only if every report passes.
+Config files are INI (see the README for the schema); a key left out keeps
+its default, and the flags override the config.
 """
 from __future__ import annotations
 
@@ -39,22 +39,73 @@ class ConfigError(Exception):
 
 EXIT_BY_VERDICT = {"converges": 0, "fails": 1, "inconclusive": 2}
 
-_SCHEMA = {
-    "space": {"norm", "dimension", "tnorm", "tconorm"},
-    "lambda": {"family", "table"},
-    "sequence": {"example", "expression", "limit"},
-    "query": {"mode", "epsilon", "time", "n_max", "stride",
-              "grid_low", "grid_high", "grid_points"},
-    "density": {"set", "expression"},
-    "output": {"directory"},
+# The named index sets of [density] are shorthand for these formulas in k
+# (``floor(sqrt(k)) ** 2 == k`` is exact for k < 2**52).
+DENSITY_SETS = {
+    "evens": "k % 2 == 0",
+    "odds": "k % 2 == 1",
+    "squares": "floor(sqrt(k)) ** 2 == k",
+    "all": "k >= 1",
+    "none": "k < 1",
 }
 
-DENSITY_SETS = ("evens", "odds", "squares", "all", "none")
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(part) for part in raw.split(","))
+
+
+# The INI schema, one row per key: (section, key, ExperimentConfig field, parser).
+# Parsing, to_ini, the messages and the flag overrides read it; defaults live in
+# ExperimentConfig.
+_KEYS = (
+    ("space", "norm", "norm", str),
+    ("space", "dimension", "dimension", int),
+    ("space", "tnorm", "tnorm_id", str),
+    ("space", "tconorm", "tconorm_id", str),
+    ("lambda", "family", "lambda_id", str),
+    ("lambda", "table", "lambda_table", _floats),
+    ("sequence", "example", "example", str),
+    ("sequence", "expression", "expression", str),
+    ("sequence", "limit", "limit", str),
+    ("query", "mode", "mode", str),
+    ("query", "epsilon", "epsilon", float),
+    ("query", "time", "time", float),
+    ("query", "n_max", "n_max", int),
+    ("query", "stride", "stride", int),
+    ("query", "grid_low", "grid_low", float),
+    ("query", "grid_high", "grid_high", float),
+    ("query", "grid_points", "grid_points", int),
+    ("density", "set", "density_set", str),
+    ("density", "expression", "density_expression", str),
+    ("output", "directory", "out_dir", str),
+)
+
+# Fields that must name a known id: field -> (noun in the message, the ids).
+_CHOICES = {
+    "norm": ("norm", NORM_IDS),
+    "tnorm_id": ("t-norm", TNORM_IDS),
+    "tconorm_id": ("t-conorm", TCONORM_IDS),
+    "lambda_id": ("family", LAMBDA_IDS),
+    "example": ("example", EXAMPLE_IDS),
+    "mode": ("mode", MODES),
+    "density_set": ("set", tuple(DENSITY_SETS)),
+}
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(float(v)) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration; ``to_ini`` round-trips through ``from_ini``."""
+    """Resolved configuration; ``to_ini`` round-trips through ``from_ini``.
+
+    These defaults are the only ones: a key missing from the INI file keeps
+    its default here.  Construction validates every field, so ``replace``
+    cannot build an invalid config either.
+    """
 
     norm: str = "abs"
     dimension: int = 1
@@ -77,50 +128,45 @@ class ExperimentConfig:
     density_expression: str | None = None
     out_dir: str = "results"
 
+    def __post_init__(self):
+        for section, key, name, value in self._given():
+            if name in _CHOICES and value not in _CHOICES[name][1]:
+                noun, ids = _CHOICES[name]
+                raise ConfigError(f"{section}.{key}: unknown {noun} {value!r}, choose from {ids}")
+        for ok, message in (
+            (self.dimension >= 1, f"space.dimension must be >= 1, got {self.dimension}"),
+            (self.norm != "abs" or self.dimension == 1, "space.norm abs requires dimension 1"),
+            (0.0 < self.epsilon < 1.0, f"query.epsilon outside (0, 1): {self.epsilon}"),
+            (self.time > 0.0, f"query.time must be positive: {self.time}"),
+            (self.n_max >= 10, f"query.n_max must be >= 10: {self.n_max}"),
+            (self.stride is None or self.stride >= 1, f"query.stride must be >= 1: {self.stride}"),
+            (self.grid_low < self.grid_high, "query.grid_low must be below query.grid_high"),
+            (self.grid_points >= 2, f"query.grid_points must be >= 2: {self.grid_points}"),
+            (self.example is None or self.expression is None,
+             "sequence: give either example or expression, not both"),
+            (self.density_set is None or self.density_expression is None,
+             "density: give either set or expression, not both"),
+        ):
+            if not ok:
+                raise ConfigError(message)
+        for text, variables in ((self.expression, ("k", "x")), (self.limit, ("x",)),
+                                (self.density_expression, ("k",))):
+            if text is not None:  # reject a bad formula before any run starts
+                compile_expression(text, variables)
+
+    def _given(self):
+        """(section, key, field, value) of every key set; a table stands in for the family."""
+        for section, key, name, _ in _KEYS:
+            value = getattr(self, name)
+            if value is not None and not (name == "lambda_id" and self.lambda_table is not None):
+                yield section, key, name, value
+
     def to_ini(self) -> str:
-        lines = [
-            "[space]",
-            f"norm = {self.norm}",
-            f"dimension = {self.dimension}",
-            f"tnorm = {self.tnorm_id}",
-            f"tconorm = {self.tconorm_id}",
-            "",
-            "[lambda]",
-        ]
-        if self.lambda_table is not None:
-            lines.append("table = " + ", ".join(repr(float(v)) for v in self.lambda_table))
-        else:
-            lines.append(f"family = {self.lambda_id}")
-        lines += ["", "[sequence]"]
-        if self.example is not None:
-            lines.append(f"example = {self.example}")
-        if self.expression is not None:
-            lines.append(f"expression = {self.expression}")
-        if self.limit is not None:
-            lines.append(f"limit = {self.limit}")
-        lines += [
-            "",
-            "[query]",
-            f"mode = {self.mode}",
-            f"epsilon = {self.epsilon!r}",
-            f"time = {self.time!r}",
-            f"n_max = {self.n_max}",
-        ]
-        if self.stride is not None:
-            lines.append(f"stride = {self.stride}")
-        lines += [
-            f"grid_low = {self.grid_low!r}",
-            f"grid_high = {self.grid_high!r}",
-            f"grid_points = {self.grid_points}",
-        ]
-        if self.density_set is not None or self.density_expression is not None:
-            lines += ["", "[density]"]
-            if self.density_set is not None:
-                lines.append(f"set = {self.density_set}")
-            if self.density_expression is not None:
-                lines.append(f"expression = {self.density_expression}")
-        lines += ["", "[output]", f"directory = {self.out_dir}", ""]
-        return "\n".join(lines)
+        sections: dict = {}
+        for section, key, _, value in self._given():
+            sections.setdefault(section, []).append(f"{key} = {_ini_text(value)}")
+        return "\n".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+                         for section, lines in sections.items())
 
 
 def from_ini(text: str) -> ExperimentConfig:
@@ -132,71 +178,24 @@ def from_ini(text: str) -> ExperimentConfig:
     except ConfigParserError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
+    rows = {(section, key): (name, parse) for section, key, name, parse in _KEYS}
+    values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in {row[0] for row in _KEYS}:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
+        for key, raw in parser[section].items():
+            if (section, key) not in rows:
                 raise ConfigError(f"unknown key {section}.{key}")
-
-    def get(section: str, key: str, default=None):
-        if parser.has_option(section, key):
-            return parser.get(section, key)
-        return default
-
-    def get_num(section: str, key: str, cast, default):
-        raw = get(section, key)
-        if raw is None:
-            return default
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-
-    table_raw = get("lambda", "table")
-    if table_raw is not None and parser.has_option("lambda", "family"):
-        raise ConfigError("lambda: give either family or table, not both")
-    table = None
-    if table_raw is not None:
-        try:
-            table = tuple(float(part) for part in table_raw.split(","))
-        except ValueError:
-            raise ConfigError(f"lambda.table: expected comma-separated numbers") from None
-
-    if get("sequence", "example") is not None and get("sequence", "expression") is not None:
-        raise ConfigError("sequence: give either example or expression, not both")
-    if get("density", "set") is not None and get("density", "expression") is not None:
-        raise ConfigError("density: give either set or expression, not both")
-    for section, key, variables in (("sequence", "expression", ("k", "x")),
-                                    ("sequence", "limit", ("x",)),
-                                    ("density", "expression", ("k",))):
-        if get(section, key) is not None:  # reject a bad formula at load time
-            compile_expression(get(section, key), variables)
-
-    cfg = ExperimentConfig(
-        norm=get("space", "norm", "abs"),
-        dimension=get_num("space", "dimension", int, 1),
-        tnorm_id=get("space", "tnorm", "product"),
-        tconorm_id=get("space", "tconorm", "bounded-sum"),
-        lambda_id=get("lambda", "family", "identity") if table is None else "table",
-        lambda_table=table,
-        example=get("sequence", "example"),
-        expression=get("sequence", "expression"),
-        limit=get("sequence", "limit"),
-        mode=get("query", "mode", "pointwise-lambda-stat"),
-        epsilon=get_num("query", "epsilon", float, 0.1),
-        time=get_num("query", "time", float, 1.0),
-        n_max=get_num("query", "n_max", int, 1_000_000),
-        stride=get_num("query", "stride", int, None),
-        grid_low=get_num("query", "grid_low", float, 0.0),
-        grid_high=get_num("query", "grid_high", float, 1.0),
-        grid_points=get_num("query", "grid_points", int, 101),
-        density_set=get("density", "set"),
-        density_expression=get("density", "expression"),
-        out_dir=get("output", "directory", "results"),
-    )
-    _validate_config(cfg)
-    return cfg
+            name, parse = rows[section, key]
+            try:
+                values[name] = parse(raw)
+            except ValueError:
+                raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
+    if "lambda_table" in values:
+        if "lambda_id" in values:
+            raise ConfigError("lambda: give either family or table, not both")
+        values["lambda_id"] = "table"
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -207,43 +206,6 @@ def load_config(path) -> ExperimentConfig:
     return from_ini(text)
 
 
-def _validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.norm not in NORM_IDS:
-        raise ConfigError(f"space.norm: unknown norm {cfg.norm!r}, choose from {NORM_IDS}")
-    if cfg.dimension < 1:
-        raise ConfigError(f"space.dimension must be >= 1, got {cfg.dimension}")
-    if cfg.norm == "abs" and cfg.dimension != 1:
-        raise ConfigError("space.norm abs requires dimension 1")
-    if cfg.tnorm_id not in TNORM_IDS:
-        raise ConfigError(f"space.tnorm: unknown t-norm {cfg.tnorm_id!r}, choose from {TNORM_IDS}")
-    if cfg.tconorm_id not in TCONORM_IDS:
-        raise ConfigError(
-            f"space.tconorm: unknown t-conorm {cfg.tconorm_id!r}, choose from {TCONORM_IDS}")
-    if cfg.lambda_table is None and cfg.lambda_id not in LAMBDA_IDS:
-        raise ConfigError(
-            f"lambda.family: unknown family {cfg.lambda_id!r}, choose from {LAMBDA_IDS}")
-    if cfg.example is not None and cfg.example not in EXAMPLE_IDS:
-        raise ConfigError(
-            f"sequence.example: unknown example {cfg.example!r}, choose from {EXAMPLE_IDS}")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"query.mode: unknown mode {cfg.mode!r}, choose from {MODES}")
-    if not 0.0 < cfg.epsilon < 1.0:
-        raise ConfigError(f"query.epsilon outside (0, 1): {cfg.epsilon}")
-    if cfg.time <= 0.0:
-        raise ConfigError(f"query.time must be positive: {cfg.time}")
-    if cfg.n_max < 10:
-        raise ConfigError(f"query.n_max must be >= 10: {cfg.n_max}")
-    if cfg.stride is not None and cfg.stride < 1:
-        raise ConfigError(f"query.stride must be >= 1: {cfg.stride}")
-    if not cfg.grid_low < cfg.grid_high:
-        raise ConfigError("query.grid_low must be below query.grid_high")
-    if cfg.grid_points < 2:
-        raise ConfigError(f"query.grid_points must be >= 2: {cfg.grid_points}")
-    if cfg.density_set is not None and cfg.density_set not in DENSITY_SETS:
-        raise ConfigError(
-            f"density.set: unknown set {cfg.density_set!r}, choose from {DENSITY_SETS}")
-
-
 _EXPR_NAMES = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log,
     "sqrt": np.sqrt, "abs": np.abs, "floor": np.floor, "ceil": np.ceil,
@@ -252,11 +214,14 @@ _EXPR_NAMES = {
 }
 
 
-# Syntax a config formula may use; attributes, subscripts, comprehensions,
-# lambdas and the like are rejected, so no formula can reach Python internals.
-_EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp, ast.operator,
-               ast.UnaryOp, ast.unaryop, ast.BoolOp, ast.boolop, ast.Compare, ast.cmpop,
-               ast.IfExp, ast.Call)
+# Syntax a config formula may use: arithmetic (+ - * / // % **), unary + - not,
+# comparison and boolean operators, if-expressions and calls.  Attributes,
+# subscripts, comprehensions, lambdas, and shift, bitwise and matrix operators
+# are rejected, so no formula can reach Python internals.
+_EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp,
+               ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+               ast.UnaryOp, ast.UAdd, ast.USub, ast.Not, ast.BoolOp, ast.boolop,
+               ast.Compare, ast.cmpop, ast.IfExp, ast.Call)
 
 
 def _allowed(node: ast.AST) -> bool:
@@ -272,9 +237,9 @@ def compile_expression(text: str, variables: tuple):
     """Compile a config formula over the given variables.
 
     The formula may use numeric constants, the variables, the names in
-    ``_EXPR_NAMES``, arithmetic, comparison and boolean operators,
-    if-expressions and calls of the whitelisted functions; anything else
-    is a ``ConfigError``.
+    ``_EXPR_NAMES`` and the syntax in ``_EXPR_NODES``; anything else is a
+    ``ConfigError``.  Integer constants become floats, so no formula runs
+    unbounded integer arithmetic such as ``9**9**9``.
     """
     try:
         tree = ast.parse(text, "<config expression>", mode="eval")
@@ -288,6 +253,11 @@ def compile_expression(text: str, variables: tuple):
     for node in nodes:
         if not _allowed(node):
             raise ConfigError(f"expression {text!r}: {type(node).__name__} is not allowed")
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise ConfigError(f"expression {text!r}: integer constant too large") from None
     code = compile(tree, "<config expression>", "eval")
 
     def run(**env):
@@ -308,15 +278,11 @@ def _resolve_space(cfg: ExperimentConfig):
     return standard_ifn(builtin_norm(cfg.norm), tnorm(cfg.tnorm_id), tconorm(cfg.tconorm_id))
 
 
-def _resolve_grid(cfg: ExperimentConfig) -> np.ndarray:
-    return np.linspace(cfg.grid_low, cfg.grid_high, cfg.grid_points)
-
-
 def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarray):
-    """Returns (sequence, limit-or-None, preferred-mode-or-None)."""
+    """Returns (sequence, limit-or-None)."""
     if cfg.example is not None:
-        fs, limit, preferred = build_example(cfg.example, lam, grid)
-        return fs, limit, preferred
+        fs, limit, _ = build_example(cfg.example, lam, grid)
+        return fs, limit
     if cfg.expression is None:
         raise ConfigError("sequence: need an example id or an expression")
     term = compile_expression(cfg.expression, ("k", "x"))
@@ -333,37 +299,18 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
     if cfg.limit is not None:
         limit_expr = compile_expression(cfg.limit, ("x",))
         limit = lambda x: float(limit_expr(x=float(x)))
-    return fs, limit, None
+    return fs, limit
 
 
-def _resolve_density_set(cfg: ExperimentConfig):
-    """Vectorised membership over an int index array."""
-    if cfg.density_set is not None:
-        name = cfg.density_set
-
-        def member_many(ks):
-            ks = np.asarray(ks)
-            if name == "evens":
-                return ks % 2 == 0
-            if name == "odds":
-                return ks % 2 == 1
-            if name == "squares":
-                roots = np.rint(np.sqrt(ks.astype(float))).astype(np.int64)
-                return roots * roots == ks
-            if name == "all":
-                return np.ones(ks.shape, dtype=bool)
-            return np.zeros(ks.shape, dtype=bool)
-
-        return member_many
-    if cfg.density_expression is None:
+def _resolve_density_set(cfg: ExperimentConfig) -> np.ndarray:
+    """Membership mask of the configured index set over k = 1..n_max."""
+    text = (cfg.density_expression if cfg.density_set is None
+            else DENSITY_SETS[cfg.density_set])
+    if text is None:
         raise ConfigError("density: need a set name or an expression")
-    expr = compile_expression(cfg.density_expression, ("k",))
-
-    def member_many(ks):
-        out = np.asarray(expr(k=np.asarray(ks, dtype=np.int64)))
-        return np.broadcast_to(out, np.asarray(ks).shape).astype(bool)
-
-    return member_many
+    ks = np.arange(1, cfg.n_max + 1, dtype=np.int64)
+    out = np.asarray(compile_expression(text, ("k",))(k=ks))
+    return np.broadcast_to(out, ks.shape).astype(bool)
 
 
 def _json_bytes(payload) -> bytes:
@@ -387,49 +334,36 @@ def _write_verdict(verdict: ConvergenceVerdict, out: Path) -> Path:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    updates = {}
-    if getattr(args, "n_max", None) is not None:
-        updates["n_max"] = args.n_max
-    if getattr(args, "epsilon", None) is not None:
-        updates["epsilon"] = args.epsilon
-    if getattr(args, "time", None) is not None:
-        updates["time"] = args.time
-    if getattr(args, "lambda_id", None) is not None:
-        updates["lambda_id"] = args.lambda_id
+    """Apply the flags given; each flag's dest is the config field it sets."""
+    fields = {row[2] for row in _KEYS}
+    updates = {name: value for name, value in vars(args).items()
+               if name in fields and value is not None}
+    if "lambda_id" in updates:  # a --lambda family replaces a table ladder
         updates["lambda_table"] = None
-    if getattr(args, "stride", None) is not None:
-        updates["stride"] = args.stride
-    if getattr(args, "out", None) is not None:
-        updates["out_dir"] = args.out
-    cfg = replace(cfg, **updates)
-    _validate_config(cfg)
-    return cfg
+    return replace(cfg, **updates)
 
 
 def _run_detection(cfg: ExperimentConfig):
-    """Returns (verdict, limit-or-None)."""
+    """Detect and write the verdict; returns (verdict, limit-or-None, verdict path)."""
     lam = _resolve_lambda(cfg)
     if cfg.lambda_table is not None:  # the built-in families are admissible
         failed = [r.axiom for r in validate(lam, cfg.n_max) if not r.passed]
         if failed:
             raise ConfigError(f"lambda.table is not admissible: fails {', '.join(failed)}")
     ifn = _resolve_space(cfg)
-    grid = _resolve_grid(cfg)
-    fs, limit, _ = _resolve_sequence(cfg, lam, grid)
+    grid = np.linspace(cfg.grid_low, cfg.grid_high, cfg.grid_points)
+    fs, limit = _resolve_sequence(cfg, lam, grid)
     query = ConvergenceQuery(mode=cfg.mode, epsilon=cfg.epsilon, time=cfg.time,
                              lam=lam, n_max=cfg.n_max, stride=cfg.stride)
-    if cfg.mode in CAUCHY_MODES:
-        return detect_cauchy(fs, ifn, query), limit
-    if limit is None:
+    if cfg.mode not in CAUCHY_MODES and limit is None:
         raise ConfigError("sequence.limit is required for non-Cauchy modes")
-    return detect(fs, limit, ifn, query), limit
+    verdict = (detect_cauchy(fs, ifn, query) if cfg.mode in CAUCHY_MODES
+               else detect(fs, limit, ifn, query))
+    return verdict, limit, _write_verdict(verdict, Path(cfg.out_dir))
 
 
-def _cmd_analyze(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    verdict, _ = _run_detection(cfg)
-    out = Path(cfg.out_dir)
-    path = _write_verdict(verdict, out)
+def _cmd_analyze(cfg: ExperimentConfig) -> int:
+    verdict, _, path = _run_detection(cfg)
     print(f"mode={verdict.mode} lambda={verdict.lambda_name} epsilon={verdict.epsilon!r} "
           f"time={verdict.time!r} n_max={verdict.n_max}")
     print(f"verdict: {verdict.verdict} ({len(verdict.trace_summaries())} traces)")
@@ -440,12 +374,9 @@ def _cmd_analyze(args) -> int:
     return EXIT_BY_VERDICT[verdict.verdict]
 
 
-def _cmd_density(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def _cmd_density(cfg: ExperimentConfig) -> int:
     lam = _resolve_lambda(cfg)
-    member_many = _resolve_density_set(cfg)
-    mask = np.asarray(member_many(np.arange(1, cfg.n_max + 1)), dtype=bool)
-    trace = density_trace(mask, lam, cfg.n_max, cfg.stride)
+    trace = density_trace(_resolve_density_set(cfg), lam, cfg.n_max, cfg.stride)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out / "trace.csv")
@@ -464,8 +395,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
-def _cmd_axioms(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def _cmd_axioms(cfg: ExperimentConfig) -> int:
     lam = _resolve_lambda(cfg)
     ifn = _resolve_space(cfg)
     groups = {
@@ -495,32 +425,26 @@ def _cmd_axioms(args) -> int:
 def _reproduce_config(example_arg: str) -> ExperimentConfig:
     alias = {"example-1": "paper-example-1", "example-2": "paper-example-2"}
     example = alias.get(example_arg, example_arg)
-    if example not in EXAMPLE_IDS:
-        raise ConfigError(f"unknown example {example_arg!r}; choose example-1 or example-2")
     mode = "pointwise-lambda-stat" if example == "paper-example-1" else "uniform-lambda-stat"
     return ExperimentConfig(example=example, mode=mode,
-                            out_dir=str(Path("results") / example))
+                            out_dir=str(Path(ExperimentConfig.out_dir) / example))
 
 
-def _cmd_reproduce(args) -> int:
-    cfg = _apply_overrides(_reproduce_config(args.example), args)
-    verdict, limit = _run_detection(cfg)
-    out = Path(cfg.out_dir)
-    path = _write_verdict(verdict, out)
+def _cmd_reproduce(cfg: ExperimentConfig) -> int:
+    verdict, limit, path = _run_detection(cfg)
 
     print(f"reproduce {cfg.example}: mode={cfg.mode} lambda={cfg.lambda_id} "
           f"epsilon={cfg.epsilon!r} time={cfg.time!r} n_max={cfg.n_max} "
           f"grid={cfg.grid_points}")
     if isinstance(verdict.traces, dict):
         regions: dict = {}
-        for x in _resolve_grid(cfg):
-            regions.setdefault(limit(float(x)), []).append(float(x))
+        for x, trace in verdict.traces.items():
+            regions.setdefault(limit(x), []).append(trace)
         for value in sorted(regions):
-            points = regions[value]
-            traces = [verdict.traces[p] for p in points]
+            traces = regions[value]
             ok = all(t.verdict == "limit-zero" for t in traces)
             worst = max(t.final_ratio for t in traces)
-            print(f"  region limit={value!r} ({len(points)} points): "
+            print(f"  region limit={value!r} ({len(traces)} points): "
                   f"{'converges' if ok else 'not settled'}, max final ratio {worst:.3e}")
     else:
         trace = verdict.traces
@@ -535,31 +459,24 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(sub) -> None:
-    sub.add_argument("--n-max", type=int, dest="n_max")
-    sub.add_argument("--epsilon", type=float)
-    sub.add_argument("--time", type=float)
-    sub.add_argument("--lambda", dest="lambda_id", choices=LAMBDA_IDS)
-    sub.add_argument("--stride", type=int)
-    sub.add_argument("--out")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ifnlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, handler in (("analyze", _cmd_analyze), ("density", _cmd_density),
-                          ("axioms", _cmd_axioms)):
+    for name, handler, source in (("analyze", _cmd_analyze, "config"),
+                                  ("density", _cmd_density, "config"),
+                                  ("axioms", _cmd_axioms, "config"),
+                                  ("reproduce", _cmd_reproduce, "example")):
         sub = subs.add_parser(name)
-        sub.add_argument("config")
-        _add_common_flags(sub)
+        sub.add_argument("source", metavar=source)
+        # each dest is the ExperimentConfig field the flag overrides
+        sub.add_argument("--n-max", type=int)
+        sub.add_argument("--epsilon", type=float)
+        sub.add_argument("--time", type=float)
+        sub.add_argument("--lambda", dest="lambda_id", choices=LAMBDA_IDS)
+        sub.add_argument("--stride", type=int)
+        sub.add_argument("--out", dest="out_dir")
         sub.set_defaults(func=handler)
-
-    sub = subs.add_parser("reproduce")
-    sub.add_argument("example")
-    _add_common_flags(sub)
-    sub.set_defaults(func=_cmd_reproduce)
     return parser
 
 
@@ -567,12 +484,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        cfg = (_reproduce_config(args.source) if args.command == "reproduce"
+               else load_config(args.source))
+        return args.func(_apply_overrides(cfg, args))
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # after DomainError, which subclasses it
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other fault; exits 0-2 are verdicts
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

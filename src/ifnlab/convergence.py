@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DomainError
-from .density import DensityTrace, LambdaSequence, density_trace, lambda_family, window
+from .density import DensityTrace, LambdaSequence, density_trace, lambda_family
 from .sequences import FunctionSequence
 
 # Guard band for the boundary comparisons: exact-boundary arithmetic
@@ -214,10 +214,9 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     return member
 
 
-def _tail_witnesses(mask: np.ndarray, key, lam: LambdaSequence, n_max: int,
-                    cap: int) -> list:
-    w = window(lam, n_max)
-    ks = np.flatnonzero(mask[w.lo - 1: w.hi]) + w.lo
+def _tail_witnesses(mask: np.ndarray, key, trace: DensityTrace, cap: int) -> list:
+    lo, hi = int(trace.lows[-1]), int(trace.ns[-1])  # the trace's final window
+    ks = np.flatnonzero(mask[lo - 1: hi]) + lo
     # report the offenders closest to the horizon: evidence of persistence
     return [(int(k), key) for k in ks[-cap:]]
 
@@ -246,8 +245,7 @@ def _judge(keyed_masks, lam: LambdaSequence, q: ConvergenceQuery) -> tuple[str, 
         traces[key] = trace = density_trace(mask, lam, q.n_max, q.stride)
         point_verdicts.append(_verdict_from_trace(trace))
         if point_verdicts[-1] != "converges" and len(witnesses) < WITNESS_CAP:
-            witnesses.extend(_tail_witnesses(mask, key, lam, q.n_max,
-                                             WITNESS_CAP - len(witnesses)))
+            witnesses.extend(_tail_witnesses(mask, key, trace, WITNESS_CAP - len(witnesses)))
     return _aggregate(point_verdicts), traces, witnesses
 
 
@@ -353,7 +351,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
 
     if q.mode == "uniform-lambda-cauchy":
         outcome, chosen, trace, mask = _anchor_search(fs, ifn_target, q, ks, fs.domain_grid)
-        witnesses = (_tail_witnesses(mask, None, q.lam, q.n_max, WITNESS_CAP)
+        witnesses = (_tail_witnesses(mask, None, trace, WITNESS_CAP)
                      if outcome == "fails" and trace is not None else [])
         return ConvergenceVerdict(q.mode, outcome, trace, witnesses, q.epsilon,
                                   q.time, q.lam.name, q.n_max, details={"anchor": chosen})
@@ -366,7 +364,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
         if trace is not None:
             traces[key] = trace
             if outcome == "fails" and len(witnesses) < WITNESS_CAP:
-                witnesses.extend(_tail_witnesses(mask, key, q.lam, q.n_max,
+                witnesses.extend(_tail_witnesses(mask, key, trace,
                                                  WITNESS_CAP - len(witnesses)))
     return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), traces, witnesses,
                               q.epsilon, q.time, q.lam.name, q.n_max,

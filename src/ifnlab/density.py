@@ -23,6 +23,8 @@ from .algebra import AxiomReport, DomainError, _report, vectorize_scalar
 ZERO_TAIL_MAX = 1e-2      # a vanishing ratio must sit below this over the tail
 DECAY_FACTOR = 0.5        # ... and the last point must be <= half the 20%-horizon value
 VALUE_STD_TOL = 1e-3      # a settled ratio must have tail standard deviation below this
+LADDER_GROWTH_MIN = 2.0   # ... lambda must grow by this factor from the 20% horizon to the end
+SLOPE_MIN = -0.1          # ... and the log-log slope of ratio against lambda must be >= this
 
 
 @dataclass(frozen=True)
@@ -113,12 +115,20 @@ class IndexWindow:
         return self.hi - self.lo + 1
 
 
+def _window_lows(lam: LambdaSequence, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda values and window lower ends (clamped at 1) at the stages ``ns``."""
+    lam_vals = np.asarray(lam.values_many(ns), dtype=float)
+    if np.min(lam_vals) <= 0:
+        raise DomainError("lambda values must be positive")
+    return lam_vals, np.maximum(1, ns - np.ceil(lam_vals).astype(np.int64) + 1)
+
+
 def window(lam: LambdaSequence, n: int) -> IndexWindow:
     """Window at stage n; the lower end is clamped at 1."""
     if n < 1:
         raise DomainError(f"stage must be >= 1, got {n}")
-    width = math.ceil(lam.at(n))
-    return IndexWindow(n=n, lo=max(1, n - width + 1), hi=n)
+    _, lows = _window_lows(lam, np.array([n], dtype=np.int64))
+    return IndexWindow(n=n, lo=int(lows[0]), hi=n)
 
 
 @dataclass
@@ -162,16 +172,21 @@ def _tail_start(points: int) -> int:
     return (points * 4) // 5
 
 
-def _classify(ratios: np.ndarray) -> tuple[str, float | None]:
+def _classify(ratios: np.ndarray, lam_vals: np.ndarray) -> tuple[str, float | None]:
     """Heuristic verdict on the trace tail; the knobs are the constants above.
 
-    limit-zero needs the tail to sit under ZERO_TAIL_MAX and the last point
-    to be at most DECAY_FACTOR times the ratio at the 20% horizon (decay
-    evidence).  limit-one is the mirror image around 1.  limit-value accepts
-    a tail that has settled (tiny standard deviation) unless the trace is
-    still decaying by that same factor: a small ratio that keeps falling is
-    no evidence of a positive limit.  Anything else is inconclusive rather
-    than a failure claim.
+    ``lam_vals`` are the lambda values at the trace's stages.  limit-zero
+    needs the tail to sit under ZERO_TAIL_MAX and the last point to be at
+    most DECAY_FACTOR times the ratio at the 20% horizon (decay evidence).
+    limit-one is the mirror image around 1.  limit-value accepts a tail that
+    has settled (tiny standard deviation) unless the trace is still decaying
+    by that same factor, and only against a ladder that moved: lambda must
+    grow by LADDER_GROWTH_MIN from the 20% horizon to the end, and over that
+    span the log-log slope of the ratio against lambda must be at least
+    SLOPE_MIN (not tested when either ratio is 0).  A ratio falling like
+    sqrt(lambda)/lambda has slope -1/2, a positive limit slope 0, and a
+    ladder that barely grew shows neither.  Anything else is inconclusive
+    rather than a failure claim.
     """
     start, early = _tail_start(len(ratios)), len(ratios) // 5
     tail = ratios[start:]
@@ -182,7 +197,10 @@ def _classify(ratios: np.ndarray) -> tuple[str, float | None]:
     gap = np.abs(1.0 - ratios)
     if np.max(gap[start:]) <= ZERO_TAIL_MAX and gap[-1] <= DECAY_FACTOR * gap[early]:
         return "limit-one", float(np.mean(tail))
-    if float(np.std(tail)) <= VALUE_STD_TOL and not decaying:
+    growth = lam_vals[-1] / lam_vals[early]
+    if (float(np.std(tail)) <= VALUE_STD_TOL and not decaying and growth >= LADDER_GROWTH_MIN
+            and (ratios[-1] == 0 or ratios[early] == 0
+                 or math.log(ratios[-1] / ratios[early]) / math.log(growth) >= SLOPE_MIN)):
         return "limit-value", float(np.mean(tail))
     return "inconclusive", None
 
@@ -218,15 +236,11 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     if ns.size == 0 or ns[-1] != n_max:
         ns = np.append(ns, n_max)
 
-    lam_vals = np.asarray(lam.values_many(ns), dtype=float)
-    if np.min(lam_vals) <= 0:
-        raise DomainError("lambda values must be positive")
-    widths = np.ceil(lam_vals).astype(np.int64)
-    lows = np.maximum(1, ns - widths + 1)
+    lam_vals, lows = _window_lows(lam, ns)
     counts = prefix[ns] - prefix[lows - 1]
     ratios = counts / lam_vals
 
-    verdict, estimate = _classify(ratios)
+    verdict, estimate = _classify(ratios, lam_vals)
     return DensityTrace(ns=ns, lows=lows, highs=ns.copy(), counts=counts,
                         ratios=ratios, n_max=n_max, verdict=verdict, estimate=estimate)
 

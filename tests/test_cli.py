@@ -1,13 +1,16 @@
 """The batch runner: config parsing, subcommands, exit codes, artifacts."""
 import json
 import re
-from dataclasses import replace
+import time
+from configparser import ConfigParser
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ifnlab.cli import (ConfigError, ExperimentConfig, compile_expression,
-                        from_ini, load_config, main)
+from ifnlab.cli import (DENSITY_SETS, _KEYS, ConfigError, ExperimentConfig, _reproduce_config,
+                        _resolve_density_set, compile_expression, from_ini, load_config, main)
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,6 +45,80 @@ def test_defaults_fill_missing_sections():
     assert cfg.epsilon == 0.1
     assert cfg.n_max == 1_000_000
     assert cfg.lambda_id == "identity"
+
+
+def test_empty_config_is_the_defaults():
+    assert from_ini("") == ExperimentConfig()
+
+
+@pytest.mark.parametrize("example", ["example-1", "example-2"])
+def test_reproduce_config_differs_from_defaults_only_in_its_run(example):
+    cfg, default = _reproduce_config(example), ExperimentConfig()
+    changed = {f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)}
+    assert {"example", "out_dir"} <= changed <= {"example", "mode", "out_dir"}
+
+
+# one valid non-default value per field, with the companion fields it needs
+NON_DEFAULT = {
+    "norm": {"norm": "euclidean"},
+    "dimension": {"norm": "euclidean", "dimension": 2},
+    "tnorm_id": {"tnorm_id": "lukasiewicz"},
+    "tconorm_id": {"tconorm_id": "max"},
+    "lambda_id": {"lambda_id": "log"},
+    "lambda_table": {"lambda_id": "table", "lambda_table": (1.0, 1.5, 2.5)},
+    "example": {"example": "paper-example-2"},
+    "expression": {"expression": "x / k ** 2"},
+    "limit": {"limit": "0.5 * x"},
+    "mode": {"mode": "uniform-lambda-cauchy"},
+    "epsilon": {"epsilon": 0.25},
+    "time": {"time": 2.5},
+    "n_max": {"n_max": 5000},
+    "stride": {"stride": 7},
+    "grid_low": {"grid_low": -1.5},
+    "grid_high": {"grid_high": 3.0},
+    "grid_points": {"grid_points": 11},
+    "density_set": {"density_set": "squares"},
+    "density_expression": {"density_expression": "k % 3 == 0"},
+    "out_dir": {"out_dir": "elsewhere/run"},
+}
+
+
+@pytest.mark.parametrize("row", _KEYS, ids=lambda row: f"{row[0]}.{row[1]}")
+def test_every_key_round_trips_through_ini(row):
+    section, key, name, _ = row
+    cfg = replace(ExperimentConfig(), **NON_DEFAULT[name])
+    assert getattr(cfg, name) != getattr(ExperimentConfig(), name)
+    text = cfg.to_ini()
+    parser = ConfigParser(interpolation=None)
+    parser.read_string(text)
+    assert parser.has_option(section, key)
+    assert from_ini(text) == cfg
+
+
+def test_replace_validates():
+    with pytest.raises(ConfigError, match="epsilon"):
+        replace(ExperimentConfig(), epsilon=2.0)
+
+
+def reference_member(name: str, ks: np.ndarray) -> np.ndarray:
+    """The membership if-chain that the DENSITY_SETS formulas replaced."""
+    if name == "evens":
+        return ks % 2 == 0
+    if name == "odds":
+        return ks % 2 == 1
+    if name == "squares":
+        roots = np.rint(np.sqrt(ks.astype(float))).astype(np.int64)
+        return roots * roots == ks
+    if name == "all":
+        return np.ones(ks.shape, dtype=bool)
+    return np.zeros(ks.shape, dtype=bool)
+
+
+@pytest.mark.parametrize("name", DENSITY_SETS)
+def test_named_density_sets_match_the_reference(name):
+    n = 1_000_000
+    mask = _resolve_density_set(ExperimentConfig(density_set=name, n_max=n))
+    assert np.array_equal(mask, reference_member(name, np.arange(1, n + 1)))
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -84,6 +161,13 @@ def test_expression_evaluator_is_whitelisted():
     "'k' * 2",
     "pi(k)",
     "where(k > 0, x=1)",
+    "k << 2",
+    "k >> 1",
+    "k & 1",
+    "k | 1",
+    "k ^ 1",
+    "~k",
+    "k @ x",
 ])
 def test_expression_rejects_everything_off_the_whitelist(text):
     with pytest.raises(ConfigError):
@@ -218,6 +302,21 @@ def test_runtime_fault_exits_four(tmp_path, capsys):
     assert re.search(r"\(k=1, x=0\.0\)", err)
 
 
+@pytest.mark.parametrize("expression, codes", [
+    ("k << 2", {3}),           # rejected at load
+    ("9**9**9 + 0*k", {3, 4}),  # float arithmetic overflows at once
+    ("x + 1 // 0", {4}),
+])
+def test_faults_never_exit_with_a_verdict_code(tmp_path, capsys, expression, codes):
+    ini = tmp_path / "fault.ini"
+    ini.write_text(f"[sequence]\nexpression = {expression}\nlimit = 0.0\n"
+                   "[query]\nn_max = 1000\ngrid_points = 3\n")
+    start = time.perf_counter()
+    assert run_cli("analyze", ini, "--out", tmp_path / "o") in codes
+    assert time.perf_counter() - start < 1.0
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("n_max, code", [(1000, 2), (5000, 0)])
 def test_still_decaying_trace_is_not_a_failure(tmp_path, n_max, code):
     # 9 exceptional indices: the ratio is 0.045 at 20% of n_max 1000 and
@@ -248,6 +347,15 @@ def test_reproduce_small_run(tmp_path, capsys):
     payload = json.loads((out / "verdict.json").read_text())
     assert payload["verdict"] == "converges"
     assert len(payload["traces"]) == 101
+
+
+@pytest.mark.parametrize("example", ["example-1", "example-2"])
+@pytest.mark.parametrize("lam", ["sqrt", "log"])
+def test_slow_ladders_give_inconclusive_not_fails(tmp_path, example, lam):
+    # both families converge for every admissible ladder; at 3e5 the sqrt
+    # trace still falls like sqrt(lambda)/lambda and the log ladder barely moves
+    assert run_cli("reproduce", example, "--n-max", 300_000, "--lambda", lam,
+                   "--out", tmp_path / "r") == 2
 
 
 def test_reproduce_accepts_full_ids(tmp_path):

@@ -115,6 +115,11 @@ def test_identity_window_is_everything():
     assert (w.lo, w.hi, w.size) == (1, 100, 100)
 
 
+def test_window_rejects_a_nonpositive_lambda():
+    with pytest.raises(DomainError, match="positive"):
+        window(lambda_from_table([0.0, 1.0]), 1)
+
+
 # ------------------------------------------------------------ traces
 def test_evens_density_exactly_half():
     lam = lambda_family("identity")
@@ -185,6 +190,16 @@ def test_verdict_is_stable_as_horizon_grows():
     for n in (10_000, 100_000, 1_000_000):
         ks = np.arange(1, n + 1)
         assert density_trace(ks % 2 == 0, lam, n).verdict == "limit-value"
+
+
+@pytest.mark.parametrize("name, verdict", [
+    ("identity", "limit-value"),  # lambda grows 5x from the 20% horizon
+    ("sqrt", "limit-value"),      # 2.2x
+    ("log", "inconclusive"),      # 1.1x: too little ladder movement to call a value
+])
+def test_limit_value_needs_a_moving_ladder(name, verdict):
+    n = 100_000
+    assert density_trace(np.arange(1, n + 1) % 2 == 0, lambda_family(name), n).verdict == verdict
 
 
 def test_trace_csv_round_trip(tmp_path):
