@@ -195,17 +195,11 @@ def certify(
 
     # Monotone in each argument (with commutativity this gives joint
     # monotonicity: a<=b, c<=d implies op(a,c) <= op(b,c) <= op(b,d)).
-    drop_rows = table[:-1, :] - table[1:, :]
-    drop_cols = table[:, :-1] - table[:, 1:]
-    worst = 0.0
-    witness = (grid[0], grid[0])
-    if drop_rows.size:
-        i, j = np.unravel_index(np.argmax(drop_rows), drop_rows.shape)
-        if drop_rows[i, j] > worst:
-            worst, witness = drop_rows[i, j], (grid[i], grid[j])
-        i, j = np.unravel_index(np.argmax(drop_cols), drop_cols.shape)
-        if drop_cols[i, j] > worst:
-            worst, witness = drop_cols[i, j], (grid[i], grid[j])
+    worst, witness = 0.0, (grid[0], grid[0])
+    for drops in (table[:-1, :] - table[1:, :], table[:, :-1] - table[:, 1:]):  # rows, columns
+        i, j = np.unravel_index(np.argmax(drops), drops.shape)
+        if drops[i, j] > worst:
+            worst, witness = drops[i, j], (grid[i], grid[j])
     reports.append(_report("monotonicity", max(worst, 0.0), witness, tolerance))
 
     # Sampled continuity: variation across any grid cell stays within

@@ -178,6 +178,8 @@ def from_ini(text: str) -> ExperimentConfig:
     except ConfigParserError as exc:
         raise ConfigError(f"cannot parse config: {exc}") from None
 
+    if parser.defaults():  # ConfigParser would copy these keys into every section
+        raise ConfigError(f"unknown section [{parser.default_section}]")
     rows = {(section, key): (name, parse) for section, key, name, parse in _KEYS}
     values = {}
     for section in parser.sections():
@@ -274,6 +276,16 @@ def _resolve_lambda(cfg: ExperimentConfig) -> LambdaSequence:
     return lambda_family(cfg.lambda_id)
 
 
+def _admissible_lambda(cfg: ExperimentConfig) -> LambdaSequence:
+    """The configured ladder for a run; a table ladder must pass ``validate``."""
+    lam = _resolve_lambda(cfg)
+    if cfg.lambda_table is not None:  # the built-in families are admissible
+        failed = [r.axiom for r in validate(lam, cfg.n_max) if not r.passed]
+        if failed:
+            raise ConfigError(f"lambda.table is not admissible: fails {', '.join(failed)}")
+    return lam
+
+
 def _resolve_space(cfg: ExperimentConfig):
     return standard_ifn(builtin_norm(cfg.norm), tnorm(cfg.tnorm_id), tconorm(cfg.tconorm_id))
 
@@ -345,11 +357,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 
 def _run_detection(cfg: ExperimentConfig):
     """Detect and write the verdict; returns (verdict, limit-or-None, verdict path)."""
-    lam = _resolve_lambda(cfg)
-    if cfg.lambda_table is not None:  # the built-in families are admissible
-        failed = [r.axiom for r in validate(lam, cfg.n_max) if not r.passed]
-        if failed:
-            raise ConfigError(f"lambda.table is not admissible: fails {', '.join(failed)}")
+    lam = _admissible_lambda(cfg)
     ifn = _resolve_space(cfg)
     grid = np.linspace(cfg.grid_low, cfg.grid_high, cfg.grid_points)
     fs, limit = _resolve_sequence(cfg, lam, grid)
@@ -375,7 +383,7 @@ def _cmd_analyze(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_density(cfg: ExperimentConfig) -> int:
-    lam = _resolve_lambda(cfg)
+    lam = _admissible_lambda(cfg)
     trace = density_trace(_resolve_density_set(cfg), lam, cfg.n_max, cfg.stride)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

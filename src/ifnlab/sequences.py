@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DomainError, vectorize_scalar
-from .density import LambdaSequence
+from .density import LambdaSequence, _window_lows
 
 
 class GridMismatchError(ValueError):
@@ -115,14 +115,8 @@ class BumpIndexSet:
         """Decide stages _built+1 .. stop."""
         start = self._built + 1
         ns = np.arange(start, stop + 1, dtype=np.int64)
-        lam_vals = np.asarray(self.lam.values_many(ns), dtype=float)
-        if np.min(lam_vals) <= 0:
-            raise DomainError("lambda values must be positive")
-        widths = np.ceil(lam_vals)
-        lows = ns - widths.astype(np.int64)
-        lows += 1
-        np.maximum(lows, 1, out=lows)
-        budgets = np.ceil(np.sqrt(lam_vals, out=widths), out=widths).astype(np.int64)
+        lam_vals, lows = _window_lows(self.lam, ns)
+        budgets = np.ceil(np.sqrt(lam_vals)).astype(np.int64)
         for what, seq, before in (("window low", lows, self._last[0]),
                                   ("budget ceil(sqrt(lambda_n))", budgets, self._last[1])):
             if seq[0] < before or np.any(seq[1:] < seq[:-1]):

@@ -216,133 +216,91 @@ def certify_ifn(
     mu_tab = ifn.mu(stacked, times)  # (V, T)
     nu_tab = ifn.nu(stacked, times)
 
-    reports = []
-
     def argmax2(arr):
         i, j = np.unravel_index(np.argmax(arr), arr.shape)
         return int(i), int(j)
 
     excess = mu_tab + nu_tab - 1.0
     i, j = argmax2(excess)
-    reports.append(_report("mu-nu-sum-bound", max(float(excess[i, j]), 0.0),
-                           (tuple(vectors[i]), float(times[j])), tolerance))
+    reports = [_report("mu-nu-sum-bound", max(float(excess[i, j]), 0.0),
+                       (tuple(vectors[i]), float(times[j])), tolerance)]
 
-    # Strict positivity of mu.
-    worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
-    i, j = argmax2(-mu_tab)
-    if mu_tab[i, j] <= 0.0:
-        worst = STRICT_HIT - float(mu_tab[i, j])
-        witness = (tuple(vectors[i]), float(times[j]))
-    reports.append(_report("mu-positive", worst, witness, tolerance))
+    t_pair = times[:, None] + times[None, :]  # (T, T) combined times
+    step_ratio = times[:-1] / (times[1:] - times[:-1])
 
-    # Zero-vector characterisation of mu: equality at 0, strictly below 1 elsewhere.
-    mu_zero = ifn.mu(zero, times)
-    worst = float(np.max(np.abs(mu_zero - 1.0)))
-    witness = (tuple(zero), float(times[int(np.argmax(np.abs(mu_zero - 1.0)))]))
-    for i, v in enumerate(vectors):
-        if not np.any(v != 0.0):
-            continue
-        hits = mu_tab[i] >= 1.0
-        if np.any(hits):
-            j = int(np.argmax(hits))
-            worst = max(worst, STRICT_HIT + float(mu_tab[i, j]) - 1.0)
-            witness = (tuple(v), float(times[j]))
-    reports.append(_report("mu-zero-characterization", worst, witness, tolerance))
+    # One row per degree: name, functional, (V, T) table, sign (+1 where larger
+    # is better), aggregating op, limit as t -> infinity (also the value on the
+    # zero vector), limit as t -> 0 (also the strict bound), strict-axiom name.
+    # A value on the forbidden side of a strict bound b reports
+    # STRICT_HIT - s * value + s * b, with s = sign for the t -> 0 bound and
+    # s = -sign for the zero-vector value.  Keep the left-to-right grouping:
+    # (STRICT_HIT + nu) - 1 and STRICT_HIT + (nu - 1) can differ in the last bit.
+    degrees = (("mu", ifn.mu, mu_tab, 1.0, ifn.tnorm.fn, 1.0, 0.0, "positive"),
+               ("nu", ifn.nu, nu_tab, -1.0, ifn.tconorm.fn, 0.0, 1.0, "below-one"))
+    for name, fn, tab, sign, combine, large, small, strict in degrees:
+        # Strict bound: sign * f > sign * small everywhere.
+        worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
+        i, j = argmax2(-sign * tab)
+        if sign * tab[i, j] <= sign * small:
+            worst = STRICT_HIT - sign * float(tab[i, j]) + sign * small
+            witness = (tuple(vectors[i]), float(times[j]))
+        reports.append(_report(f"{name}-{strict}", worst, witness, tolerance))
 
-    def scaling_violation(fn):
+        # Zero-vector characterisation: f = large at 0, strictly short of it elsewhere.
+        at_zero = np.abs(fn(zero, times) - large)
+        worst = float(np.max(at_zero))
+        witness = (tuple(zero), float(times[int(np.argmax(at_zero))]))
+        for i, v in enumerate(vectors):
+            if not np.any(v != 0.0):
+                continue
+            hits = sign * tab[i] >= sign * large
+            if np.any(hits):
+                j = int(np.argmax(hits))
+                worst = max(worst, STRICT_HIT + sign * float(tab[i, j]) - sign * large)
+                witness = (tuple(v), float(times[j]))
+        reports.append(_report(f"{name}-zero-characterization", worst, witness, tolerance))
+
+        # Scaling: f(a x, t) = f(x, t / |a|).
         worst, witness = 0.0, (tuple(vectors[0]), SCALING_FACTORS[0], float(times[0]))
         for a in SCALING_FACTORS:
             for v in vectors:
-                direct = fn(a * v, times)
-                rescaled = fn(v, times / abs(a))
-                gap = np.abs(direct - rescaled)
+                gap = np.abs(fn(a * v, times) - fn(v, times / abs(a)))
                 j = int(np.argmax(gap))
                 if gap[j] > worst:
                     worst, witness = float(gap[j]), (tuple(v), a, float(times[j]))
-        return worst, witness
+        reports.append(_report(f"{name}-scaling", worst, witness, tolerance))
 
-    worst, witness = scaling_violation(ifn.mu)
-    reports.append(_report("mu-scaling", worst, witness, tolerance))
-
-    t_pair = times[:, None] + times[None, :]  # (T, T) combined times
-
-    def triangle_violation(fn, tab, combine, sign):
-        """sign +1 checks combine(f, f) <= f(x+y); sign -1 checks >=."""
+        # Triangle law: sign * (combine(f(x, t), f(y, s)) - f(x + y, t + s)) <= 0.
         worst = 0.0
         witness = (tuple(vectors[0]), tuple(vectors[0]), float(times[0]), float(times[0]))
         for i in range(len(vectors)):
             for j in range(i, len(vectors)):
                 joint = fn(vectors[i] + vectors[j], t_pair)
-                lhs = combine(tab[i][:, None], tab[j][None, :])
-                gap = sign * (lhs - joint)
+                gap = sign * (combine(tab[i][:, None], tab[j][None, :]) - joint)
                 a, b = np.unravel_index(np.argmax(gap), gap.shape)
                 if gap[a, b] > worst:
                     worst = float(gap[a, b])
                     witness = (tuple(vectors[i]), tuple(vectors[j]),
                                float(times[a]), float(times[b]))
-        return max(worst, 0.0), witness
+        reports.append(_report(f"{name}-triangle", max(worst, 0.0), witness, tolerance))
 
-    worst, witness = triangle_violation(ifn.mu, mu_tab, ifn.tnorm.fn, +1)
-    reports.append(_report("mu-triangle", worst, witness, tolerance))
+        # Continuity in t, relative to the step ratio.
+        worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
+        if times.size >= 2:
+            modulus = np.abs(tab[:, 1:] - tab[:, :-1]) * step_ratio
+            i, j = argmax2(modulus)
+            worst = max(float(modulus[i, j]) - TIME_CONTINUITY_SLACK, 0.0)
+            witness = (tuple(vectors[i]), float(times[j]))
+        reports.append(_report(f"{name}-time-continuity", worst, witness, tolerance))
 
-    def time_modulus(tab):
-        if times.size < 2:
-            return 0.0, (tuple(vectors[0]), float(times[0]))
-        dt = times[1:] - times[0:-1]
-        modulus = np.abs(tab[:, 1:] - tab[:, :-1]) * (times[:-1] / dt)
-        i, j = argmax2(modulus)
-        return max(float(modulus[i, j]) - TIME_CONTINUITY_SLACK, 0.0), (
-            tuple(vectors[i]), float(times[j]))
-
-    worst, witness = time_modulus(mu_tab)
-    reports.append(_report("mu-time-continuity", worst, witness, tolerance))
-
-    def limits_violation(fn, large_target, small_target):
+        # Limits; the zero vector is pinned, so it sits out the t -> 0 probes.
         worst, witness = 0.0, (tuple(vectors[0]), LIMIT_T_LARGE)
-        for v in vectors:
-            gap = abs(float(fn(v, LIMIT_T_LARGE)) - large_target)
-            if gap > worst:
-                worst, witness = gap, (tuple(v), LIMIT_T_LARGE)
-        for v in nonzero:
-            gap = abs(float(fn(v, LIMIT_T_SMALL)) - small_target)
-            if gap > worst:
-                worst, witness = gap, (tuple(v), LIMIT_T_SMALL)
-        return worst, witness
-
-    worst, witness = limits_violation(ifn.mu, 1.0, 0.0)
-    reports.append(_report("mu-limits", worst, witness, limit_tolerance))
-
-    # Now the nu side.
-    worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
-    i, j = argmax2(nu_tab)
-    if nu_tab[i, j] >= 1.0:
-        worst = STRICT_HIT + float(nu_tab[i, j]) - 1.0
-        witness = (tuple(vectors[i]), float(times[j]))
-    reports.append(_report("nu-below-one", worst, witness, tolerance))
-
-    nu_zero = ifn.nu(zero, times)
-    worst = float(np.max(np.abs(nu_zero)))
-    witness = (tuple(zero), float(times[int(np.argmax(np.abs(nu_zero)))]))
-    for i, v in enumerate(vectors):
-        if not np.any(v != 0.0):
-            continue
-        hits = nu_tab[i] <= 0.0
-        if np.any(hits):
-            j = int(np.argmax(hits))
-            worst = max(worst, STRICT_HIT - float(nu_tab[i, j]))
-            witness = (tuple(v), float(times[j]))
-    reports.append(_report("nu-zero-characterization", worst, witness, tolerance))
-
-    worst, witness = scaling_violation(ifn.nu)
-    reports.append(_report("nu-scaling", worst, witness, tolerance))
-
-    worst, witness = triangle_violation(ifn.nu, nu_tab, ifn.tconorm.fn, -1)
-    reports.append(_report("nu-triangle", worst, witness, tolerance))
-
-    worst, witness = time_modulus(nu_tab)
-    reports.append(_report("nu-time-continuity", worst, witness, tolerance))
-
-    worst, witness = limits_violation(ifn.nu, 0.0, 1.0)
-    reports.append(_report("nu-limits", worst, witness, limit_tolerance))
+        for t, target, probes in ((LIMIT_T_LARGE, large, vectors),
+                                  (LIMIT_T_SMALL, small, nonzero)):
+            for v in probes:
+                gap = abs(float(fn(v, t)) - target)
+                if gap > worst:
+                    worst, witness = gap, (tuple(v), t)
+        reports.append(_report(f"{name}-limits", worst, witness, limit_tolerance))
 
     return reports

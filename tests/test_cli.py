@@ -133,6 +133,9 @@ def test_named_density_sets_match_the_reference(name):
     ("[sequence]\nexample = paper-example-1\nexpression = x\n", "not both"),
     ("[sequence]\nexample = paper-example-9\n", "unknown example"),
     ("[density]\nset = primes\n", "unknown set"),
+    # ConfigParser copies [DEFAULT] keys into every section, unchecked
+    ("[DEFAULT]\nbogus = 1\n", r"unknown section \[DEFAULT\]"),
+    ("[DEFAULT]\nn_max = 500\n[query]\n", r"unknown section \[DEFAULT\]"),
 ])
 def test_bad_configs_are_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -290,6 +293,16 @@ def test_analyze_rejects_inadmissible_table(tmp_path, capsys):
     assert run_cli("analyze", ini, "--out", out) == 3
     assert "slow-growth" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
+
+
+def test_density_rejects_inadmissible_table(tmp_path, capsys):
+    ini = tmp_path / "fast.ini"
+    ini.write_text("[lambda]\ntable = 1, 3, 5\n[density]\nset = evens\n"
+                   "[query]\nn_max = 1000\n")
+    out = tmp_path / "o"
+    assert run_cli("density", ini, "--out", out) == 3
+    assert "slow-growth" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
 
 
 def test_runtime_fault_exits_four(tmp_path, capsys):
