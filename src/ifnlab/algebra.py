@@ -34,28 +34,29 @@ def _check_unit(value, label: str):
 
 
 def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Callable:
-    """The batched form of ``fn``, for callables that may only take scalars.
+    """``fn`` if it broadcasts over the ``probe`` arguments, else its per-element form.
 
     The library calls every user function on arrays; this is the one place
-    where a scalar-only callable is adapted to that.  The adapted form calls
-    ``fn`` once per element through ``np.vectorize`` and returns floats;
-    ``signature`` marks core dimensions as in numpy, such as ``"(d),()->()"``
-    for a function of one vector and one time.  With ``probe`` arguments,
-    ``fn`` is returned unchanged when its answer on them matches its
-    element-by-element answer in shape and value, i.e. when it broadcasts.
+    where a callable is checked for that.  ``fn`` is called once on the probe
+    arrays and once per probe element; it is returned unchanged when the two
+    answers match in shape and value (NaN matching NaN).  Otherwise the
+    per-element form is returned: it calls ``fn`` once per element through
+    ``np.vectorize`` and returns floats.  ``signature`` marks core dimensions
+    as in numpy, such as ``"(d),()->()"`` for a function of one vector and
+    one time.
     """
     batched = np.vectorize(fn, otypes=[float], signature=signature)
-    if probe:
-        try:
-            out = np.asarray(fn(*probe), dtype=float)
-            ref = batched(*probe)
-            # array and scalar kernels of numpy may differ in the last ulp
-            if out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0):
-                return fn
-        # a scalar-only callable fails on arrays in these ways; an IndexError
-        # also comes from a probe vector shorter than the callable expects
-        except (TypeError, ValueError, IndexError):
-            pass
+    try:
+        out = np.asarray(fn(*probe), dtype=float)
+        ref = batched(*probe)
+        # array and scalar kernels of numpy may differ in the last ulp
+        if out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0,
+                                                  equal_nan=True):
+            return fn
+    # a scalar-only callable fails on arrays in these ways; an IndexError
+    # also comes from a probe vector shorter than the callable expects
+    except (TypeError, ValueError, IndexError, AttributeError):
+        pass
     return batched
 
 

@@ -29,7 +29,7 @@ from .convergence import (CAUCHY_MODES, MODES, ConvergenceQuery, ConvergenceVerd
                           detect, detect_cauchy)
 from .density import (DensityTrace, LAMBDA_IDS, LambdaSequence, density_trace,
                       lambda_family, lambda_from_table, validate)
-from .sequences import EXAMPLE_IDS, FunctionSequence, build_example
+from .sequences import _EXAMPLES, EXAMPLE_IDS, FunctionSequence, build_example
 from .space import NORM_IDS, builtin_norm, certify_ifn, default_samples, default_times, standard_ifn
 
 
@@ -299,14 +299,11 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
         raise ConfigError("sequence: need an example id or an expression")
     term = compile_expression(cfg.expression, ("k", "x"))
 
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         out = np.asarray(term(k=np.asarray(ks, dtype=float), x=float(x)), dtype=float)
         return np.broadcast_to(out, np.asarray(ks).shape).copy()
 
-    def evaluate(k, x):
-        return float(evaluate_many(np.array([k]), x)[0])
-
-    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}", evaluate_many)
+    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}")
     limit = None
     if cfg.limit is not None:
         limit_expr = compile_expression(cfg.limit, ("x",))
@@ -433,9 +430,8 @@ def _cmd_axioms(cfg: ExperimentConfig) -> int:
 def _reproduce_config(example_arg: str) -> ExperimentConfig:
     alias = {"example-1": "paper-example-1", "example-2": "paper-example-2"}
     example = alias.get(example_arg, example_arg)
-    mode = "pointwise-lambda-stat" if example == "paper-example-1" else "uniform-lambda-stat"
-    return ExperimentConfig(example=example, mode=mode,
-                            out_dir=str(Path(ExperimentConfig.out_dir) / example))
+    cfg = ExperimentConfig(example=example, out_dir=str(Path(ExperimentConfig.out_dir) / example))
+    return replace(cfg, mode=_EXAMPLES[example][1])  # construction checked the id
 
 
 def _cmd_reproduce(cfg: ExperimentConfig) -> int:

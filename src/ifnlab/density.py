@@ -29,21 +29,24 @@ SLOPE_MIN = -0.1          # ... and the log-log slope of ratio against lambda mu
 
 @dataclass(frozen=True)
 class LambdaSequence:
-    """Window-length sequence; ``values(n)`` gives lambda_n for n >= 1.
+    """Window-length sequence: lambda_n for the stages n >= 1.
 
     ``values_many(ns)`` is the batched form the library calls: it takes an
     integer array of stages and returns the matching lambda values.  When it
-    is not given, construction builds it from ``values`` with
-    ``vectorize_scalar``.
+    is not given, construction probes ``values`` at stages 1..3 with
+    ``vectorize_scalar`` and keeps it when it answers an array as it answers
+    each stage, else its per-element form.  A ladder that only takes arrays
+    passes itself as ``values_many`` too.
     """
 
     name: str
-    values: Callable[[int], float]
+    values: Callable
     values_many: Callable | None = None
 
     def __post_init__(self):
         if self.values_many is None:
-            object.__setattr__(self, "values_many", vectorize_scalar(self.values))
+            object.__setattr__(self, "values_many",
+                               vectorize_scalar(self.values, np.arange(1, 4)))
 
     def table(self, n_max: int) -> np.ndarray:
         """lambda_1 .. lambda_n_max as a float array."""
@@ -52,21 +55,13 @@ class LambdaSequence:
     def at(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"stage must be >= 1, got {n}")
-        return float(self.values(n))
-
-
-def _ceil_sqrt(n: int) -> float:
-    root = math.isqrt(n)
-    return float(root if root * root == n else root + 1)
+        return float(self.values_many(np.array([n]))[0])
 
 
 _FAMILIES = {
-    "identity": (lambda n: float(n), lambda ns: ns.astype(float)),
-    "sqrt": (_ceil_sqrt, lambda ns: np.ceil(np.sqrt(ns.astype(float)))),
-    "log": (
-        lambda n: float(math.ceil(math.log2(n + 1))),
-        lambda ns: np.ceil(np.log2(ns.astype(float) + 1.0)),
-    ),
+    "identity": lambda ns: np.asarray(ns, dtype=float),
+    "sqrt": lambda ns: np.ceil(np.sqrt(np.asarray(ns, dtype=float))),
+    "log": lambda ns: np.ceil(np.log2(np.asarray(ns, dtype=float) + 1.0)),
 }
 
 LAMBDA_IDS = tuple(_FAMILIES)
@@ -75,10 +70,10 @@ LAMBDA_IDS = tuple(_FAMILIES)
 def lambda_family(name: str) -> LambdaSequence:
     """Built-in window-length families: identity, sqrt (ceil), log (ceil of log2)."""
     try:
-        scalar, many = _FAMILIES[name]
+        values = _FAMILIES[name]
     except KeyError:
         raise DomainError(f"unknown lambda family {name!r}; choose from {LAMBDA_IDS}") from None
-    return LambdaSequence(name, scalar, many)
+    return LambdaSequence(name, values)
 
 
 def lambda_from_table(values, name: str = "table") -> LambdaSequence:
@@ -87,19 +82,14 @@ def lambda_from_table(values, name: str = "table") -> LambdaSequence:
     if tab.size == 0:
         raise DomainError("lambda table must be non-empty")
 
-    def scalar(n: int) -> float:
-        if n <= tab.size:
-            return float(tab[n - 1])
-        return float(tab[-1] + (n - tab.size))
-
-    def many(ns: np.ndarray) -> np.ndarray:
+    def lookup(ns):
         ns = np.asarray(ns)
         out = np.where(ns <= tab.size,
                        tab[np.minimum(ns, tab.size) - 1],
                        tab[-1] + (ns - tab.size))
         return out.astype(float)
 
-    return LambdaSequence(name, scalar, many)
+    return LambdaSequence(name, lookup)
 
 
 @dataclass(frozen=True)
@@ -161,10 +151,11 @@ class DensityTrace:
         return float(np.max(self.tail()))
 
     def to_csv(self, path) -> None:
+        rows = zip(self.ns.tolist(), self.lows.tolist(), self.highs.tolist(),
+                   self.counts.tolist(), self.ratios.tolist())
         with open(path, "w", newline="") as fh:
-            fh.write("n,window_lo,window_hi,count,ratio\n")
-            for n, lo, hi, c, r in zip(self.ns, self.lows, self.highs, self.counts, self.ratios):
-                fh.write(f"{int(n)},{int(lo)},{int(hi)},{int(c)},{float(r)!r}\n")
+            fh.write("n,window_lo,window_hi,count,ratio\n"
+                     + "".join(f"{n},{lo},{hi},{c},{r!r}\n" for n, lo, hi, c, r in rows))
 
 
 def _tail_start(points: int) -> int:
@@ -206,13 +197,19 @@ def _classify(ratios: np.ndarray, lam_vals: np.ndarray) -> tuple[str, float | No
 
 
 def membership_array(member, n_max: int) -> np.ndarray:
-    """Boolean membership for k = 1..n_max from a predicate on one index or an array."""
+    """Boolean membership for k = 1..n_max from a boolean array or a predicate.
+
+    A predicate is probed at k = 1..3 with ``vectorize_scalar``: one that
+    answers an index array is called once on all of 1..n_max, any other
+    once per index.
+    """
     if isinstance(member, np.ndarray):
         arr = np.asarray(member, dtype=bool).ravel()
         if arr.size < n_max:
             raise DomainError(f"membership array has {arr.size} entries, need {n_max}")
         return arr[:n_max]
-    return vectorize_scalar(member)(np.arange(1, n_max + 1)).astype(bool)
+    adapted = vectorize_scalar(member, np.arange(1, 4))
+    return np.asarray(adapted(np.arange(1, n_max + 1)), dtype=bool)
 
 
 def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = None) -> DensityTrace:

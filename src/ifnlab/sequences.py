@@ -28,12 +28,14 @@ class GridMismatchError(ValueError):
 class FunctionSequence:
     """A sequence of functions sampled on a fixed domain grid.
 
-    ``evaluate(k, x)`` returns the k-th term at point x (k >= 1).
+    ``evaluate(k, x)`` gives the k-th term at point x (k >= 1).
     ``evaluate_many(ks, x)`` is the batched form the library calls: it takes
     an integer index array and returns the matching array of values, one
     row per index for vector-valued terms.  When it is not given,
-    construction builds it from ``evaluate`` with ``vectorize_scalar``; that
-    form expects ``evaluate`` to return a number.
+    construction probes ``evaluate`` at indices 1..2 and the first grid point
+    with ``vectorize_scalar`` and keeps it when it answers the index array as
+    it answers each index, else its per-element form, which expects a number
+    per term.  A vector-valued family passes ``evaluate_many`` itself.
     """
 
     evaluate: Callable
@@ -49,7 +51,8 @@ class FunctionSequence:
             raise DomainError("domain_grid has non-finite points")
         object.__setattr__(self, "domain_grid", grid)
         if self.evaluate_many is None:
-            object.__setattr__(self, "evaluate_many", vectorize_scalar(self.evaluate))
+            object.__setattr__(self, "evaluate_many",
+                               vectorize_scalar(self.evaluate, np.arange(1, 3), grid[0]))
 
     def values_upto(self, n_max: int, x) -> np.ndarray:
         """Terms 1..n_max at x."""
@@ -62,15 +65,12 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
     if not np.array_equal(fs1.domain_grid, fs2.domain_grid):
         raise GridMismatchError("sequences live on different domain grids")
 
-    def evaluate(k, x):
-        return alpha * fs1.evaluate(k, x) + beta * fs2.evaluate(k, x)
-
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
              + beta * np.asarray(fs2.evaluate_many(ks, x))
 
     description = f"{alpha!r}*({fs1.description}) + {beta!r}*({fs2.description})"
-    return FunctionSequence(evaluate, fs1.domain_grid, description, evaluate_many)
+    return FunctionSequence(evaluate, fs1.domain_grid, description)
 
 
 # Stages per build step; bounds the build's scratch arrays at any horizon.
@@ -242,10 +242,9 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
     terms sit at the limit already.  The value at x = 1 is pinned to 2.
     Limit: 0 on [0, 1/2), 1 on [1/2, 1), 2 at x = 1.
     """
-    grid = np.asarray(grid, dtype=float)
     bumps = BumpIndexSet(lam)
 
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         ks = np.asarray(ks, dtype=np.int64)
         x = float(x)
         if x == 1.0:
@@ -253,75 +252,61 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
         base, lift = (1.0, 0.5) if x >= 0.5 else (0.0, 1.0)
         return _bump_terms(bumps, ks, x, base, lift)
 
-    def evaluate(k, x):
-        return float(evaluate_many(np.array([k]), x)[0])
-
     def limit(x):
         x = float(x)
         if x == 1.0:
             return 2.0
         return 1.0 if x >= 0.5 else 0.0
 
-    fs = FunctionSequence(evaluate, grid, "piecewise power family, three-level limit",
-                          evaluate_many)
-    return fs, limit
+    return FunctionSequence(evaluate, grid, "piecewise power family, three-level limit"), limit
 
 
 def build_example_uniform(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
     """Power-bump family vanishing identically off the bump set; limit 0."""
-    grid = np.asarray(grid, dtype=float)
     bumps = BumpIndexSet(lam)
 
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return _bump_terms(bumps, np.asarray(ks, dtype=np.int64), float(x), 0.0, 1.0)
-
-    def evaluate(k, x):
-        return float(evaluate_many(np.array([k]), x)[0])
 
     def limit(x):
         return 0.0
 
-    fs = FunctionSequence(evaluate, grid, "power-bump family, zero limit", evaluate_many)
-    return fs, limit
+    return FunctionSequence(evaluate, grid, "power-bump family, zero limit"), limit
 
 
 def build_constant_family(grid, value: float = 0.0) -> tuple[FunctionSequence, Callable]:
     """Every term is the constant ``value``; trivially equicontinuous."""
-    grid = np.asarray(grid, dtype=float)
 
-    def evaluate(k, x):
-        return value
-
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return np.full(np.asarray(ks).shape, float(value))
 
-    return (FunctionSequence(evaluate, grid, f"constant {value!r} family", evaluate_many),
+    return (FunctionSequence(evaluate, grid, f"constant {value!r} family"),
             lambda x: value)
 
 
 def build_reciprocal_shift(grid) -> tuple[FunctionSequence, Callable]:
     """f_k(x) = x + 1/k; an equicontinuous family converging to x."""
-    grid = np.asarray(grid, dtype=float)
 
-    def evaluate(k, x):
-        return float(x) + 1.0 / k
-
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return float(x) + 1.0 / np.asarray(ks, dtype=float)
 
-    return (FunctionSequence(evaluate, grid, "identity shifted by 1/k", evaluate_many),
+    return (FunctionSequence(evaluate, grid, "identity shifted by 1/k"),
             lambda x: float(x))
 
 
-EXAMPLE_IDS = ("paper-example-1", "paper-example-2")
+# The bundled examples: id -> (builder, preferred detection mode).
+_EXAMPLES = {
+    "paper-example-1": (build_example_pointwise, "pointwise-lambda-stat"),
+    "paper-example-2": (build_example_uniform, "uniform-lambda-stat"),
+}
+
+EXAMPLE_IDS = tuple(_EXAMPLES)
 
 
 def build_example(example_id: str, lam: LambdaSequence, grid):
     """Resolve a bundled example id to (sequence, limit, preferred mode)."""
-    if example_id == "paper-example-1":
-        fs, limit = build_example_pointwise(lam, grid)
-        return fs, limit, "pointwise-lambda-stat"
-    if example_id == "paper-example-2":
-        fs, limit = build_example_uniform(lam, grid)
-        return fs, limit, "uniform-lambda-stat"
-    raise DomainError(f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}")
+    try:
+        build, mode = _EXAMPLES[example_id]
+    except KeyError:
+        raise DomainError(f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}") from None
+    return (*build(lam, grid), mode)

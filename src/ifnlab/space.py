@@ -203,16 +203,17 @@ def certify_ifn(
     if not vectors:
         raise DomainError("sample_vectors must be non-empty")
     dim = vectors[0].shape[0]
-    times = np.sort(np.asarray(time_grid, dtype=float).ravel())
+    times = np.unique(np.asarray(time_grid, dtype=float))  # sorted, repeats dropped
     if times.size == 0:
         raise DomainError("time_grid must be non-empty")
     if times[0] <= 0.0:
         raise DomainError("time_grid must be strictly positive")
 
     zero = np.zeros(dim)
-    nonzero = [v for v in vectors if np.any(v != 0.0)]
-
     stacked = np.stack(vectors)[:, None, :]
+    is_nonzero = np.any(stacked[:, 0] != 0.0, axis=1)
+    nonzero = [v for v, keep in zip(vectors, is_nonzero) if keep]
+
     mu_tab = ifn.mu(stacked, times)  # (V, T)
     nu_tab = ifn.nu(stacked, times)
 
@@ -247,17 +248,15 @@ def certify_ifn(
         reports.append(_report(f"{name}-{strict}", worst, witness, tolerance))
 
         # Zero-vector characterisation: f = large at 0, strictly short of it elsewhere.
+        # The witness is the worst of the zero-vector gaps and the nonzero hits.
         at_zero = np.abs(fn(zero, times) - large)
-        worst = float(np.max(at_zero))
-        witness = (tuple(zero), float(times[int(np.argmax(at_zero))]))
-        for i, v in enumerate(vectors):
-            if not np.any(v != 0.0):
-                continue
-            hits = sign * tab[i] >= sign * large
-            if np.any(hits):
-                j = int(np.argmax(hits))
-                worst = max(worst, STRICT_HIT + sign * float(tab[i, j]) - sign * large)
-                witness = (tuple(v), float(times[j]))
+        j = int(np.argmax(at_zero))
+        worst, witness = float(at_zero[j]), (tuple(zero), float(times[j]))
+        hits = np.where(is_nonzero[:, None] & (sign * tab >= sign * large),
+                        STRICT_HIT + sign * tab - sign * large, -np.inf)
+        i, j = argmax2(hits)
+        if hits[i, j] > worst:
+            worst, witness = float(hits[i, j]), (tuple(vectors[i]), float(times[j]))
         reports.append(_report(f"{name}-zero-characterization", worst, witness, tolerance))
 
         # Scaling: f(a x, t) = f(x, t / |a|).

@@ -1,13 +1,16 @@
-"""Scalar-only callables, adapted once at construction, match their built-in twins."""
+"""The probe rule: scalar-only callables are adapted once at construction and
+match their built-in twins; callables that broadcast are kept as given."""
 import numpy as np
 import pytest
 
-from ifnlab import (BumpIndexSet, ContinuityQuery, ConvergenceQuery, FunctionSequence,
-                    IFNorm, LambdaSequence, UnitIntervalOp, build_example, builtin_norm,
-                    certify, certify_ifn, check_equicontinuity, default_samples,
-                    default_times, density_trace, detect, lambda_family, standard_ifn,
-                    tconorm, tnorm)
+from ifnlab import (LAMBDA_IDS, BumpIndexSet, ContinuityQuery, ConvergenceQuery,
+                    FunctionSequence, IFNorm, LambdaSequence, UnitIntervalOp,
+                    build_constant_family, build_example, build_reciprocal_shift,
+                    builtin_norm, certify, certify_ifn, check_equicontinuity,
+                    combine_linear, default_samples, default_times, density_trace, detect,
+                    lambda_family, lambda_from_table, standard_ifn, tconorm, tnorm)
 from ifnlab.algebra import _TNORM_FNS
+from ifnlab.cli import ExperimentConfig, _resolve_sequence
 
 GRID = np.linspace(0.0, 1.0, 11)
 
@@ -25,7 +28,9 @@ def run_detect(fs, limit, ifn):
 
 def sequence_case():
     fs, limit, _ = build_example("paper-example-1", lambda_family("sqrt"), GRID)
-    scalar = FunctionSequence(fs.evaluate, GRID, fs.description)
+    scalar = FunctionSequence(lambda k, x: float(fs.evaluate_many(np.array([int(k)]), x)[0]),
+                              GRID, fs.description)
+    assert isinstance(scalar.evaluate_many, np.vectorize)
     space = euclidean_space()
 
     def run(seq):
@@ -39,7 +44,8 @@ def sequence_case():
 
 def lambda_case():
     lam = lambda_family("sqrt")
-    scalar = LambdaSequence("sqrt", lam.values)
+    scalar = LambdaSequence("sqrt", lambda n: float(lam.values_many(np.array([int(n)]))[0]))
+    assert isinstance(scalar.values_many, np.vectorize)
     mask = np.arange(1, 5001) % 7 == 0
 
     def run(ladder):
@@ -105,3 +111,48 @@ def test_broadcasting_callables_stay_unwrapped():
     assert not isinstance(space.mu, np.vectorize)
     assert not isinstance(space.nu, np.vectorize)
     assert tnorm("product").fn is _TNORM_FNS["product"]
+
+
+def test_batched_builtins_stay_unwrapped():
+    lam = lambda_family("sqrt")
+    sequences = [build_example(example, lam, GRID)[0]
+                 for example in ("paper-example-1", "paper-example-2")]
+    sequences += [build_reciprocal_shift(GRID)[0], build_constant_family(GRID, 0.5)[0]]
+    sequences.append(combine_linear(sequences[0], sequences[2], 2.0, -3.0))
+    config = ExperimentConfig(expression="sin(k) * x", limit="0 * x")
+    sequences.append(_resolve_sequence(config, lam, GRID)[0])
+    for fs in sequences:
+        assert fs.evaluate_many is fs.evaluate, fs.description
+    for ladder in [lambda_family(name) for name in LAMBDA_IDS] + [lambda_from_table([1, 2, 2])]:
+        assert ladder.values_many is ladder.values, ladder.name
+
+
+def test_batched_predicate_is_called_once_on_the_range():
+    calls = []
+
+    def every_third(ks):
+        calls.append(np.size(ks))
+        return ks % 3 == 0
+
+    trace = density_trace(every_third, lambda_family("identity"), 10_000)
+    assert calls.count(10_000) == 1 and len(calls) < 10
+    assert trace.counts[-1] == 3333
+
+
+def test_nan_at_the_probe_keeps_the_batched_form():
+    # sqrt(x - 0.5) is NaN at the probe point x = 0 on both sides of the probe
+    def evaluate(ks, x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.asarray(x, dtype=float) - 0.5) + 0.0 * np.asarray(ks)
+
+    fs = FunctionSequence(evaluate, GRID, "sqrt(x - 0.5)")
+    assert GRID[0] == 0.0 and fs.evaluate_many is evaluate
+    assert np.isnan(fs.evaluate_many(np.arange(1, 4), 0.0)).all()
+
+
+def test_at_reads_the_batched_form():
+    def ramp(ns):
+        return ns.astype(float)  # arrays only: a Python int has no astype
+
+    lam = LambdaSequence("ramp", ramp, ramp)
+    assert lam.at(5) == 5.0 and lam.at(1) == 1.0

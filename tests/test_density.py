@@ -215,6 +215,28 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(ratio) == 0.5
 
 
+def write_csv_by_rows(trace, path):
+    """The row-by-row writer ``to_csv`` replaced, kept as the byte reference."""
+    with open(path, "w", newline="") as fh:
+        fh.write("n,window_lo,window_hi,count,ratio\n")
+        for n, lo, hi, c, r in zip(trace.ns, trace.lows, trace.highs, trace.counts, trace.ratios):
+            fh.write(f"{int(n)},{int(lo)},{int(hi)},{int(c)},{float(r)!r}\n")
+
+
+def test_trace_csv_matches_row_writer(tmp_path):
+    ks = np.arange(1, 100_001)
+    traces = [density_trace(ks[:1000] % 3 == 0, lambda_family("identity"), 1000, stride=1),
+              density_trace(ks <= 2, lambda_family("identity"), 100_000),
+              density_trace(ks % 7 == 0, lambda_family("sqrt"), 100_000),
+              density_trace(ks < 1, lambda_family("log"), 100_000)]
+    ratios = np.concatenate([t.ratios for t in traces]).tolist()
+    assert 1 / 3 in ratios and 2e-05 in ratios  # repr gives "2e-05"
+    for i, trace in enumerate(traces):
+        trace.to_csv(tmp_path / f"new{i}.csv")
+        write_csv_by_rows(trace, tmp_path / f"old{i}.csv")
+        assert (tmp_path / f"new{i}.csv").read_bytes() == (tmp_path / f"old{i}.csv").read_bytes()
+
+
 def test_rejects_tiny_horizon():
     lam = lambda_family("identity")
     with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
 """Graded norms: the standard construction and its 13-axiom certification."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -90,6 +92,15 @@ def test_certify_catches_wrong_limit_orientation(std_space):
     by = {r.axiom: r for r in reports}
     assert not by["mu-limits"].passed
     assert not by["nu-limits"].passed
+
+
+def test_certify_drops_repeated_times(std_space):
+    samples = default_samples(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        repeated = certify_ifn(std_space, samples, [1.0, 1.0, 2.0])
+    assert repeated == certify_ifn(std_space, samples, [1.0, 2.0])
+    assert all(r.passed for r in repeated)
 
 
 def test_certify_requires_nonempty_inputs(std_space):

@@ -19,12 +19,16 @@ from ifnlab.space import (LIMIT_T_LARGE, LIMIT_T_SMALL, LIMIT_TOL, SCALING_FACTO
 
 def mirrored_certify_ifn(ifn, sample_vectors, time_grid, tolerance=1e-12,
                          limit_tolerance=LIMIT_TOL):
-    """The two-halves certify_ifn, kept verbatim as the reference."""
+    """The two-halves certify_ifn, kept as the reference.
+
+    Two fixes since: repeated times are dropped, and the zero-vector check
+    reports the worst of all its hits, not the last sample's first hit.
+    """
     vectors = [as_vector(v) for v in sample_vectors]
     if not vectors:
         raise DomainError("sample_vectors must be non-empty")
     dim = vectors[0].shape[0]
-    times = np.sort(np.asarray(time_grid, dtype=float).ravel())
+    times = np.unique(np.asarray(time_grid, dtype=float))
     if times.size == 0:
         raise DomainError("time_grid must be non-empty")
     if times[0] <= 0.0:
@@ -63,11 +67,10 @@ def mirrored_certify_ifn(ifn, sample_vectors, time_grid, tolerance=1e-12,
     for i, v in enumerate(vectors):
         if not np.any(v != 0.0):
             continue
-        hits = mu_tab[i] >= 1.0
-        if np.any(hits):
-            j = int(np.argmax(hits))
-            worst = max(worst, STRICT_HIT + float(mu_tab[i, j]) - 1.0)
-            witness = (tuple(v), float(times[j]))
+        for j in np.flatnonzero(mu_tab[i] >= 1.0):
+            gap = STRICT_HIT + float(mu_tab[i, j]) - 1.0
+            if gap > worst:
+                worst, witness = gap, (tuple(v), float(times[j]))
     reports.append(_report("mu-zero-characterization", worst, witness, tolerance))
 
     def scaling_violation(fn):
@@ -147,11 +150,10 @@ def mirrored_certify_ifn(ifn, sample_vectors, time_grid, tolerance=1e-12,
     for i, v in enumerate(vectors):
         if not np.any(v != 0.0):
             continue
-        hits = nu_tab[i] <= 0.0
-        if np.any(hits):
-            j = int(np.argmax(hits))
-            worst = max(worst, STRICT_HIT - float(nu_tab[i, j]))
-            witness = (tuple(v), float(times[j]))
+        for j in np.flatnonzero(nu_tab[i] <= 0.0):
+            gap = STRICT_HIT - float(nu_tab[i, j])
+            if gap > worst:
+                worst, witness = gap, (tuple(v), float(times[j]))
     reports.append(_report("nu-zero-characterization", worst, witness, tolerance))
 
     worst, witness = scaling_violation(ifn.nu)
@@ -199,6 +201,8 @@ def _broken(name, dim):
     pairs = {
         # mu + nu > 1, and mu reaches 1 on nonzero vectors
         "mu-lifted": (lambda x, t: np.minimum(mu(x, t) + 0.25, 1.0), nu),
+        # mu passes 1, by different amounts on different nonzero vectors
+        "mu-raised": (lambda x, t: mu(x, t) + 0.25, nu),
         # nu reaches and passes 1 for long vectors at small t
         "nu-scaled": (mu, lambda x, t: 1.5 * nu(x, t)),
         # both degrees jump at t = 1
@@ -215,7 +219,7 @@ def _broken(name, dim):
     return IFNorm(new_mu, new_nu, std.tnorm, std.tconorm)
 
 
-BROKEN = ["mu-lifted", "nu-scaled", "jump-in-t", "both-clipped", "swapped"]
+BROKEN = ["mu-lifted", "mu-raised", "nu-scaled", "jump-in-t", "both-clipped", "swapped"]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -236,3 +240,25 @@ def test_zero_vector_and_one_time_match_mirrored(name):
     for times in (default_times(count=8), np.array([1.0]), np.array([3.0, 0.5, 1.5])):
         assert_same(certify_ifn(ifn, samples, times),
                     mirrored_certify_ifn(ifn, samples, times))
+
+
+def test_zero_vector_witness_attains_worst_violation():
+    # the report's witness must give back its worst_violation when recomputed
+    checked = 0
+    for name in BROKEN:
+        for dim in (1, 2):
+            ifn = _broken(name, dim)
+            reports = {r.axiom: r for r in certify_ifn(ifn, default_samples(dim),
+                                                       default_times())}
+            for degree, fn, large, sign in (("mu", ifn.mu, 1.0, 1.0),
+                                            ("nu", ifn.nu, 0.0, -1.0)):
+                report = reports[f"{degree}-zero-characterization"]
+                if report.passed:
+                    continue
+                v, t = np.array(report.witness[0]), report.witness[1]
+                value = float(fn(v, np.array([t]))[0])
+                again = (abs(value - large) if not np.any(v)
+                         else STRICT_HIT + sign * value - sign * large)
+                assert again == pytest.approx(report.worst_violation, rel=1e-12), (name, dim)
+                checked += 1
+    assert checked >= 4
