@@ -27,8 +27,8 @@ import numpy as np
 from .algebra import (DomainError, TCONORM_IDS, TNORM_IDS, certify, tconorm, tnorm)
 from .convergence import (CAUCHY_MODES, MODES, ConvergenceQuery, ConvergenceVerdict,
                           detect, detect_cauchy)
-from .density import (DensityTrace, LAMBDA_IDS, LambdaSequence, density_trace,
-                      lambda_family, lambda_from_table, validate)
+from .density import (LAMBDA_IDS, LambdaSequence, density_trace, lambda_family,
+                      lambda_from_table, validate)
 from .sequences import _EXAMPLES, EXAMPLE_IDS, FunctionSequence, build_example
 from .space import NORM_IDS, builtin_norm, certify_ifn, default_samples, default_times, standard_ifn
 
@@ -329,14 +329,10 @@ def _json_bytes(payload) -> bytes:
 def _write_verdict(verdict: ConvergenceVerdict, out: Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     payload = verdict.to_json_dict()
-    if isinstance(verdict.traces, dict):
-        for i, trace in enumerate(verdict.traces.values()):
-            name = f"trace_point_{i:03d}.csv"
-            trace.to_csv(out / name)
-            payload["traces"][i]["csv"] = name
-    elif isinstance(verdict.traces, DensityTrace):
-        verdict.traces.to_csv(out / "trace.csv")
-        payload["traces"][0]["csv"] = "trace.csv"
+    for i, (point, trace) in enumerate(verdict._point_traces()):
+        name = "trace.csv" if point is None else f"trace_point_{i:03d}.csv"
+        trace.to_csv(out / name)
+        payload["traces"][i]["csv"] = name
     target = out / "verdict.json"
     target.write_bytes(_json_bytes(payload))
     return target

@@ -90,18 +90,17 @@ def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
     """
     offsets = (q.point - probes)[:, None]
     dom_mu, dom_nu = ifn_domain.mu(offsets, q.time), ifn_domain.nu(offsets, q.time)
-    smallest_testable = None
+    last_ball = None  # the smallest testable delta's ball, once every delta failed
     for delta in sorted(q.delta_grid, reverse=True):
         in_ball = (dom_mu > 1.0 - delta) & (dom_nu < delta)
         if not np.any(in_ball):
             continue
-        smallest_testable = delta
         if bool(np.all(gap_ok[:, in_ball])):
             return ContinuityResult(True, delta, None, False)
-    if smallest_testable is None:
+        last_ball = in_ball
+    if last_ball is None:
         return ContinuityResult(False, None, None, True)
-    in_ball = (dom_mu > 1.0 - smallest_testable) & (dom_nu < smallest_testable)
-    bad = np.argwhere(~gap_ok & in_ball[None, :])
+    bad = np.argwhere(~gap_ok & last_ball[None, :])
     i, j = bad[0]
     return ContinuityResult(False, None, (int(ks[i]), float(probes[j])), False)
 

@@ -6,21 +6,21 @@ level/time pair (epsilon, t), index k is *exceptional* when
     mu(f_k(x) - c(x), t) <= 1 - epsilon   or   nu(f_k(x) - c(x), t) >= epsilon.
 
 The centre is the candidate limit f, or an anchor term f_N in the Cauchy
-modes.  One grid pass (``_grid_masks``) answers the question at every grid
-point and hands back either one exceptional mask per point or their union.
-The masks then meet one of two judges:
+modes.  The grid is split into groups (``_groups``): each point alone in the
+pointwise modes, the whole grid in the uniform ones.  One grid pass
+(``_union``) gives a group's exceptional mask, the union of its points'
+masks; the union of one point is that point's mask.
 
-* windowed density (``_judge``): the stat modes trace the density of each
-  point's mask (pointwise) or of the union (uniform) and ask it to vanish;
-  the plain stat modes use lambda_n = n;
-* a tail certificate: ifn-classical asks every exceptional index to sit
-  early in the horizon.
-
-The Cauchy modes first search for an anchor (``_anchor_search``): the
-candidates are the first indices that are not exceptional against the
-latest term f_{n_max}, and the search stops at the first anchor whose
-exceptional density vanishes.  Pointwise mode searches once per grid point,
-uniform mode once over the union of the whole grid.
+Every windowed mode judges each group with one search (``_search``): it
+tries the group's candidate centres in order and stops at the first whose
+mask has vanishing windowed density.  The stat modes have one candidate, the
+limit (the plain stat modes use lambda_n = n).  The Cauchy modes try the
+first ANCHOR_POOL indices outside the group's mask against the latest term
+f_{n_max}.  A group that does not converge gives witnesses (``_witnesses``):
+the last indices of its last mask in the final window, each paired with the
+first point of the group where it is exceptional against the same centre.
+ifn-classical instead asks every exceptional index of each point to sit
+early in the horizon (a tail certificate).
 
 Verdicts are three-valued: converges, fails, or inconclusive.  A trace whose
 tail has not settled is reported as inconclusive, never coerced to fails.
@@ -86,8 +86,11 @@ class ConvergenceVerdict:
 
     ``traces`` is a point -> DensityTrace mapping for pointwise modes, a
     single shared trace for uniform modes, and None for ifn-classical.
-    ``witnesses`` holds up to WITNESS_CAP (k, x) pairs where the exceptional
-    condition held, drawn from the final window of offending points.
+    ``witnesses`` holds up to WITNESS_CAP (k, x) pairs, taken in grid order
+    from the groups that do not converge: the last indices of a group's last
+    mask in the final window, each with the first point of the group where
+    k is exceptional against that mask's centre (ifn-classical: the first
+    indices past the dirty cut of each failing point).
     """
 
     mode: str
@@ -104,23 +107,22 @@ class ConvergenceVerdict:
     def converges(self) -> bool:
         return self.verdict == "converges"
 
-    def trace_summaries(self) -> list[dict]:
-        def summary(point, trace: DensityTrace) -> dict:
-            return {
-                "point": point,
-                "verdict": trace.verdict,
-                "estimate": trace.estimate,
-                "final_n": int(trace.ns[-1]),
-                "final_ratio": trace.final_ratio,
-                "tail_max": trace.tail_max,
-                "points": int(len(trace.ns)),
-            }
-
-        if self.traces is None:
-            return []
+    def _point_traces(self) -> list:
+        """(point, trace) pairs; the point of a uniform trace is None."""
         if isinstance(self.traces, DensityTrace):
-            return [summary(None, self.traces)]
-        return [summary(point, trace) for point, trace in self.traces.items()]
+            return [(None, self.traces)]
+        return list((self.traces or {}).items())
+
+    def trace_summaries(self) -> list[dict]:
+        return [{
+            "point": point,
+            "verdict": trace.verdict,
+            "estimate": trace.estimate,
+            "final_n": int(trace.ns[-1]),
+            "final_ratio": trace.final_ratio,
+            "tail_max": trace.tail_max,
+            "points": int(len(trace.ns)),
+        } for point, trace in self._point_traces()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,33 +169,35 @@ def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float,
     return (mu <= 1.0 - epsilon + GUARD) | (nu >= epsilon - GUARD)
 
 
-def _limit_centre(f: Callable) -> Callable:
-    return lambda x, vals: _limit_vector(f, x)
-
-
-def _centred(fs: FunctionSequence, ks: np.ndarray, x, centre: Callable) -> np.ndarray:
+def _centred(fs: FunctionSequence, ks: np.ndarray, x, centre) -> np.ndarray:
+    """f_k(x) - c(x) for k in ``ks``; the centre is the limit f or an anchor index in ``ks``."""
     vals = _values_matrix(fs, ks, x)
-    return vals - centre(x, vals)[None, :]
+    c = _limit_vector(centre, x) if callable(centre) else vals[np.searchsorted(ks, centre)]
+    return vals - c[None, :]
 
 
-def _grid_masks(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre: Callable,
-                ks: np.ndarray, grid, union: bool = False, split: bool = False):
-    """The one grid pass: exceptional masks of f_k(x) - c(x) for k in ``ks``.
+def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, ks: np.ndarray, xs,
+           split: bool = False) -> np.ndarray:
+    """The one grid pass: union over the points ``xs`` of the exceptional masks.
 
-    ``centre(x, vals)`` gives c(x) from the point and its terms.  Yields one
-    mask per point of ``grid``, in grid order, or returns their union when
-    ``union`` is set.  A point's terms live only inside the call that tests
-    them, so one point's values are held at a time.
+    The first point's mask is the accumulator, so a one-point group costs no
+    extra buffer.  A point's terms live only inside ``_centred``, and each
+    mask is freed before the next point allocates, which keeps peak RSS down.
     """
     masks = (_exceptional(ifn, _centred(fs, ks, x, centre), q.epsilon, q.time, split)
-             for x in grid)
-    if not union:
-        return masks
-    shared = np.zeros((2, ks.size) if split else ks.size, dtype=bool)
+             for x in xs)
+    shared = next(masks)
     for mask in masks:
         shared |= mask
-        del mask  # freed before the next point allocates, which keeps peak RSS down
+        del mask
     return shared
+
+
+def _groups(uniform: bool, grid: np.ndarray) -> list:
+    """(key, points) pairs: the whole grid keyed None, or each point keyed by itself."""
+    if uniform:
+        return [(None, grid)]
+    return [(_point_key(x), grid[i:i + 1]) for i, x in enumerate(grid)]
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
@@ -214,13 +218,6 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     return member
 
 
-def _tail_witnesses(mask: np.ndarray, key, trace: DensityTrace, cap: int) -> list:
-    lo, hi = int(trace.lows[-1]), int(trace.ns[-1])  # the trace's final window
-    ks = np.flatnonzero(mask[lo - 1: hi]) + lo
-    # report the offenders closest to the horizon: evidence of persistence
-    return [(int(k), key) for k in ks[-cap:]]
-
-
 def _aggregate(point_verdicts: list[str]) -> str:
     if all(v == "converges" for v in point_verdicts):
         return "converges"
@@ -229,24 +226,67 @@ def _aggregate(point_verdicts: list[str]) -> str:
     return "inconclusive"
 
 
-def _verdict_from_trace(trace: DensityTrace) -> str:
-    # limit-one or a settled positive value: the density is clearly not zero
-    return {"limit-zero": "converges", "inconclusive": "inconclusive"}.get(trace.verdict, "fails")
+def _search(union: Callable, candidates, lam: LambdaSequence, q: ConvergenceQuery) -> tuple:
+    """Try a group's candidate centres in order; stop at the first limit-zero trace.
 
-
-def _judge(keyed_masks, lam: LambdaSequence, q: ConvergenceQuery) -> tuple[str, dict, list]:
-    """Density judge of the stat modes over (key, mask) pairs.
-
-    Returns the aggregate verdict, the trace of each key, and up to
-    WITNESS_CAP tail witnesses (k, key) from the masks that do not converge.
+    ``union(centre)`` is the group's exceptional mask.  Returns the outcome,
+    the last centre tried, and its trace and mask (all None without a
+    candidate).  The outcome is converges at a limit-zero trace, else
+    inconclusive when some trace was, else fails: limit-one or a settled
+    positive value says the density is clearly not zero.
     """
-    traces, point_verdicts, witnesses = {}, [], []
-    for key, mask in keyed_masks:
-        traces[key] = trace = density_trace(mask, lam, q.n_max, q.stride)
-        point_verdicts.append(_verdict_from_trace(trace))
-        if point_verdicts[-1] != "converges" and len(witnesses) < WITNESS_CAP:
-            witnesses.extend(_tail_witnesses(mask, key, trace, WITNESS_CAP - len(witnesses)))
-    return _aggregate(point_verdicts), traces, witnesses
+    outcome, centre, trace, mask = "fails", None, None, None
+    for centre in candidates:
+        mask = union(centre)
+        trace = density_trace(mask, lam, q.n_max, q.stride)
+        if trace.verdict == "limit-zero":
+            return "converges", centre, trace, mask
+        if trace.verdict == "inconclusive":
+            outcome = "inconclusive"
+    return outcome, centre, trace, mask
+
+
+def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
+               mask: np.ndarray, trace: DensityTrace, cap: int) -> list:
+    """The last ``cap`` indices of ``mask`` in the trace's final window, as (k, x).
+
+    Indices closest to the horizon are evidence of persistence.  Each is
+    paired with the first point of ``xs`` where it is exceptional against
+    ``centre``; that check evaluates those indices (and the anchor) once per point.
+    """
+    lo, hi = int(trace.lows[-1]), int(trace.ns[-1])
+    tail = (np.flatnonzero(mask[lo - 1: hi]) + lo)[-cap:]
+    if tail.size == 0:
+        return []
+    ks = tail if callable(centre) else np.union1d(tail, centre)
+    rows = np.searchsorted(ks, tail)
+    hits = np.array([_union(fs, ifn, q, centre, ks, [x])[rows] for x in xs])
+    return [(int(k), _point_key(xs[np.argmax(col)])) for k, col in zip(tail, hits.T) if col.any()]
+
+
+def _detect_windowed(fs: FunctionSequence, ifn, q: ConvergenceQuery, lam: LambdaSequence,
+                     candidates: Callable) -> ConvergenceVerdict:
+    """Judge every group with ``_search`` over ``candidates(union)``; gather witnesses."""
+    ks = np.arange(1, q.n_max + 1)
+    uniform = q.mode.startswith("uniform")
+    outcomes, traces, anchors, witnesses = [], {}, {}, []
+    for key, xs in _groups(uniform, fs.domain_grid):
+        def union(centre):
+            return _union(fs, ifn, q, centre, ks, xs)
+
+        outcome, centre, trace, mask = _search(union, candidates(union), lam, q)
+        outcomes.append(outcome)
+        anchors[key] = centre if outcome == "converges" else None
+        if trace is not None:
+            traces[key] = trace
+            if outcome != "converges" and len(witnesses) < WITNESS_CAP:
+                witnesses += _witnesses(fs, ifn, q, centre, xs, mask, trace,
+                                        WITNESS_CAP - len(witnesses))
+    if uniform:  # the output shape: one shared trace and one anchor
+        traces, anchors = traces.get(None), anchors[None]
+    details = {"anchor" if uniform else "anchors": anchors} if q.mode in CAUCHY_MODES else {}
+    return ConvergenceVerdict(q.mode, _aggregate(outcomes), traces, witnesses, q.epsilon,
+                              q.time, lam.name, q.n_max, details)
 
 
 def detect(fs: FunctionSequence, f: Callable, ifn_target,
@@ -260,41 +300,20 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
     """
     if q.mode in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} requires detect_cauchy")
-
-    grid = fs.domain_grid
-    ks = np.arange(1, q.n_max + 1)
-    limit = _limit_centre(f)
     if q.mode == "ifn-classical":
-        return _detect_classical(_grid_masks(fs, ifn_target, q, limit, ks, grid), grid, q)
-
+        return _detect_classical(fs, f, ifn_target, q)
     lam = lambda_family("identity") if q.mode in ("pointwise-stat", "uniform-stat") else q.lam
-    if not q.mode.startswith("uniform"):
-        verdict, traces, witnesses = _judge(
-            zip(map(_point_key, grid), _grid_masks(fs, ifn_target, q, limit, ks, grid)), lam, q)
-        return ConvergenceVerdict(q.mode, verdict, traces, witnesses, q.epsilon,
-                                  q.time, lam.name, q.n_max)
-
-    shared = _grid_masks(fs, ifn_target, q, limit, ks, grid, union=True)
-    verdict, traces, tail = _judge([(None, shared)], lam, q)
-    witnesses: list = []
-    if tail:
-        # Attribute each shared-set witness to the first grid point where
-        # that index is exceptional.
-        tail_ks = np.array([k for k, _ in tail])
-        hits = np.array(list(_grid_masks(fs, ifn_target, q, limit, tail_ks, grid)))
-        witnesses = [(int(k), _point_key(grid[np.argmax(col)]))
-                     for k, col in zip(tail_ks, hits.T) if col.any()]
-    return ConvergenceVerdict(q.mode, verdict, traces[None], witnesses, q.epsilon,
-                              q.time, lam.name, q.n_max)
+    return _detect_windowed(fs, ifn_target, q, lam, lambda union: [f])
 
 
-def _detect_classical(masks, grid, q: ConvergenceQuery) -> ConvergenceVerdict:
+def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
+                      q: ConvergenceQuery) -> ConvergenceVerdict:
     clean_cut = int(q.n_max * CLASSICAL_CLEAN_FRACTION)
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
+    ks = np.arange(1, q.n_max + 1)
     point_verdicts, witnesses, last_exceptional = [], [], {}
-    for x, mask in zip(grid, masks):
-        key = _point_key(x)
-        hits = np.flatnonzero(mask) + 1
+    for key, xs in _groups(False, fs.domain_grid):
+        hits = np.flatnonzero(_union(fs, ifn, q, f, ks, xs)) + 1
         k_last = int(hits[-1]) if hits.size else 0
         last_exceptional[key] = k_last
         if k_last <= clean_cut:
@@ -311,72 +330,28 @@ def _detect_classical(masks, grid, q: ConvergenceQuery) -> ConvergenceVerdict:
                               details={"last_exceptional": last_exceptional})
 
 
-def _anchor_search(fs: FunctionSequence, ifn, q: ConvergenceQuery, ks: np.ndarray, grid):
-    """Search an anchor f_N that serves every point of ``grid`` at once.
-
-    The candidates are the first ANCHOR_POOL indices outside the union of
-    exceptional masks against f_{n_max}; the search stops at the first
-    candidate whose union has vanishing density.  Returns the outcome, the
-    chosen anchor (None unless it converges), and the trace and union mask
-    of the last candidate tried (both None when there is no candidate).
-    """
-    def union_against(anchor):
-        return _grid_masks(fs, ifn, q, lambda x, vals: vals[anchor - 1], ks, grid, union=True)
-
-    pool = (np.flatnonzero(~union_against(q.n_max)) + 1)[:ANCHOR_POOL]
-    outcome, trace, mask = "fails", None, None
-    for anchor in pool:
-        mask = union_against(anchor)
-        trace = density_trace(mask, q.lam, q.n_max, q.stride)
-        if trace.verdict == "limit-zero":
-            return "converges", int(anchor), trace, mask
-        if trace.verdict == "inconclusive":
-            outcome = "inconclusive"
-    return outcome, None, trace, mask
-
-
 def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> ConvergenceVerdict:
     """Self-referential convergence test: no candidate limit required.
 
-    Anchor terms f_N stand in for the limit (see ``_anchor_search``); the
-    run converges when some anchor makes the exceptional density vanish.
-    Pointwise mode anchors each grid point separately (N may depend on x);
-    uniform mode uses one anchor and one shared exceptional set for the
-    whole grid.  A failing run reports tail witnesses of the last anchor's
-    mask.
+    Anchor terms f_N stand in for the limit: a group's candidates are the
+    first ANCHOR_POOL indices outside its mask against f_{n_max}, and the run
+    converges when some anchor makes each group's exceptional density
+    vanish.  Pointwise mode anchors each grid point separately (N may depend
+    on x); uniform mode uses one anchor and one shared exceptional set for
+    the whole grid.
     """
     if q.mode not in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
-    ks = np.arange(1, q.n_max + 1)
-
-    if q.mode == "uniform-lambda-cauchy":
-        outcome, chosen, trace, mask = _anchor_search(fs, ifn_target, q, ks, fs.domain_grid)
-        witnesses = (_tail_witnesses(mask, None, trace, WITNESS_CAP)
-                     if outcome == "fails" and trace is not None else [])
-        return ConvergenceVerdict(q.mode, outcome, trace, witnesses, q.epsilon,
-                                  q.time, q.lam.name, q.n_max, details={"anchor": chosen})
-
-    traces, anchors_used, point_verdicts, witnesses = {}, {}, [], []
-    for x in fs.domain_grid:
-        key = _point_key(x)
-        outcome, anchors_used[key], trace, mask = _anchor_search(fs, ifn_target, q, ks, [x])
-        point_verdicts.append(outcome)
-        if trace is not None:
-            traces[key] = trace
-            if outcome == "fails" and len(witnesses) < WITNESS_CAP:
-                witnesses.extend(_tail_witnesses(mask, key, trace,
-                                                 WITNESS_CAP - len(witnesses)))
-    return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), traces, witnesses,
-                              q.epsilon, q.time, q.lam.name, q.n_max,
-                              details={"anchors": anchors_used})
+    return _detect_windowed(fs, ifn_target, q, q.lam, lambda union: (
+        np.flatnonzero(~union(q.n_max)) + 1)[:ANCHOR_POOL].tolist())
 
 
 def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
                             q: ConvergenceQuery) -> bool:
     """Numerically confirm the five equivalent densities behind the detector.
 
-    For each grid point (pointwise mode) or the shared union (uniform mode)
-    the five statements are evaluated:
+    For each group (each grid point in pointwise mode, the whole grid's union
+    in uniform mode) the five statements are evaluated:
 
     1. the joint exceptional set has windowed density zero;
     2. the mu-exceptional and nu-exceptional sets each have density zero;
@@ -396,9 +371,7 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     """
     if q.mode not in ("pointwise-lambda-stat", "uniform-lambda-stat"):
         raise DomainError("lemma check requires a lambda-stat mode")
-    uniform = q.mode == "uniform-lambda-stat"
-    masks = _grid_masks(fs, ifn_target, q, _limit_centre(f), np.arange(1, q.n_max + 1),
-                        fs.domain_grid, union=uniform, split=True)
+    ks = np.arange(1, q.n_max + 1)
 
     def density(mask, target: str) -> bool | None:
         v = density_trace(mask, q.lam, q.n_max, q.stride).verdict
@@ -408,7 +381,8 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
         return None if a is None or b is None else a and b
 
     rows = []  # one row of the five statement values per group
-    for m_mu, m_nu in ([masks] if uniform else masks):
+    for _, xs in _groups(q.mode == "uniform-lambda-stat", fs.domain_grid):
+        m_mu, m_nu = _union(fs, ifn_target, q, f, ks, xs, split=True)
         joint = m_mu | m_nu
         separate = conj(density(m_mu, "limit-zero"), density(m_nu, "limit-zero"))
         rows.append((density(joint, "limit-zero"), separate, density(~joint, "limit-one"),

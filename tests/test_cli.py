@@ -203,6 +203,19 @@ def test_analyze_matches_golden_verdict(tmp_path):
     assert (out / "trace_point_002.csv").exists()
 
 
+def test_analyze_matches_golden_cauchy_verdict(tmp_path):
+    # a failing uniform Cauchy run: every witness names the first grid point
+    # where k is exceptional against the last anchor tried
+    ini = tmp_path / "cauchy.ini"
+    ini.write_text("[sequence]\nexpression = sin(k) * x\n"
+                   "[query]\nmode = uniform-lambda-cauchy\nn_max = 2000\ngrid_points = 11\n")
+    out = tmp_path / "run"
+    assert run_cli("analyze", ini, "--out", out) == 1
+    produced = (out / "verdict.json").read_bytes()
+    assert produced == (DATA / "golden_cauchy_verdict.json").read_bytes()
+    assert (out / "trace.csv").exists()
+
+
 def test_analyze_is_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("analyze", DATA / "small.ini", "--out", a) == 0
