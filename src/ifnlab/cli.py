@@ -142,6 +142,9 @@ class ExperimentConfig:
             (self.stride is None or self.stride >= 1, f"query.stride must be >= 1: {self.stride}"),
             (self.grid_low < self.grid_high, "query.grid_low must be below query.grid_high"),
             (self.grid_points >= 2, f"query.grid_points must be >= 2: {self.grid_points}"),
+            (self.example is None or 0.0 <= self.grid_low and self.grid_high <= 1.0,
+             f"query.grid_low/grid_high: the bundled examples are defined on [0, 1], "
+             f"got [{self.grid_low!r}, {self.grid_high!r}]"),
             (self.example is None or self.expression is None,
              "sequence: give either example or expression, not both"),
             (self.density_set is None or self.density_expression is None,
@@ -226,6 +229,17 @@ _EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp,
                ast.Compare, ast.cmpop, ast.IfExp, ast.Call)
 
 
+def _tests_truth(text: str) -> bool:
+    """Whether a formula takes a truth value (``a if c else b``, and/or/not, a < b < c).
+
+    Such a formula needs a number for x, so it is evaluated one grid point
+    at a time; any other formula is evaluated across the grid at once.
+    """
+    return any(isinstance(node, (ast.IfExp, ast.BoolOp, ast.Not))
+               or (isinstance(node, ast.Compare) and len(node.ops) > 1)
+               for node in ast.walk(ast.parse(text, mode="eval")))
+
+
 def _allowed(node: ast.AST) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, (int, float, complex))
@@ -303,7 +317,13 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
         out = np.asarray(term(k=np.asarray(ks, dtype=float), x=float(x)), dtype=float)
         return np.broadcast_to(out, np.asarray(ks).shape).copy()
 
-    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}")
+    def terms(ks, xs):  # k down the rows, x across the columns
+        k = np.asarray(ks, dtype=float)[:, None]
+        return np.broadcast_to(np.asarray(term(k=k, x=xs), dtype=float),
+                               (k.size, xs.size)).copy()
+
+    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}",
+                          evaluate_grid=None if _tests_truth(cfg.expression) else terms)
     limit = None
     if cfg.limit is not None:
         limit_expr = compile_expression(cfg.limit, ("x",))

@@ -6,17 +6,19 @@ level/time pair (epsilon, t), index k is *exceptional* when
     mu(f_k(x) - c(x), t) <= 1 - epsilon   or   nu(f_k(x) - c(x), t) >= epsilon.
 
 The centre is the candidate limit f, or an anchor term f_N in the Cauchy
-modes.  The grid is split into groups (``_groups``): each point alone in the
-pointwise modes, the whole grid in the uniform ones.  One grid pass
-(``_union``) gives a group's exceptional mask, the union of its points'
-masks; the union of one point is that point's mask.
+modes.  In a standard space both tests say |d| >= t*epsilon/(1-epsilon)
+(``_exceptional``).  The grid is split into groups (``_groups``): each point
+alone in the pointwise modes, the whole grid in the uniform ones.  One grid
+pass (``_union``) sweeps k in blocks evaluated across a group's points and
+gives each centre of a batch the union of the points' exceptional masks.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
 mask has vanishing windowed density.  The stat modes have one candidate, the
 limit (the plain stat modes use lambda_n = n).  The Cauchy modes try the
 first ANCHOR_POOL indices outside the group's mask against the latest term
-f_{n_max}.  A group that does not converge gives witnesses (``_witnesses``):
+f_{n_max}, the first alone and then the rest in one pass: at most three
+passes per group.  A group that does not converge gives witnesses (``_witnesses``):
 the last indices of its last mask in the final window, each paired with the
 first point of the group where it is exceptional against the same centre.
 ifn-classical instead asks every exceptional index of each point to sit
@@ -28,6 +30,7 @@ tail has not settled is reported as inconclusive, never coerced to fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -49,6 +52,12 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
 
+# Terms per block of the grid pass (k-block times grid points).
+BLOCK_ELEMENTS = 1 << 16
+# Band around the radius, in units of t/(1-epsilon)**2, where _exceptional
+# takes the mu/nu test: rounding moves their boundary by a few 2**-53 units.
+RADIUS_SLACK = 2.0 ** -40
+
 # ifn-classical tail certificate: converges when every exceptional index sits
 # in the first half of the horizon; fails when one lands in the final tenth
 # (persistent-tail evidence); anything between is inconclusive.
@@ -68,16 +77,14 @@ class ConvergenceQuery:
     stride: int | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.time <= 0.0:
-            raise DomainError(f"time must be positive, got {self.time}")
-        if self.n_max < 10:
-            raise DomainError(f"n_max must be >= 10, got {self.n_max}")
-        if self.stride is not None and self.stride < 1:
-            raise DomainError(f"stride must be >= 1, got {self.stride}")
+        for ok, message in (
+                (self.mode in MODES, f"unknown mode {self.mode!r}; choose from {MODES}"),
+                (0.0 < self.epsilon < 1.0, f"epsilon must lie in (0, 1), got {self.epsilon}"),
+                (self.time > 0.0, f"time must be positive, got {self.time}"),
+                (self.n_max >= 10, f"n_max must be >= 10, got {self.n_max}"),
+                (self.stride is None or self.stride >= 1, f"stride must be >= 1, got {self.stride}")):
+            if not ok:
+                raise DomainError(message)
 
 
 @dataclass
@@ -138,82 +145,89 @@ class ConvergenceVerdict:
         }
 
 
-def _point_key(x):
-    arr = np.asarray(x, dtype=float)
-    return float(arr) if arr.ndim == 0 else tuple(arr.tolist())
-
-
-def _values_matrix(fs: FunctionSequence, ks: np.ndarray, x) -> np.ndarray:
-    """Terms f_k(x) for the indices ``ks``, one row per index."""
-    vals = np.asarray(fs.evaluate_many(ks, x), dtype=float).reshape(ks.size, -1)
-    if not np.all(np.isfinite(vals)):
-        k = int(ks[np.flatnonzero(~np.all(np.isfinite(vals), axis=1))[0]])
-        raise ValueError(f"sequence value not finite at (k={k}, x={_point_key(x)!r})")
+def _finite(vals: np.ndarray, message: Callable) -> np.ndarray:
+    """``vals`` (indices, points, coordinates), or a ValueError at the first index and point."""
+    bad = ~np.isfinite(vals).all(axis=2)
+    if bad.any():
+        raise ValueError(message(*np.argwhere(bad)[0]))
     return vals
 
 
-def _limit_vector(f: Callable, x) -> np.ndarray:
-    fx = np.asarray(f(x), dtype=float).reshape(-1)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError(f"limit value not finite at x={_point_key(x)!r}")
-    return fx
+def _terms(fs: FunctionSequence, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Terms f_k(x) for the indices ``ks`` across the points ``xs``."""
+    return _finite(fs.terms(ks, xs), lambda i, j:
+                   f"sequence value not finite at (k={ks[i]}, x={float(xs[j])!r})")
+
+
+def _limits(f: Callable, xs: np.ndarray) -> np.ndarray:
+    """Limit values f(x) across the points ``xs``, shaped (points, coordinates)."""
+    fx = np.stack([np.asarray(f(x), dtype=float).reshape(-1) for x in xs])[None]
+    return _finite(fx, lambda _, j: f"limit value not finite at x={float(xs[j])!r}")[0]
 
 
 def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float,
                  split: bool = False) -> np.ndarray:
-    """Which rows of ``diffs`` are exceptional; ``split`` stacks the mu and nu tests."""
-    # both values before any comparison: this allocation order keeps peak RSS down
-    mu, nu = ifn.mu(diffs, t), ifn.nu(diffs, t)
-    if split:
-        return np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
-    return (mu <= 1.0 - epsilon + GUARD) | (nu >= epsilon - GUARD)
+    """Which of ``diffs`` (coordinates last) are exceptional; ``split`` stacks the mu and nu tests.
 
-
-def _centred(fs: FunctionSequence, ks: np.ndarray, x, centre) -> np.ndarray:
-    """f_k(x) - c(x) for k in ``ks``; the centre is the limit f or an anchor index in ``ks``."""
-    vals = _values_matrix(fs, ks, x)
-    c = _limit_vector(centre, x) if callable(centre) else vals[np.searchsorted(ks, centre)]
-    return vals - c[None, :]
-
-
-def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, ks: np.ndarray, xs,
-           split: bool = False) -> np.ndarray:
-    """The one grid pass: union over the points ``xs`` of the exceptional masks.
-
-    The first point's mask is the accumulator, so a one-point group costs no
-    extra buffer.  A point's terms live only inside ``_centred``, and each
-    mask is freed before the next point allocates, which keeps peak RSS down.
+    With a crisp norm (a standard space) and no split, both guarded tests say
+    norm(d) >= t(epsilon - GUARD)/(1 - epsilon + GUARD).  Rounding moves the
+    mu/nu boundary off that radius by some ulps, so the RADIUS_SLACK band takes mu/nu.
     """
-    masks = (_exceptional(ifn, _centred(fs, ks, x, centre), q.epsilon, q.time, split)
-             for x in xs)
-    shared = next(masks)
-    for mask in masks:
-        shared |= mask
-        del mask
-    return shared
+    if ifn.norm is None or split:
+        mu, nu = ifn.mu(diffs, t), ifn.nu(diffs, t)
+        tests = np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
+        return tests if split else tests.any(axis=0)
+    r = ifn.norm(diffs)
+    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
+    slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
+    out = r >= radius + slack
+    near = (r >= radius - slack) ^ out
+    if near.any():
+        out[near] = _exceptional(ifn, diffs[near], epsilon, t, split=True).any(axis=0)
+    return out
+
+
+def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
+           split: bool = False) -> np.ndarray:
+    """The grid pass: per centre, the union over the points ``xs`` of their exceptional masks.
+
+    One sweep of k = 1..n_max in blocks of BLOCK_ELEMENTS terms, each tested
+    against every centre (the limit f, or anchor indices N); a row per centre,
+    a (mu, nu) pair with ``split``.  A bad term is reported before a bad centre.
+    """
+    step = max(1, BLOCK_ELEMENTS // len(xs))
+    out = np.empty((len(centres), 1 + split, q.n_max), dtype=bool)
+    cs = None
+    for lo in range(0, q.n_max, step):
+        ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
+        vals = _terms(fs, ks, xs)
+        if cs is None:
+            cs = ([_limits(f, xs) for f in centres] if callable(centres[0])
+                  else _terms(fs, np.array(centres), xs))
+        for row, c in zip(out, cs):
+            test = _exceptional(ifn, vals - c, q.epsilon, q.time, split)
+            row[:, lo:lo + ks.size] = test.any(axis=-1)
+    return out if split else out[:, 0]
 
 
 def _groups(uniform: bool, grid: np.ndarray) -> list:
     """(key, points) pairs: the whole grid keyed None, or each point keyed by itself."""
-    if uniform:
-        return [(None, grid)]
-    return [(_point_key(x), grid[i:i + 1]) for i, x in enumerate(grid)]
+    return [(None, grid)] if uniform else [(float(x), grid[i:i + 1]) for i, x in enumerate(grid)]
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
                     epsilon: float, time: float) -> Callable[[int], bool]:
-    """Predicate on indices: is k exceptional at x for (epsilon, time)?"""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if time <= 0.0:
-        raise DomainError(f"time must be positive, got {time}")
-    fx = _limit_vector(f, x)
+    """Predicate on indices: is k exceptional at x for (epsilon, time)?  Always by mu and nu."""
+    if not (0.0 < epsilon < 1.0 and time > 0.0):
+        raise DomainError(f"need epsilon in (0, 1) and time > 0, got {epsilon} and {time}")
+    xs = np.array([x], dtype=float)
+    fx = _limits(f, xs)
 
     def member(k: int) -> bool:
         if k < 1:
             raise DomainError(f"index must be >= 1, got {k}")
-        diffs = _values_matrix(fs, np.array([k]), x) - fx[None, :]
-        return bool(_exceptional(ifn_target, diffs, epsilon, time)[0])
+        diffs = _terms(fs, np.array([k]), xs) - fx
+        return bool(_exceptional(ifn_target, diffs, epsilon, time, split=True).any())
 
     return member
 
@@ -221,28 +235,25 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
 def _aggregate(point_verdicts: list[str]) -> str:
     if all(v == "converges" for v in point_verdicts):
         return "converges"
-    if any(v == "fails" for v in point_verdicts):
-        return "fails"
-    return "inconclusive"
+    return "fails" if "fails" in point_verdicts else "inconclusive"
 
 
-def _search(union: Callable, candidates, lam: LambdaSequence, q: ConvergenceQuery) -> tuple:
-    """Try a group's candidate centres in order; stop at the first limit-zero trace.
+def _search(union: Callable, pool: list, lam: LambdaSequence, q: ConvergenceQuery) -> tuple:
+    """Try a group's candidate centres in pool order; stop at the first limit-zero trace.
 
-    ``union(centre)`` is the group's exceptional mask.  Returns the outcome,
-    the last centre tried, and its trace and mask (all None without a
-    candidate).  The outcome is converges at a limit-zero trace, else
-    inconclusive when some trace was, else fails: limit-one or a settled
-    positive value says the density is clearly not zero.
+    ``union(batch)`` masks a batch in one sweep: the first candidate, then the
+    rest.  Returns the outcome (converges at a limit-zero trace, else
+    inconclusive when some trace was, else fails), the last centre tried,
+    and its trace and mask (all None for an empty pool).
     """
     outcome, centre, trace, mask = "fails", None, None, None
-    for centre in candidates:
-        mask = union(centre)
-        trace = density_trace(mask, lam, q.n_max, q.stride)
-        if trace.verdict == "limit-zero":
-            return "converges", centre, trace, mask
-        if trace.verdict == "inconclusive":
-            outcome = "inconclusive"
+    for batch in (pool[:1], pool[1:]):
+        for centre, mask in zip(batch, union(batch) if batch else ()):
+            trace = density_trace(mask, lam, q.n_max, q.stride)
+            if trace.verdict == "limit-zero":
+                return "converges", centre, trace, mask
+            if trace.verdict == "inconclusive":
+                outcome = "inconclusive"
     return outcome, centre, trace, mask
 
 
@@ -250,30 +261,27 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
                mask: np.ndarray, trace: DensityTrace, cap: int) -> list:
     """The last ``cap`` indices of ``mask`` in the trace's final window, as (k, x).
 
-    Indices closest to the horizon are evidence of persistence.  Each is
-    paired with the first point of ``xs`` where it is exceptional against
-    ``centre``; that check evaluates those indices (and the anchor) once per point.
+    Indices closest to the horizon are evidence of persistence.  Each is paired with
+    the first point of ``xs`` where it is exceptional against ``centre`` (one evaluation).
     """
     lo, hi = int(trace.lows[-1]), int(trace.ns[-1])
     tail = (np.flatnonzero(mask[lo - 1: hi]) + lo)[-cap:]
     if tail.size == 0:
         return []
     ks = tail if callable(centre) else np.union1d(tail, centre)
-    rows = np.searchsorted(ks, tail)
-    hits = np.array([_union(fs, ifn, q, centre, ks, [x])[rows] for x in xs])
-    return [(int(k), _point_key(xs[np.argmax(col)])) for k, col in zip(tail, hits.T) if col.any()]
+    vals = _terms(fs, ks, xs)
+    c = _limits(centre, xs) if callable(centre) else vals[np.searchsorted(ks, centre)]
+    hits = _exceptional(ifn, vals[np.searchsorted(ks, tail)] - c, q.epsilon, q.time)
+    return [(int(k), float(xs[np.argmax(row)])) for k, row in zip(tail, hits) if row.any()]
 
 
 def _detect_windowed(fs: FunctionSequence, ifn, q: ConvergenceQuery, lam: LambdaSequence,
                      candidates: Callable) -> ConvergenceVerdict:
     """Judge every group with ``_search`` over ``candidates(union)``; gather witnesses."""
-    ks = np.arange(1, q.n_max + 1)
     uniform = q.mode.startswith("uniform")
     outcomes, traces, anchors, witnesses = [], {}, {}, []
     for key, xs in _groups(uniform, fs.domain_grid):
-        def union(centre):
-            return _union(fs, ifn, q, centre, ks, xs)
-
+        union = partial(_union, fs, ifn, q, xs)
         outcome, centre, trace, mask = _search(union, candidates(union), lam, q)
         outcomes.append(outcome)
         anchors[key] = centre if outcome == "converges" else None
@@ -310,21 +318,16 @@ def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
                       q: ConvergenceQuery) -> ConvergenceVerdict:
     clean_cut = int(q.n_max * CLASSICAL_CLEAN_FRACTION)
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
-    ks = np.arange(1, q.n_max + 1)
     point_verdicts, witnesses, last_exceptional = [], [], {}
     for key, xs in _groups(False, fs.domain_grid):
-        hits = np.flatnonzero(_union(fs, ifn, q, f, ks, xs)) + 1
+        hits = np.flatnonzero(_union(fs, ifn, q, xs, [f])[0]) + 1
         k_last = int(hits[-1]) if hits.size else 0
         last_exceptional[key] = k_last
-        if k_last <= clean_cut:
-            point_verdicts.append("converges")
-        elif k_last > dirty_cut:
-            point_verdicts.append("fails")
-            if len(witnesses) < WITNESS_CAP:
-                tail = hits[hits > dirty_cut]
-                witnesses.extend((int(k), key) for k in tail[: WITNESS_CAP - len(witnesses)])
-        else:
-            point_verdicts.append("inconclusive")
+        point_verdicts.append("converges" if k_last <= clean_cut else
+                              "fails" if k_last > dirty_cut else "inconclusive")
+        if k_last > dirty_cut:
+            tail = hits[hits > dirty_cut][: WITNESS_CAP - len(witnesses)]
+            witnesses.extend((int(k), key) for k in tail)
     return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), None, witnesses,
                               q.epsilon, q.time, "unused", q.n_max,
                               details={"last_exceptional": last_exceptional})
@@ -343,7 +346,7 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
     if q.mode not in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
     return _detect_windowed(fs, ifn_target, q, q.lam, lambda union: (
-        np.flatnonzero(~union(q.n_max)) + 1)[:ANCHOR_POOL].tolist())
+        np.flatnonzero(~union([q.n_max])[0]) + 1)[:ANCHOR_POOL].tolist())
 
 
 def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
@@ -360,10 +363,8 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     5. the values mu(f_k - f, t) converge windowed-statistically to 1 and
        nu(f_k - f, t) to 0 (checked at the query epsilon).
 
-    At the query epsilon the index sets of statement 5, {k : 1 - mu >= eps}
-    and {k : |nu| >= eps}, are the mu- and nu-exceptional sets of statement
-    2, because nu >= 0; so statement 5 takes its verdict from statement 2's
-    masks, and a difference could only come from rounding at the boundary.
+    At the query epsilon statement 5's sets {k : 1 - mu >= eps} and
+    {k : |nu| >= eps} are statement 2's (nu >= 0), so it reuses those masks.
 
     Returns True when all five verdicts are decisive and identical (all true
     for a converging run, all false for a failing one); an inconclusive
@@ -371,7 +372,6 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     """
     if q.mode not in ("pointwise-lambda-stat", "uniform-lambda-stat"):
         raise DomainError("lemma check requires a lambda-stat mode")
-    ks = np.arange(1, q.n_max + 1)
 
     def density(mask, target: str) -> bool | None:
         v = density_trace(mask, q.lam, q.n_max, q.stride).verdict
@@ -382,7 +382,7 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
 
     rows = []  # one row of the five statement values per group
     for _, xs in _groups(q.mode == "uniform-lambda-stat", fs.domain_grid):
-        m_mu, m_nu = _union(fs, ifn_target, q, f, ks, xs, split=True)
+        m_mu, m_nu = _union(fs, ifn_target, q, xs, [f], split=True)[0]
         joint = m_mu | m_nu
         separate = conj(density(m_mu, "limit-zero"), density(m_nu, "limit-zero"))
         rows.append((density(joint, "limit-zero"), separate, density(~joint, "limit-one"),

@@ -36,12 +36,15 @@ class FunctionSequence:
     with ``vectorize_scalar`` and keeps it when it answers the index array as
     it answers each index, else its per-element form, which expects a number
     per term.  A vector-valued family passes ``evaluate_many`` itself.
+    ``evaluate_grid(ks, xs)``, when given, answers an index array across an
+    array of points at once (see ``terms``).
     """
 
     evaluate: Callable
     domain_grid: np.ndarray
     description: str
     evaluate_many: Callable | None = None
+    evaluate_grid: Callable | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.domain_grid, dtype=float)
@@ -57,6 +60,19 @@ class FunctionSequence:
     def values_upto(self, n_max: int, x) -> np.ndarray:
         """Terms 1..n_max at x."""
         return np.asarray(self.evaluate_many(np.arange(1, n_max + 1), x), dtype=float)
+
+    def terms(self, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        """Terms f_k(x) for an index array across points, shaped (ks, points, coordinates).
+
+        One ``evaluate_grid`` call when the sequence has that form, else one
+        ``evaluate_many`` call per point.
+        """
+        if self.evaluate_grid is not None:
+            vals = np.asarray(self.evaluate_grid(ks, xs), dtype=float)
+        else:
+            vals = np.stack([np.asarray(self.evaluate_many(ks, x), dtype=float)
+                             .reshape(ks.size, -1) for x in xs], axis=1)
+        return vals.reshape(ks.size, len(xs), -1)
 
 
 def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
@@ -95,8 +111,10 @@ class BumpIndexSet:
     (b_n)-th newest member, and that test, once true, stays true until the
     next admission.  So the build gallops from one admission to the next
     and bisects back, instead of visiting every stage.  The members are
-    kept as one sorted int64 array; the boolean mask is a cache built from
-    it on demand.
+    kept as one sorted int64 array; the boolean mask is a cache filled from
+    it on demand.  The cache doubles when it grows and is filled only past
+    the stages it already holds, so a sweep over growing horizons costs
+    O(n) in all.
     """
 
     def __init__(self, lam: LambdaSequence):
@@ -105,7 +123,8 @@ class BumpIndexSet:
         self._members = np.zeros(64, dtype=np.int64)  # sorted; first _count valid
         self._count = 0
         self._last = (1, 1)    # window low and budget at stage _built
-        self._mask_cache: np.ndarray | None = None
+        self._mask_cache = np.zeros(1, dtype=bool)
+        self._mask_upto = 0    # the cache holds stages 1.._mask_upto
 
     def ensure(self, n_max: int) -> None:
         while self._built < n_max:
@@ -188,7 +207,6 @@ class BumpIndexSet:
         self._count = c
         self._built = stop
         self._last = (int(lows[-1]), int(budgets[-1]))
-        self._mask_cache = None
 
     def contains(self, k: int) -> bool:
         if k < 1:
@@ -203,9 +221,15 @@ class BumpIndexSet:
     def mask(self, n_max: int) -> np.ndarray:
         """Boolean array m with m[k] = (k in set) for k = 0..n_max (m[0] unused)."""
         self.ensure(n_max)
-        if self._mask_cache is None or self._mask_cache.size < n_max + 1:
-            self._mask_cache = np.zeros(self._built + 1, dtype=bool)
-            self._mask_cache[self._members[: self._count]] = True
+        if n_max > self._mask_upto:
+            if self._mask_cache.size < n_max + 1:
+                grown = np.zeros(max(n_max + 1, 2 * self._mask_cache.size), dtype=bool)
+                grown[: self._mask_cache.size] = self._mask_cache
+                self._mask_cache = grown
+            members = self._members[: self._count]
+            self._mask_cache[members[np.searchsorted(members, self._mask_upto, "right"):
+                                     np.searchsorted(members, n_max, "right")]] = True
+            self._mask_upto = n_max
         return self._mask_cache[: n_max + 1]
 
     def mask_for(self, ks: np.ndarray) -> np.ndarray:
@@ -217,22 +241,48 @@ class BumpIndexSet:
         return self.mask(int(np.max(ks)))[ks]
 
 
-def _powers(ks: np.ndarray, x: float) -> np.ndarray:
-    """x**k for an index array, via exp(k*log x) to avoid pow denormal churn."""
-    if x == 0.0:
-        return np.zeros(ks.shape)
-    if x == 1.0:
-        return np.ones(ks.shape)
-    return np.exp(ks.astype(float) * math.log(x))
+def _powers(ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """x**k for an index array against the points, shaped (ks, points).
+
+    Computed as exp(k*log x), with one ``math.log`` per point, to avoid pow
+    denormal churn; log 0 is -inf, so the column of x = 0 is exactly 0.
+    """
+    logs = np.array([math.log(x) if x != 0.0 else -math.inf for x in xs])
+    return np.exp(ks.astype(float)[:, None] * logs)
 
 
-def _bump_terms(bumps: BumpIndexSet, ks: np.ndarray, x: float,
-                base: float, lift: float) -> np.ndarray:
-    """``base`` off the bump set, x**k + ``lift`` on it; powers only on the set."""
-    out = np.full(ks.shape, base)
-    in_set = bumps.mask_for(ks)
-    out[in_set] = _powers(ks[in_set], x) + lift
+def _bump_terms(bumps: BumpIndexSet, ks, xs: np.ndarray,
+                base: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """``base`` off the bump set, x**k + ``lift`` on it, shaped (ks, points).
+
+    ``base`` and ``lift`` hold one value per point; powers are taken only on
+    the set.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    out = np.empty(ks.shape + xs.shape)
+    out[...] = base
+    in_set = bumps.mask_for(ks.ravel()).reshape(ks.shape)
+    out[in_set] = _powers(ks[in_set], xs) + lift
     return out
+
+
+def _on_unit_interval(grid) -> np.ndarray:
+    """The grid of a bundled family, which is defined on [0, 1] only."""
+    grid = np.asarray(grid, dtype=float)
+    if np.any(grid < 0.0) or np.any(grid > 1.0):
+        raise DomainError(f"the bundled examples are defined on [0, 1]; the grid "
+                          f"spans [{grid.min()!r}, {grid.max()!r}]")
+    return grid
+
+
+def _bump_family(terms: Callable, grid, description: str) -> FunctionSequence:
+    """A bundled family from its grid form ``terms(ks, xs)``; ``evaluate`` takes one point."""
+
+    def evaluate(ks, x):
+        return terms(ks, np.array([float(x)]))[..., 0]
+
+    return FunctionSequence(evaluate, _on_unit_interval(grid), description,
+                            evaluate_grid=terms)
 
 
 def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
@@ -244,13 +294,11 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
     """
     bumps = BumpIndexSet(lam)
 
-    def evaluate(ks, x):
-        ks = np.asarray(ks, dtype=np.int64)
-        x = float(x)
-        if x == 1.0:
-            return np.full(ks.shape, 2.0)
-        base, lift = (1.0, 0.5) if x >= 0.5 else (0.0, 1.0)
-        return _bump_terms(bumps, ks, x, base, lift)
+    def terms(ks, xs):
+        upper = xs >= 0.5
+        out = _bump_terms(bumps, ks, xs, np.where(upper, 1.0, 0.0), np.where(upper, 0.5, 1.0))
+        out[..., xs == 1.0] = 2.0
+        return out
 
     def limit(x):
         x = float(x)
@@ -258,20 +306,20 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
             return 2.0
         return 1.0 if x >= 0.5 else 0.0
 
-    return FunctionSequence(evaluate, grid, "piecewise power family, three-level limit"), limit
+    return _bump_family(terms, grid, "piecewise power family, three-level limit"), limit
 
 
 def build_example_uniform(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
     """Power-bump family vanishing identically off the bump set; limit 0."""
     bumps = BumpIndexSet(lam)
 
-    def evaluate(ks, x):
-        return _bump_terms(bumps, np.asarray(ks, dtype=np.int64), float(x), 0.0, 1.0)
+    def terms(ks, xs):
+        return _bump_terms(bumps, ks, xs, np.zeros(xs.shape), np.ones(xs.shape))
 
     def limit(x):
         return 0.0
 
-    return FunctionSequence(evaluate, grid, "power-bump family, zero limit"), limit
+    return _bump_family(terms, grid, "power-bump family, zero limit"), limit
 
 
 def build_constant_family(grid, value: float = 0.0) -> tuple[FunctionSequence, Callable]:

@@ -79,12 +79,17 @@ class IFNorm:
     vector and one float time is accepted too: construction probes each
     functional once and, if it does not broadcast, stores its
     ``vectorize_scalar`` form instead.
+
+    ``norm`` is the crisp norm of the standard construction, set only by
+    ``standard_ifn``.  With it the detectors compare ``norm(d)`` with the
+    radius of the exceptional test instead of evaluating mu and nu.
     """
 
     mu: Callable
     nu: Callable
     tnorm: UnitIntervalOp
     tconorm: UnitIntervalOp
+    norm: Callable | None = None
 
     def __post_init__(self):
         probe = (np.array([[0.5], [2.0]]), np.array([1.0, 3.0]))  # two 1-vectors, two times
@@ -117,7 +122,7 @@ def standard_ifn(norm: Callable, tnorm: UnitIntervalOp, tconorm: UnitIntervalOp)
         t = np.asarray(t, dtype=float)
         return r / (t + r)
 
-    return IFNorm(mu=mu, nu=nu, tnorm=tnorm, tconorm=tconorm)
+    return IFNorm(mu=mu, nu=nu, tnorm=tnorm, tconorm=tconorm, norm=norm)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ifnlab import DomainError, build_example, lambda_family
 from ifnlab.cli import (DENSITY_SETS, _KEYS, ConfigError, ExperimentConfig, _reproduce_config,
-                        _resolve_density_set, compile_expression, from_ini, load_config, main)
+                        _resolve_density_set, _resolve_sequence, compile_expression, from_ini,
+                        load_config, main)
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,6 +142,35 @@ def test_named_density_sets_match_the_reference(name):
 def test_bad_configs_are_rejected(text, fragment):
     with pytest.raises(ConfigError, match=fragment):
         from_ini(text)
+
+
+@pytest.mark.parametrize("bounds", ["grid_low = -0.5", "grid_high = 1.5"])
+@pytest.mark.parametrize("example", ["paper-example-1", "paper-example-2"])
+def test_bundled_examples_reject_a_grid_outside_the_unit_interval(tmp_path, capsys, bounds,
+                                                                  example):
+    # the families take log x and define their limit on [0, 1] only
+    ini = tmp_path / "grid.ini"
+    ini.write_text(f"[sequence]\nexample = {example}\n[query]\n{bounds}\nn_max = 1000\n")
+    assert run_cli("analyze", ini, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "[0, 1]" in err and err.startswith("config error:")
+    with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        build_example(example, lambda_family("identity"), np.linspace(-0.5, 1.0, 4))
+
+
+@pytest.mark.parametrize("expression, grid_form", [
+    ("sin(k) * x + x ** k", True),
+    ("x + 1.0 / k if x < 0.5 else x ** k", False),   # a truth value of x
+    ("where(0.2 < x < 0.6, 1.0 / k, x)", False),     # a chained comparison
+    ("maximum(x, 1.0 / k) if not x else x", False),
+])
+def test_expression_terms_across_the_grid_match_each_point(expression, grid_form):
+    grid = np.linspace(0.0, 1.0, 11)
+    fs, _ = _resolve_sequence(ExperimentConfig(expression=expression), None, grid)
+    assert (fs.evaluate_grid is not None) == grid_form
+    ks = np.arange(1, 200)
+    by_point = np.stack([fs.evaluate_many(ks, x) for x in grid], axis=1)
+    assert np.array_equal(fs.terms(ks, grid)[..., 0], by_point)
 
 
 # ---------------------------------------------------------------- expressions

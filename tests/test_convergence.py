@@ -1,15 +1,18 @@
 """Convergence and Cauchy detection across all modes."""
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
                     build_reciprocal_shift, combine_linear, density_trace, detect,
                     detect_cauchy, exceptional_set, lambda_family,
                     lemma_equivalence_check, window)
 from ifnlab.algebra import DomainError
-from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, WITNESS_CAP
+from ifnlab.cli import ExperimentConfig, _resolve_sequence
+from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP, _exceptional
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -58,6 +61,104 @@ def test_exceptional_set_respects_epsilon(std_space, unit_grid):
     fs, limit = build_reciprocal_shift(unit_grid)
     member = exceptional_set(fs, limit, std_space, 0.4, 0.5, T)  # gap = 1.0
     assert [k for k in range(1, 10) if member(k)] == [1]
+
+
+# ------------------------------------------------- radius test against mu and nu
+def diffs_sequence(diffs):
+    """f_k = diffs[k - 1] at every point, so exceptional_set against 0 tests each diff."""
+    values = np.asarray(diffs, dtype=float)
+
+    def evaluate_many(ks, x):
+        return values[np.asarray(ks) - 1]
+
+    return FunctionSequence(lambda k, x: float(values[k - 1]), np.array([0.0]), "diffs",
+                            evaluate_many)
+
+
+def oracle(std_space, diffs, epsilon, t):
+    """exceptional_set's mu/nu answer for each diff."""
+    member = exceptional_set(diffs_sequence(diffs), lambda x: 0.0, std_space, 0.0, epsilon, t)
+    return np.array([member(k) for k in range(1, len(diffs) + 1)])
+
+
+@pytest.mark.parametrize("epsilon, t", [(0.1, 1.0), (0.5, 2.0), (0.9, 0.25), (0.3, 7.0),
+                                        (1e-6, 1.0), (0.999999, 3.0)])
+def test_radius_calls_the_exact_boundary_exceptional(std_space, epsilon, t):
+    gap = epsilon * t / (1.0 - epsilon)
+    diffs = np.array([gap, -gap])
+    assert _exceptional(std_space, diffs[:, None], epsilon, t).all()
+    assert oracle(std_space, diffs, epsilon, t).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(epsilon=st.floats(1e-9, 1.0 - 1e-9), t=st.floats(1e-6, 1e6),
+       scale=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=20),
+       ulps=st.integers(1, 4))
+def test_radius_test_matches_mu_nu_near_the_radius(std_space, epsilon, t, scale, ulps):
+    # The kernel compares the norm with t(eps - GUARD)/(1 - eps + GUARD);
+    # rounding moves the mu/nu boundary off it by some ulps, where the
+    # kernel must still give exceptional_set's answer.
+    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
+    gap = epsilon * t / (1.0 - epsilon)
+    near = []
+    for centre in (radius, gap):
+        below = above = centre
+        for _ in range(ulps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near += [below, centre, above]
+    diffs = np.array(near + [radius * s for s in scale])
+    diffs = np.concatenate([diffs, -diffs])
+    kernel = _exceptional(std_space, diffs[:, None], epsilon, t)
+    assert np.array_equal(kernel, oracle(std_space, diffs, epsilon, t))
+
+
+# ---------------------------------------------------------------- sweep counts
+def counted(fs, calls, field="evaluate_grid"):
+    """fs with one of its evaluation forms recording (indices, points) per call."""
+    inner = getattr(fs, field)
+
+    def record(ks, xs):
+        calls.append((np.array(ks), np.atleast_1d(np.array(xs, dtype=float))))
+        return inner(ks, xs)
+
+    return dataclasses.replace(fs, **{field: record})
+
+
+def sweeps_per_point(calls, grid, k):
+    """How many calls evaluated index k at each grid point."""
+    return [sum(1 for ks, xs in calls if k in ks and x in xs) for x in grid]
+
+
+def test_pointwise_cauchy_sweeps_each_point_at_most_three_times(std_space, unit_grid):
+    # Under sqrt no anchor of example 1 settles at 2e4, so every point tries
+    # the whole pool: the reference, the first candidate, then the rest.
+    n_max, lam, calls = 20_000, lambda_family("sqrt"), []
+    fs, _, _ = build_example("paper-example-1", lam, unit_grid)
+    v = detect_cauchy(counted(fs, calls), std_space, query("pointwise-lambda-cauchy", n_max, lam))
+    assert v.verdict == "inconclusive" and v.witnesses
+    # a point whose first candidate converges (x = 1, where every term is 2) stops at two
+    expected = [3 if v.details["anchors"][x] is None else 2 for x in unit_grid]
+    assert 2 in expected and 3 in expected
+    assert sweeps_per_point(calls, unit_grid, n_max // 2) == expected
+    for x in unit_grid:  # three sweeps, the anchors, and the witness pass
+        terms = sum(ks.size for ks, xs in calls if x in xs)
+        assert terms <= 3 * n_max + 2 * ANCHOR_POOL + WITNESS_CAP + 2, x
+
+
+@pytest.mark.parametrize("field", ["evaluate_grid", "evaluate_many"])
+def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid, field):
+    # The config expression evaluates a block across the grid in one call;
+    # a sequence without that form is evaluated point by point, in the same
+    # three sweeps.
+    n_max, lam, calls = 20_000, lambda_family("identity"), []
+    fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
+          if field == "evaluate_grid" else sine_family(unit_grid))
+    v = detect_cauchy(counted(fs, calls, field), std_space,
+                      query("uniform-lambda-cauchy", n_max, lam))
+    assert v.verdict == "fails" and v.details["anchor"] is None
+    assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
+    if field == "evaluate_grid":
+        assert all(xs.size == unit_grid.size for _, xs in calls)
 
 
 # ---------------------------------------------------------------- classical mode

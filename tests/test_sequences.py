@@ -103,6 +103,18 @@ def test_bump_mask_matches_contains():
     assert np.array_equal(bumps.mask_for(ks), np.array([bumps.contains(int(k)) for k in ks]))
 
 
+def test_bump_mask_grown_in_steps_matches_one_build():
+    # the detectors sweep k in blocks, so the mask cache grows by many small steps
+    lam = lambda_family("sqrt")
+    stepped, whole = BumpIndexSet(lam), BumpIndexSet(lam)
+    for n in (5, 64, 65, 1_000, 999, 4_097, 12_345, 20_000):
+        stepped.mask(n)
+        stepped.contains(n + 500)  # decides stages past the cache
+    assert np.array_equal(stepped.mask(20_000), whole.mask(20_000))
+    ks = np.arange(1, 20_001)
+    assert np.array_equal(stepped.mask_for(ks), [whole.contains(int(k)) for k in ks])
+
+
 def test_bump_set_is_sparse_but_infinite():
     bumps = BumpIndexSet(lambda_family("identity"))
     mask = bumps.mask(1_000_000)
