@@ -6,11 +6,12 @@ level/time pair (epsilon, t), index k is *exceptional* when
     mu(f_k(x) - c(x), t) <= 1 - epsilon   or   nu(f_k(x) - c(x), t) >= epsilon.
 
 The centre is the candidate limit f, or an anchor term f_N in the Cauchy
-modes.  In a standard space both tests say |d| >= t*epsilon/(1-epsilon)
-(``_exceptional``).  The grid is split into groups (``_groups``): each point
-alone in the pointwise modes, the whole grid in the uniform ones.  One grid
-pass (``_union``) sweeps k in blocks evaluated across a group's points and
-gives each centre of a batch the union of the points' exceptional masks.
+modes.  The space answers the test (``IFNorm.exceptional``), a standard one
+by its norm.  The grid is split into groups (``_groups``): each point alone
+in the pointwise modes, the whole grid in the uniform ones.  One grid pass
+(``_union``) sweeps k in blocks, across a group's points when the sequence
+has a grid form, and gives each centre of a batch the union of the points'
+exceptional masks.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -54,9 +55,6 @@ ANCHOR_POOL = 10
 
 # Terms per block of the grid pass (k-block times grid points).
 BLOCK_ELEMENTS = 1 << 16
-# Band around the radius, in units of t/(1-epsilon)**2, where _exceptional
-# takes the mu/nu test: rounding moves their boundary by a few 2**-53 units.
-RADIUS_SLACK = 2.0 ** -40
 
 # ifn-classical tail certificate: converges when every exceptional index sits
 # in the first half of the horizon; fails when one lands in the final tenth
@@ -77,14 +75,16 @@ class ConvergenceQuery:
     stride: int | None = None
 
     def __post_init__(self):
-        for ok, message in (
-                (self.mode in MODES, f"unknown mode {self.mode!r}; choose from {MODES}"),
-                (0.0 < self.epsilon < 1.0, f"epsilon must lie in (0, 1), got {self.epsilon}"),
-                (self.time > 0.0, f"time must be positive, got {self.time}"),
-                (self.n_max >= 10, f"n_max must be >= 10, got {self.n_max}"),
-                (self.stride is None or self.stride >= 1, f"stride must be >= 1, got {self.stride}")):
-            if not ok:
-                raise DomainError(message)
+        if self.mode not in MODES:
+            raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.time <= 0.0:
+            raise DomainError(f"time must be positive, got {self.time}")
+        if self.n_max < 10:
+            raise DomainError(f"n_max must be >= 10, got {self.n_max}")
+        if self.stride is not None and self.stride < 1:
+            raise DomainError(f"stride must be >= 1, got {self.stride}")
 
 
 @dataclass
@@ -145,89 +145,78 @@ class ConvergenceVerdict:
         }
 
 
-def _finite(vals: np.ndarray, message: Callable) -> np.ndarray:
-    """``vals`` (indices, points, coordinates), or a ValueError at the first index and point."""
-    bad = ~np.isfinite(vals).all(axis=2)
-    if bad.any():
-        raise ValueError(message(*np.argwhere(bad)[0]))
-    return vals
-
-
-def _terms(fs: FunctionSequence, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Terms f_k(x) for the indices ``ks`` across the points ``xs``."""
-    return _finite(fs.terms(ks, xs), lambda i, j:
-                   f"sequence value not finite at (k={ks[i]}, x={float(xs[j])!r})")
-
-
 def _limits(f: Callable, xs: np.ndarray) -> np.ndarray:
     """Limit values f(x) across the points ``xs``, shaped (points, coordinates)."""
-    fx = np.stack([np.asarray(f(x), dtype=float).reshape(-1) for x in xs])[None]
-    return _finite(fx, lambda _, j: f"limit value not finite at x={float(xs[j])!r}")[0]
+    return np.stack([np.asarray(f(x), dtype=float).reshape(-1) for x in xs])
 
 
-def _exceptional(ifn, diffs: np.ndarray, epsilon: float, t: float,
-                 split: bool = False) -> np.ndarray:
-    """Which of ``diffs`` (coordinates last) are exceptional; ``split`` stacks the mu and nu tests.
-
-    With a crisp norm (a standard space) and no split, both guarded tests say
-    norm(d) >= t(epsilon - GUARD)/(1 - epsilon + GUARD).  Rounding moves the
-    mu/nu boundary off that radius by some ulps, so the RADIUS_SLACK band takes mu/nu.
-    """
-    if ifn.norm is None or split:
-        mu, nu = ifn.mu(diffs, t), ifn.nu(diffs, t)
-        tests = np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
-        return tests if split else tests.any(axis=0)
-    r = ifn.norm(diffs)
-    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
-    slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
-    out = r >= radius + slack
-    near = (r >= radius - slack) ^ out
-    if near.any():
-        out[near] = _exceptional(ifn, diffs[near], epsilon, t, split=True).any(axis=0)
-    return out
+def _faults(xs: np.ndarray, first_bad: np.ndarray, limits: np.ndarray | None = None) -> None:
+    """Raise the first fault in grid order: a point's first non-finite term, then its limits."""
+    for j, x in enumerate(xs):
+        if first_bad[j]:
+            raise ValueError(f"sequence value not finite at (k={first_bad[j]}, x={float(x)!r})")
+        if limits is not None and not np.isfinite(limits[:, j]).all():
+            raise ValueError(f"limit value not finite at x={float(x)!r}")
 
 
 def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
            split: bool = False) -> np.ndarray:
     """The grid pass: per centre, the union over the points ``xs`` of their exceptional masks.
 
-    One sweep of k = 1..n_max in blocks of BLOCK_ELEMENTS terms, each tested
-    against every centre (the limit f, or anchor indices N); a row per centre,
-    a (mu, nu) pair with ``split``.  A bad term is reported before a bad centre.
+    One sweep of k = 1..n_max in blocks of about BLOCK_ELEMENTS terms, each
+    tested against every centre (the limit f, or anchor indices N); a row per
+    centre, a (mu, nu) pair with ``split``.  A block spans all of ``xs`` when
+    the sequence has a grid form, else one point, so that an ``evaluate_many``
+    call answers BLOCK_ELEMENTS indices.  Faults come in point-by-point order.
     """
-    step = max(1, BLOCK_ELEMENTS // len(xs))
-    out = np.empty((len(centres), 1 + split, q.n_max), dtype=bool)
-    cs = None
-    for lo in range(0, q.n_max, step):
-        ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
-        vals = _terms(fs, ks, xs)
-        if cs is None:
-            cs = ([_limits(f, xs) for f in centres] if callable(centres[0])
-                  else _terms(fs, np.array(centres), xs))
-        for row, c in zip(out, cs):
-            test = _exceptional(ifn, vals - c, q.epsilon, q.time, split)
-            row[:, lo:lo + ks.size] = test.any(axis=-1)
+    width = len(xs) if fs.evaluate_grid is not None else 1
+    step = max(1, BLOCK_ELEMENTS // width)
+    limits = callable(centres[0])
+    cs = np.stack([_limits(f, xs) for f in centres]) if limits else fs.terms(np.array(centres), xs)
+    clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
+    first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
+    out = np.zeros((len(centres), 1 + split, q.n_max), dtype=bool)
+    for p in range(0, len(xs), width):
+        seen = first_bad[p:p + width]
+        for lo in range(0, q.n_max, step):
+            ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
+            vals = fs.terms(ks, xs[p:p + width])
+            bad = ~np.isfinite(vals).all(axis=2)
+            if bad.any():
+                fresh = (seen == 0) & bad.any(axis=0)
+                seen[fresh] = ks[bad.argmax(axis=0)[fresh]]
+                clean = False
+            for row, c in zip(out if clean else (), cs[:, p:p + width]):
+                test = ifn.exceptional(vals - c, q.epsilon, q.time, GUARD, split)
+                row[:, lo:lo + ks.size] |= test.any(axis=-1)
+        _faults(xs[:p + width], first_bad, cs if limits else None)
     return out if split else out[:, 0]
 
 
 def _groups(uniform: bool, grid: np.ndarray) -> list:
     """(key, points) pairs: the whole grid keyed None, or each point keyed by itself."""
-    return [(None, grid)] if uniform else [(float(x), grid[i:i + 1]) for i, x in enumerate(grid)]
+    if uniform:
+        return [(None, grid)]
+    return [(float(x), grid[i:i + 1]) for i, x in enumerate(grid)]
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
                     epsilon: float, time: float) -> Callable[[int], bool]:
     """Predicate on indices: is k exceptional at x for (epsilon, time)?  Always by mu and nu."""
-    if not (0.0 < epsilon < 1.0 and time > 0.0):
-        raise DomainError(f"need epsilon in (0, 1) and time > 0, got {epsilon} and {time}")
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if time <= 0.0:
+        raise DomainError(f"time must be positive, got {time}")
     xs = np.array([x], dtype=float)
     fx = _limits(f, xs)
+    _faults(xs, [0], fx[None])
 
     def member(k: int) -> bool:
         if k < 1:
             raise DomainError(f"index must be >= 1, got {k}")
-        diffs = _terms(fs, np.array([k]), xs) - fx
-        return bool(_exceptional(ifn_target, diffs, epsilon, time, split=True).any())
+        vals = fs.terms(np.array([k]), xs)
+        _faults(xs, [0 if np.isfinite(vals).all() else k])
+        return bool(ifn_target.exceptional(vals - fx, epsilon, time, GUARD, split=True).any())
 
     return member
 
@@ -235,16 +224,20 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
 def _aggregate(point_verdicts: list[str]) -> str:
     if all(v == "converges" for v in point_verdicts):
         return "converges"
-    return "fails" if "fails" in point_verdicts else "inconclusive"
+    if any(v == "fails" for v in point_verdicts):
+        return "fails"
+    return "inconclusive"
 
 
 def _search(union: Callable, pool: list, lam: LambdaSequence, q: ConvergenceQuery) -> tuple:
     """Try a group's candidate centres in pool order; stop at the first limit-zero trace.
 
-    ``union(batch)`` masks a batch in one sweep: the first candidate, then the
-    rest.  Returns the outcome (converges at a limit-zero trace, else
-    inconclusive when some trace was, else fails), the last centre tried,
-    and its trace and mask (all None for an empty pool).
+    ``union(batch)`` gives the group's exceptional masks of a batch in one
+    sweep: the first candidate, then the rest.  Returns the outcome, the last
+    centre tried, and its trace and mask (all None for an empty pool).  The
+    outcome is converges at a limit-zero trace, else inconclusive when some
+    trace was, else fails: limit-one or a settled positive value says the
+    density is clearly not zero.
     """
     outcome, centre, trace, mask = "fails", None, None, None
     for batch in (pool[:1], pool[1:]):
@@ -261,17 +254,18 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
                mask: np.ndarray, trace: DensityTrace, cap: int) -> list:
     """The last ``cap`` indices of ``mask`` in the trace's final window, as (k, x).
 
-    Indices closest to the horizon are evidence of persistence.  Each is paired with
-    the first point of ``xs`` where it is exceptional against ``centre`` (one evaluation).
+    Indices closest to the horizon are evidence of persistence.  Each is
+    paired with the first point of ``xs`` where it is exceptional against
+    ``centre``; that check evaluates those indices (and the anchor) once.
     """
     lo, hi = int(trace.lows[-1]), int(trace.ns[-1])
     tail = (np.flatnonzero(mask[lo - 1: hi]) + lo)[-cap:]
     if tail.size == 0:
         return []
     ks = tail if callable(centre) else np.union1d(tail, centre)
-    vals = _terms(fs, ks, xs)
+    vals = fs.terms(ks, xs)  # finite: the sweep behind ``mask`` checked them
     c = _limits(centre, xs) if callable(centre) else vals[np.searchsorted(ks, centre)]
-    hits = _exceptional(ifn, vals[np.searchsorted(ks, tail)] - c, q.epsilon, q.time)
+    hits = ifn.exceptional(vals[np.searchsorted(ks, tail)] - c, q.epsilon, q.time, GUARD)
     return [(int(k), float(xs[np.argmax(row)])) for k, row in zip(tail, hits) if row.any()]
 
 
@@ -323,11 +317,15 @@ def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
         hits = np.flatnonzero(_union(fs, ifn, q, xs, [f])[0]) + 1
         k_last = int(hits[-1]) if hits.size else 0
         last_exceptional[key] = k_last
-        point_verdicts.append("converges" if k_last <= clean_cut else
-                              "fails" if k_last > dirty_cut else "inconclusive")
-        if k_last > dirty_cut:
-            tail = hits[hits > dirty_cut][: WITNESS_CAP - len(witnesses)]
-            witnesses.extend((int(k), key) for k in tail)
+        if k_last <= clean_cut:
+            point_verdicts.append("converges")
+        elif k_last > dirty_cut:
+            point_verdicts.append("fails")
+            if len(witnesses) < WITNESS_CAP:
+                tail = hits[hits > dirty_cut]
+                witnesses.extend((int(k), key) for k in tail[: WITNESS_CAP - len(witnesses)])
+        else:
+            point_verdicts.append("inconclusive")
     return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), None, witnesses,
                               q.epsilon, q.time, "unused", q.n_max,
                               details={"last_exceptional": last_exceptional})
@@ -363,8 +361,10 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     5. the values mu(f_k - f, t) converge windowed-statistically to 1 and
        nu(f_k - f, t) to 0 (checked at the query epsilon).
 
-    At the query epsilon statement 5's sets {k : 1 - mu >= eps} and
-    {k : |nu| >= eps} are statement 2's (nu >= 0), so it reuses those masks.
+    At the query epsilon the index sets of statement 5, {k : 1 - mu >= eps}
+    and {k : |nu| >= eps}, are the mu- and nu-exceptional sets of statement
+    2, because nu >= 0; so statement 5 takes its verdict from statement 2's
+    masks, and a difference could only come from rounding at the boundary.
 
     Returns True when all five verdicts are decisive and identical (all true
     for a converging run, all false for a failing one); an inconclusive

@@ -37,7 +37,9 @@ class FunctionSequence:
     it answers each index, else its per-element form, which expects a number
     per term.  A vector-valued family passes ``evaluate_many`` itself.
     ``evaluate_grid(ks, xs)``, when given, answers an index array across an
-    array of points at once (see ``terms``).
+    array of points at once (see ``terms``), and the detectors call it in
+    place of ``evaluate_many``.  ``dataclasses.replace`` keeps it, so a copy
+    with another ``evaluate_many`` must pass ``evaluate_grid=None``.
     """
 
     evaluate: Callable

@@ -33,6 +33,11 @@ SCALING_FACTORS = (-2.0, -0.5, 0.5, 3.0)
 # modulus <= 1/4; a jump in t makes the modulus blow up as the grid refines.
 TIME_CONTINUITY_SLACK = 4.0
 
+# Band around the radius of ``IFNorm.exceptional``, in units of
+# t/(1-epsilon)**2, where the norm test defers to mu and nu: rounding moves
+# their boundary by a few 2**-53 units.
+RADIUS_SLACK = 2.0 ** -40
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float vector; scalars become 1-vectors."""
@@ -80,9 +85,11 @@ class IFNorm:
     functional once and, if it does not broadcast, stores its
     ``vectorize_scalar`` form instead.
 
-    ``norm`` is the crisp norm of the standard construction, set only by
-    ``standard_ifn``.  With it the detectors compare ``norm(d)`` with the
-    radius of the exceptional test instead of evaluating mu and nu.
+    ``norm``, when set, says that mu and nu are the standard construction
+    over it: mu = t/(t + norm(x)) and nu = norm(x)/(t + norm(x)).  Only
+    ``standard_ifn`` sets it, and ``exceptional`` then answers by the norm.
+    It is probed like mu and nu.  ``dataclasses.replace`` keeps it, so a copy
+    with other mu or nu must pass ``norm=None``.
     """
 
     mu: Callable
@@ -92,10 +99,39 @@ class IFNorm:
     norm: Callable | None = None
 
     def __post_init__(self):
-        probe = (np.array([[0.5], [2.0]]), np.array([1.0, 3.0]))  # two 1-vectors, two times
-        for name in ("mu", "nu"):
-            fn = vectorize_scalar(getattr(self, name), *probe, signature="(d),()->()")
-            object.__setattr__(self, name, fn)
+        vectors, times = np.array([[0.5], [2.0]]), np.array([1.0, 3.0])  # two 1-vectors
+        for name, probe, signature in (("mu", (vectors, times), "(d),()->()"),
+                                       ("nu", (vectors, times), "(d),()->()"),
+                                       ("norm", (vectors,), "(d)->()")):
+            fn = getattr(self, name)
+            if fn is not None:
+                object.__setattr__(self, name, vectorize_scalar(fn, *probe, signature=signature))
+
+    def exceptional(self, d: np.ndarray, epsilon: float, t: float, guard: float = 0.0,
+                    split: bool = False) -> np.ndarray:
+        """Whether mu(d, t) <= 1 - epsilon + guard or nu(d, t) >= epsilon - guard.
+
+        ``d`` holds vectors, coordinates last; the answer has its batch axes.
+        The functionals see them as one flat list of vectors.  ``split``
+        stacks the mu test and the nu test, always from mu and nu.  Otherwise
+        a space with a ``norm`` answers by it: for the standard construction
+        both tests say norm(d) >= t(epsilon - guard)/(1 - epsilon + guard).
+        Rounding moves the mu/nu boundary off that radius by a few ulps, so
+        norms within the RADIUS_SLACK band of it take mu and nu.
+        """
+        batch, d = d.shape[:-1], d.reshape(-1, d.shape[-1])
+        if self.norm is None or split:
+            mu, nu = self.mu(d, t), self.nu(d, t)
+            tests = np.stack([mu <= 1.0 - epsilon + guard, nu >= epsilon - guard])
+            return tests.reshape(2, *batch) if split else tests.any(axis=0).reshape(batch)
+        r = self.norm(d)
+        radius = t * (epsilon - guard) / (1.0 - epsilon + guard)
+        slack = RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2
+        out = r >= radius + slack
+        near = (r >= radius - slack) ^ out
+        if near.any():
+            out[near] = self.exceptional(d[near], epsilon, t, guard, split=True).any(axis=0)
+        return out.reshape(batch)
 
 
 def _check_time(t) -> None:

@@ -1,5 +1,7 @@
 """The probe rule: scalar-only callables are adapted once at construction and
 match their built-in twins; callables that broadcast are kept as given."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,20 @@ def test_batched_builtins_stay_unwrapped():
         assert fs.evaluate_many is fs.evaluate, fs.description
     for ladder in [lambda_family(name) for name in LAMBDA_IDS] + [lambda_from_table([1, 2, 2])]:
         assert ladder.values_many is ladder.values, ladder.name
+
+
+def test_functionals_see_a_flat_list_of_vectors():
+    # np.abs(*x.T) answers one vector and a list of vectors alike, so the
+    # probe keeps it as given, but on (indices, points, coordinates) it
+    # would answer transposed.  The detectors pass batches as a flat list.
+    space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
+    flat = standard_ifn(lambda x: np.abs(*x.T), space.tnorm, space.tconorm)
+    assert not isinstance(flat.norm, np.vectorize)
+    fs, limit, _ = build_example("paper-example-1", lambda_family("sqrt"), GRID)
+    q = ConvergenceQuery(mode="uniform-lambda-stat", epsilon=0.1, time=1.0,
+                         lam=lambda_family("sqrt"), n_max=1000)
+    for ifn in (flat, dataclasses.replace(flat, norm=None)):  # by the norm, then by mu and nu
+        assert detect(fs, limit, ifn, q).to_json_dict() == detect(fs, limit, space, q).to_json_dict()
 
 
 def test_batched_predicate_is_called_once_on_the_range():

@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
                     build_reciprocal_shift, combine_linear, density_trace, detect,
                     detect_cauchy, exceptional_set, lambda_family,
-                    lemma_equivalence_check, window)
+                    lemma_equivalence_check, standard_ifn, window)
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
-from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP, _exceptional
+from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -86,7 +86,7 @@ def oracle(std_space, diffs, epsilon, t):
 def test_radius_calls_the_exact_boundary_exceptional(std_space, epsilon, t):
     gap = epsilon * t / (1.0 - epsilon)
     diffs = np.array([gap, -gap])
-    assert _exceptional(std_space, diffs[:, None], epsilon, t).all()
+    assert std_space.exceptional(diffs[:, None], epsilon, t, GUARD).all()
     assert oracle(std_space, diffs, epsilon, t).all()
 
 
@@ -108,8 +108,66 @@ def test_radius_test_matches_mu_nu_near_the_radius(std_space, epsilon, t, scale,
         near += [below, centre, above]
     diffs = np.array(near + [radius * s for s in scale])
     diffs = np.concatenate([diffs, -diffs])
-    kernel = _exceptional(std_space, diffs[:, None], epsilon, t)
+    kernel = std_space.exceptional(diffs[:, None], epsilon, t, GUARD)
     assert np.array_equal(kernel, oracle(std_space, diffs, epsilon, t))
+
+
+@pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
+                         ids=["first-row", "one-number"])
+def test_scalar_only_norm_matches_exceptional_set(std_space, unit_grid, norm):
+    # Each norm takes one vector.  On a batch the first answers for its first
+    # row and the second gives one number for the whole batch; the probe
+    # adapts both, so the radius test keeps exceptional_set's mu/nu answer.
+    space = standard_ifn(norm, std_space.tnorm, std_space.tconorm)
+    assert isinstance(space.norm, np.vectorize)
+    n_max, lam, zero = 300, lambda_family("identity"), (lambda x: 0.0)
+    fs = _resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
+    masks = [np.array([exceptional_set(fs, zero, space, x, EPS, T)(k) for k in range(1, n_max + 1)])
+             for x in unit_grid]
+    v = detect(fs, zero, space, query("pointwise-lambda-stat", n_max, lam))
+    for x, m in zip(unit_grid, masks):
+        assert np.array_equal(v.traces[float(x)].counts, density_trace(m, lam, n_max).counts)
+    v = detect(fs, zero, space, query("uniform-lambda-stat", n_max, lam))
+    assert np.array_equal(v.traces.counts, density_trace(np.any(masks, axis=0), lam, n_max).counts)
+    for mode in CAUCHY_MODES:
+        q = query(mode, n_max, lam)
+        assert (detect_cauchy(fs, space, q).to_json_dict()
+                == detect_cauchy(fs, std_space, q).to_json_dict())
+
+
+# ---------------------------------------------------------------- fault order
+def late_faults(grid, grid_form):
+    """Terms 0, but infinite from k = 70,000 at x = 0 and from k = 5 at x = 1."""
+    def evaluate_many(ks, x):
+        start = {0.0: 70_000, 1.0: 5}.get(float(x), np.inf)
+        return np.where(np.asarray(ks) >= start, np.inf, 0.0)
+
+    def evaluate_grid(ks, xs):
+        return np.stack([evaluate_many(ks, x) for x in xs], axis=1)
+
+    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]), grid,
+                            "late faults", evaluate_many, evaluate_grid if grid_form else None)
+
+
+@pytest.mark.parametrize("grid_form", [True, False], ids=["grid-form", "per-point"])
+@pytest.mark.parametrize("grid, mode, limit, fault", [
+    # the anchor f_{n_max} is infinite, but the first bad term lies past the first block
+    ([0.0, 0.5, 1.0], "pointwise-lambda-cauchy", None, "sequence value not finite at (k=70000, x=0.0)"),
+    ([0.0, 0.5, 1.0], "uniform-lambda-cauchy", None, "sequence value not finite at (k=70000, x=0.0)"),
+    # a bad limit at an earlier point comes before a bad term at a later one
+    ([0.5, 1.0], "uniform-lambda-stat", 0.5, "limit value not finite at x=0.5"),
+    # at one point a bad term comes before a bad limit
+    ([0.5, 1.0], "pointwise-lambda-stat", 1.0, "sequence value not finite at (k=5, x=1.0)"),
+])
+def test_faults_come_in_point_by_point_order(std_space, grid_form, grid, mode, limit, fault):
+    fs = late_faults(np.array(grid), grid_form)
+    q = query(mode, 80_000)
+    with pytest.raises(ValueError) as info:
+        if limit is None:
+            detect_cauchy(fs, std_space, q)
+        else:
+            detect(fs, lambda x: np.inf if x == limit else 0.0, std_space, q)
+    assert str(info.value) == fault
 
 
 # ---------------------------------------------------------------- sweep counts
