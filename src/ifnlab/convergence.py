@@ -10,20 +10,24 @@ modes.  The space answers the test (``IFNorm.exceptional``), a standard one
 by its norm.  The grid is split into groups (``_groups``): each point alone
 in the pointwise modes, the whole grid in the uniform ones.  One grid pass
 (``_union``) sweeps k in blocks, across a group's points when the sequence
-has a grid form, and gives each centre of a batch the union of the points'
-exceptional masks.
+has a grid form, and streams each block, one row per centre of a batch (the
+union over the points of their exceptional sets), into a ``WindowCounter``.
+The counter keeps the windowed counts at the trace stages and the few
+indices the verdict cites, so no array as long as the horizon is held.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
-mask has vanishing windowed density.  The stat modes have one candidate, the
+set has vanishing windowed density.  The stat modes have one candidate, the
 limit (the plain stat modes use lambda_n = n).  The Cauchy modes try the
-first ANCHOR_POOL indices outside the group's mask against the latest term
+first ANCHOR_POOL indices outside the group's set against the latest term
 f_{n_max}, the first alone and then the rest in one pass: at most three
 passes per group.  A group that does not converge gives witnesses (``_witnesses``):
-the last indices of its last mask in the final window, each paired with the
-first point of the group where it is exceptional against the same centre.
-ifn-classical instead asks every exceptional index of each point to sit
-early in the horizon (a tail certificate).
+the last indices of its last set in the final window, kept by the sweep,
+each paired with the first point of the group where it is exceptional
+against the same centre.  ifn-classical instead asks every exceptional
+index of each point to sit early in the horizon (a tail certificate); the
+sweep keeps each point's last exceptional index and its first ones past
+the dirty cut.
 
 Verdicts are three-valued: converges, fails, or inconclusive.  A trace whose
 tail has not settled is reported as inconclusive, never coerced to fails.
@@ -37,7 +41,9 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DomainError
-from .density import DensityTrace, LambdaSequence, density_trace, lambda_family
+from .density import (BLOCK_ELEMENTS, Capture, DensityTrace, LambdaSequence, WindowCounter,
+                      _stages, _trace, lambda_family)
+from .density import density_trace  # noqa: F401  (perfbench/child.py wraps it here)
 from .sequences import FunctionSequence
 
 # Guard band for the boundary comparisons: exact-boundary arithmetic
@@ -52,9 +58,6 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
-
-# Terms per block of the grid pass (k-block times grid points).
-BLOCK_ELEMENTS = 1 << 16
 
 # ifn-classical tail certificate: converges when every exceptional index sits
 # in the first half of the horizon; fails when one lands in the final tenth
@@ -95,9 +98,9 @@ class ConvergenceVerdict:
     single shared trace for uniform modes, and None for ifn-classical.
     ``witnesses`` holds up to WITNESS_CAP (k, x) pairs, taken in grid order
     from the groups that do not converge: the last indices of a group's last
-    mask in the final window, each with the first point of the group where
-    k is exceptional against that mask's centre (ifn-classical: the first
-    indices past the dirty cut of each failing point).
+    exceptional set in the final window, each with the first point of the
+    group where k is exceptional against that set's centre (ifn-classical:
+    the first indices past the dirty cut of each failing point).
     """
 
     mode: str
@@ -160,14 +163,17 @@ def _faults(xs: np.ndarray, first_bad: np.ndarray, limits: np.ndarray | None = N
 
 
 def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
-           split: bool = False) -> np.ndarray:
-    """The grid pass: per centre, the union over the points ``xs`` of their exceptional masks.
+           stages: tuple | None = None, captures=(), split: bool = False) -> WindowCounter:
+    """The grid pass: per centre, the windowed counts of the union of the points' exceptional sets.
 
     One sweep of k = 1..n_max in blocks of about BLOCK_ELEMENTS terms, each
-    tested against every centre (the limit f, or anchor indices N); a row per
-    centre, a (mu, nu) pair with ``split``.  A block spans all of ``xs`` when
-    the sequence has a grid form, else one point, so that an ``evaluate_many``
-    call answers BLOCK_ELEMENTS indices.  Faults come in point-by-point order.
+    tested against every centre (the limit f, or anchor indices N).  The
+    tests go to a ``WindowCounter`` at the trace ``stages`` with the
+    ``captures``, whole blocks at a time, about BLOCK_ELEMENTS tests per
+    feed: a row per centre, rows mu, nu and their union with ``split``.  A
+    block spans all of ``xs`` when the sequence has a grid form, else each
+    point in turn, so that an ``evaluate_many`` call answers BLOCK_ELEMENTS
+    indices.  Faults come in point-by-point order.
     """
     width = len(xs) if fs.evaluate_grid is not None else 1
     step = max(1, BLOCK_ELEMENTS // width)
@@ -175,22 +181,38 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     cs = np.stack([_limits(f, xs) for f in centres]) if limits else fs.terms(np.array(centres), xs)
     clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
     first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
-    out = np.zeros((len(centres), 1 + split, q.n_max), dtype=bool)
-    for p in range(0, len(xs), width):
-        seen = first_bad[p:p + width]
-        for lo in range(0, q.n_max, step):
-            ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
+    ns, _, lows = stages or ((), None, ())
+    rows = len(centres) * (3 if split else 1)
+    counter = WindowCounter(rows, ns, lows, captures)
+    diff = None  # one buffer for every block's differences from a centre
+    span = step * max(1, BLOCK_ELEMENTS // (step * rows))  # indices per feed
+    held, fill = np.zeros((len(centres), 1 + split, span), dtype=bool), 0
+    for lo in range(0, q.n_max, step):
+        ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
+        block = held[..., fill:fill + ks.size]
+        for p in range(0, len(xs), width):
             vals = fs.terms(ks, xs[p:p + width])
-            bad = ~np.isfinite(vals).all(axis=2)
-            if bad.any():
+            if not np.isfinite(vals).all():
+                bad = ~np.isfinite(vals).all(axis=2)
+                seen = first_bad[p:p + width]
                 fresh = (seen == 0) & bad.any(axis=0)
                 seen[fresh] = ks[bad.argmax(axis=0)[fresh]]
                 clean = False
-            for row, c in zip(out if clean else (), cs[:, p:p + width]):
-                test = ifn.exceptional(vals - c, q.epsilon, q.time, GUARD, split)
-                row[:, lo:lo + ks.size] |= test.any(axis=-1)
-        _faults(xs[:p + width], first_bad, cs if limits else None)
-    return out if split else out[:, 0]
+            if diff is None:
+                diff = np.empty((step,) + vals.shape[1:])
+            for row, c in zip(block if clean else (), cs[:, p:p + width]):
+                d = np.subtract(vals, c, out=diff[:ks.size])
+                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split).any(axis=-1)
+        fill += ks.size
+        if fill == held.shape[-1] or ks[-1] == q.n_max:
+            if clean:
+                tests = held[..., :fill]
+                if split:
+                    tests = np.concatenate([tests, tests.any(axis=1, keepdims=True)], axis=1)
+                counter.feed(tests.reshape(-1, fill))
+            held[...], fill = False, 0
+    _faults(xs, first_bad, cs if limits else None)
+    return counter
 
 
 def _groups(uniform: bool, grid: np.ndarray) -> list:
@@ -229,41 +251,45 @@ def _aggregate(point_verdicts: list[str]) -> str:
     return "inconclusive"
 
 
-def _search(union: Callable, pool: list, lam: LambdaSequence, q: ConvergenceQuery) -> tuple:
+def _search(union: Callable, pool: list, stages: tuple) -> tuple:
     """Try a group's candidate centres in pool order; stop at the first limit-zero trace.
 
-    ``union(batch)`` gives the group's exceptional masks of a batch in one
-    sweep: the first candidate, then the rest.  Returns the outcome, the last
-    centre tried, and its trace and mask (all None for an empty pool).  The
-    outcome is converges at a limit-zero trace, else inconclusive when some
-    trace was, else fails: limit-one or a settled positive value says the
-    density is clearly not zero.
+    ``union(batch, stages, captures)`` counts the group's exceptional sets
+    of a batch in one sweep: the first candidate, then the rest.  Returns
+    the outcome, the last centre tried, its trace, and the last WITNESS_CAP
+    indices of its set in the final window (all None for an empty pool).
+    The outcome is converges at a limit-zero trace, else inconclusive when
+    some trace was, else fails: limit-one or a settled positive value says
+    the density is clearly not zero.
     """
-    outcome, centre, trace, mask = "fails", None, None, None
+    outcome, centre, trace, tail = "fails", None, None, None
+    final_hits = Capture(WITNESS_CAP, int(stages[2][-1]), last=True)
     for batch in (pool[:1], pool[1:]):
-        for centre, mask in zip(batch, union(batch) if batch else ()):
-            trace = density_trace(mask, lam, q.n_max, q.stride)
+        if not batch:
+            continue
+        counter = union(batch, stages, (final_hits,))
+        for centre, counts, tail in zip(batch, counter.counts(), counter.kept[0]):
+            trace = _trace(stages, counts)
             if trace.verdict == "limit-zero":
-                return "converges", centre, trace, mask
+                return "converges", centre, trace, tail
             if trace.verdict == "inconclusive":
                 outcome = "inconclusive"
-    return outcome, centre, trace, mask
+    return outcome, centre, trace, tail
 
 
 def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
-               mask: np.ndarray, trace: DensityTrace, cap: int) -> list:
-    """The last ``cap`` indices of ``mask`` in the trace's final window, as (k, x).
+               tail: np.ndarray, cap: int) -> list:
+    """The last ``cap`` of the ``tail`` indices kept by the sweep, as (k, x).
 
     Indices closest to the horizon are evidence of persistence.  Each is
     paired with the first point of ``xs`` where it is exceptional against
     ``centre``; that check evaluates those indices (and the anchor) once.
     """
-    lo, hi = int(trace.lows[-1]), int(trace.ns[-1])
-    tail = (np.flatnonzero(mask[lo - 1: hi]) + lo)[-cap:]
+    tail = tail[tail > 0][-cap:]
     if tail.size == 0:
         return []
     ks = tail if callable(centre) else np.union1d(tail, centre)
-    vals = fs.terms(ks, xs)  # finite: the sweep behind ``mask`` checked them
+    vals = fs.terms(ks, xs)  # finite: the sweep behind ``tail`` checked them
     c = _limits(centre, xs) if callable(centre) else vals[np.searchsorted(ks, centre)]
     hits = ifn.exceptional(vals[np.searchsorted(ks, tail)] - c, q.epsilon, q.time, GUARD)
     return [(int(k), float(xs[np.argmax(row)])) for k, row in zip(tail, hits) if row.any()]
@@ -274,15 +300,16 @@ def _detect_windowed(fs: FunctionSequence, ifn, q: ConvergenceQuery, lam: Lambda
     """Judge every group with ``_search`` over ``candidates(union)``; gather witnesses."""
     uniform = q.mode.startswith("uniform")
     outcomes, traces, anchors, witnesses = [], {}, {}, []
+    stages = _stages(lam, q.n_max, q.stride)
     for key, xs in _groups(uniform, fs.domain_grid):
         union = partial(_union, fs, ifn, q, xs)
-        outcome, centre, trace, mask = _search(union, candidates(union), lam, q)
+        outcome, centre, trace, tail = _search(union, candidates(union), stages)
         outcomes.append(outcome)
         anchors[key] = centre if outcome == "converges" else None
         if trace is not None:
             traces[key] = trace
             if outcome != "converges" and len(witnesses) < WITNESS_CAP:
-                witnesses += _witnesses(fs, ifn, q, centre, xs, mask, trace,
+                witnesses += _witnesses(fs, ifn, q, centre, xs, tail,
                                         WITNESS_CAP - len(witnesses))
     if uniform:  # the output shape: one shared trace and one anchor
         traces, anchors = traces.get(None), anchors[None]
@@ -313,17 +340,18 @@ def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
     clean_cut = int(q.n_max * CLASSICAL_CLEAN_FRACTION)
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
     point_verdicts, witnesses, last_exceptional = [], [], {}
+    captures = (Capture(1, last=True), Capture(WITNESS_CAP, dirty_cut + 1))
     for key, xs in _groups(False, fs.domain_grid):
-        hits = np.flatnonzero(_union(fs, ifn, q, xs, [f])[0]) + 1
-        k_last = int(hits[-1]) if hits.size else 0
+        last, tail = (kept[0] for kept in _union(fs, ifn, q, xs, [f], captures=captures).kept)
+        k_last = int(last[-1])
         last_exceptional[key] = k_last
         if k_last <= clean_cut:
             point_verdicts.append("converges")
         elif k_last > dirty_cut:
             point_verdicts.append("fails")
             if len(witnesses) < WITNESS_CAP:
-                tail = hits[hits > dirty_cut]
-                witnesses.extend((int(k), key) for k in tail[: WITNESS_CAP - len(witnesses)])
+                tail = tail[tail > 0][: WITNESS_CAP - len(witnesses)]
+                witnesses.extend((int(k), key) for k in tail)
         else:
             point_verdicts.append("inconclusive")
     return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), None, witnesses,
@@ -335,16 +363,19 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
     """Self-referential convergence test: no candidate limit required.
 
     Anchor terms f_N stand in for the limit: a group's candidates are the
-    first ANCHOR_POOL indices outside its mask against f_{n_max}, and the run
-    converges when some anchor makes each group's exceptional density
+    first ANCHOR_POOL indices outside its exceptional set against f_{n_max},
+    and the run converges when some anchor makes each group's exceptional density
     vanish.  Pointwise mode anchors each grid point separately (N may depend
     on x); uniform mode uses one anchor and one shared exceptional set for
     the whole grid.
     """
     if q.mode not in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
-    return _detect_windowed(fs, ifn_target, q, q.lam, lambda union: (
-        np.flatnonzero(~union([q.n_max])[0]) + 1)[:ANCHOR_POOL].tolist())
+    def pool(union) -> list:
+        kept = union([q.n_max], captures=(Capture(ANCHOR_POOL, misses=True),)).kept[0][0]
+        return kept[kept > 0].tolist()
+
+    return _detect_windowed(fs, ifn_target, q, q.lam, pool)
 
 
 def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
@@ -364,7 +395,9 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     At the query epsilon the index sets of statement 5, {k : 1 - mu >= eps}
     and {k : |nu| >= eps}, are the mu- and nu-exceptional sets of statement
     2, because nu >= 0; so statement 5 takes its verdict from statement 2's
-    masks, and a difference could only come from rounding at the boundary.
+    counts, and a difference could only come from rounding at the boundary.
+    One sweep counts the mu, nu and joint sets; a complement's count is the
+    window width minus the set's.
 
     Returns True when all five verdicts are decisive and identical (all true
     for a converging run, all false for a failing one); an inconclusive
@@ -373,8 +406,11 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
     if q.mode not in ("pointwise-lambda-stat", "uniform-lambda-stat"):
         raise DomainError("lemma check requires a lambda-stat mode")
 
-    def density(mask, target: str) -> bool | None:
-        v = density_trace(mask, q.lam, q.n_max, q.stride).verdict
+    stages = _stages(q.lam, q.n_max, q.stride)
+    width = stages[0] - stages[2] + 1  # a complement's count is the window width minus the count
+
+    def density(counts, target: str) -> bool | None:
+        v = _trace(stages, counts).verdict
         return None if v == "inconclusive" else v == target
 
     def conj(a, b) -> bool | None:
@@ -382,11 +418,11 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
 
     rows = []  # one row of the five statement values per group
     for _, xs in _groups(q.mode == "uniform-lambda-stat", fs.domain_grid):
-        m_mu, m_nu = _union(fs, ifn_target, q, xs, [f], split=True)[0]
-        joint = m_mu | m_nu
-        separate = conj(density(m_mu, "limit-zero"), density(m_nu, "limit-zero"))
-        rows.append((density(joint, "limit-zero"), separate, density(~joint, "limit-one"),
-                     conj(density(~m_mu, "limit-one"), density(~m_nu, "limit-one")), separate))
+        c_mu, c_nu, joint = _union(fs, ifn_target, q, xs, [f], stages, split=True).counts()
+        separate = conj(density(c_mu, "limit-zero"), density(c_nu, "limit-zero"))
+        rows.append((density(joint, "limit-zero"), separate, density(width - joint, "limit-one"),
+                     conj(density(width - c_mu, "limit-one"), density(width - c_nu, "limit-one")),
+                     separate))
     if any(v is None for row in rows for v in row):
         return False
     return len({all(stmt) for stmt in zip(*rows)}) == 1

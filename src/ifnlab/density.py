@@ -26,6 +26,9 @@ VALUE_STD_TOL = 1e-3      # a settled ratio must have tail standard deviation be
 LADDER_GROWTH_MIN = 2.0   # ... lambda must grow by this factor from the 20% horizon to the end
 SLOPE_MIN = -0.1          # ... and the log-log slope of ratio against lambda must be >= this
 
+# Indices per block of a streamed pass (k-block times grid points in the detectors).
+BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class LambdaSequence:
@@ -200,16 +203,123 @@ def membership_array(member, n_max: int) -> np.ndarray:
     """Boolean membership for k = 1..n_max from a boolean array or a predicate.
 
     A predicate is probed at k = 1..3 with ``vectorize_scalar``: one that
-    answers an index array is called once on all of 1..n_max, any other
-    once per index.
+    answers an index array is called on blocks of BLOCK_ELEMENTS indices,
+    any other once per index.
     """
+    return np.concatenate([np.zeros(0, dtype=bool), *_member_blocks(member, n_max)])
+
+
+def _member_blocks(member, n_max: int):
+    """``member`` on k = 1..n_max as boolean blocks of BLOCK_ELEMENTS indices, in order."""
+    starts = range(0, n_max, BLOCK_ELEMENTS)
     if isinstance(member, np.ndarray):
         arr = np.asarray(member, dtype=bool).ravel()
         if arr.size < n_max:
             raise DomainError(f"membership array has {arr.size} entries, need {n_max}")
-        return arr[:n_max]
+        return (arr[lo:min(lo + BLOCK_ELEMENTS, n_max)] for lo in starts)
     adapted = vectorize_scalar(member, np.arange(1, 4))
-    return np.asarray(adapted(np.arange(1, n_max + 1)), dtype=bool)
+    return (np.asarray(adapted(np.arange(lo + 1, min(lo + BLOCK_ELEMENTS, n_max) + 1)),
+                       dtype=bool) for lo in starts)
+
+
+@dataclass(frozen=True)
+class Capture:
+    """Indices a ``WindowCounter`` keeps per row while streaming.
+
+    The first ``cap`` indices k >= ``lo`` of the row, or with ``last`` the
+    last ``cap`` of them; with ``misses`` the indices outside the row.
+    """
+
+    cap: int
+    lo: int = 1
+    last: bool = False
+    misses: bool = False
+
+
+class WindowCounter:
+    """Windowed counts of boolean rows fed in ascending blocks of indices.
+
+    It is built for the trace stages ``ns`` and their window lows ``lows``.
+    A row's count in the window [low, n] is its running count at n minus its
+    running count at low - 1, so it keeps, per row, the running count at
+    each of those boundaries and nothing as long as the horizon.  ``feed``
+    takes a (rows, m) block of the m indices after the ones fed so far and
+    counts all rows at once from the block's hit list.  ``kept[i]`` holds
+    what ``captures[i]`` asks for, ``cap`` indices per row, first or last
+    aligned with 0 where fewer were found.
+    """
+
+    def __init__(self, rows: int, ns=(), lows=(), captures=()):
+        ns, lows = np.asarray(ns, dtype=np.int64), np.asarray(lows, dtype=np.int64)
+        self._bounds, at = np.unique(np.concatenate([ns, lows - 1]), return_inverse=True)
+        self._hi, self._lo = at[:ns.size], at[ns.size:]
+        self._at_bounds = np.zeros((rows, self._bounds.size), dtype=np.int64)
+        self._total = np.zeros((rows, 1), dtype=np.int64)
+        self._fed = 0
+        self.captures = tuple(captures)
+        self.kept = [np.zeros((rows, c.cap), dtype=np.int64) for c in self.captures]
+
+    def feed(self, block: np.ndarray) -> None:
+        rows, m = block.shape
+        row_at = np.arange(rows)[:, None] * m  # flat offset of each row
+        hits = np.flatnonzero(block)
+        i, j = np.searchsorted(self._bounds, (self._fed, self._fed + m), side="right")
+        if hits.size:
+            offsets = np.concatenate(([0], self._bounds[i:j] - self._fed, [m]))
+            below = np.searchsorted(hits, row_at + offsets)
+            below -= below[:, :1]  # hits of the row before each offset
+            self._at_bounds[:, i:j] = self._total + below[:, 1:-1]
+            self._total += below[:, -1:]
+        else:
+            self._at_bounds[:, i:j] = self._total
+        misses = None
+        for n, c in enumerate(self.captures):
+            start = max(0, c.lo - 1 - self._fed)
+            if start >= m or not (c.last or (self.kept[n] == 0).any()):
+                continue
+            if c.misses and misses is None:
+                misses = np.flatnonzero(~block)
+            found = misses if c.misses else hits
+            if found.size == 0:
+                continue
+            a, e = np.searchsorted(found, row_at + (start, m)).T
+            first = np.maximum(a, e - c.cap) if c.last else a
+            slot = np.arange(c.cap)
+            at = first[:, None] + slot
+            new = np.where(at < e[:, None],  # left-aligned, 0 past the row's finds
+                           found[np.minimum(at, found.size - 1)] - row_at + self._fed + 1, 0)
+            both = np.concatenate([self.kept[n], new], axis=1)
+            if c.last:  # kept is right-aligned: drop as many of its oldest as there are new
+                take = (e - first)[:, None] + slot
+            else:  # kept is left-aligned: the new follow its filled slots
+                filled = np.count_nonzero(self.kept[n], axis=1)[:, None]
+                take = np.where(slot < filled, slot, c.cap + slot - filled)
+            self.kept[n] = np.take_along_axis(both, take, axis=1)
+        self._fed += m
+
+    def counts(self) -> np.ndarray:
+        """Per row, the count in each window [low, n] of the stages."""
+        return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]
+
+
+def _stages(lam: LambdaSequence, n_max: int, stride: int | None) -> tuple:
+    """Trace stages stride, 2*stride, ... and n_max, with their lambda values and window lows."""
+    if stride is None:
+        stride = max(1, n_max // 1000)
+    ns = np.arange(stride, n_max + 1, stride, dtype=np.int64)
+    if ns.size == 0 or ns[-1] != n_max:
+        ns = np.append(ns, n_max)
+    lam_vals, lows = _window_lows(lam, ns)
+    return ns, lam_vals, lows
+
+
+def _trace(stages: tuple, counts: np.ndarray) -> DensityTrace:
+    """The classified trace of windowed ``counts`` at ``stages``."""
+    ns, lam_vals, lows = stages
+    ratios = counts / lam_vals
+    verdict, estimate = _classify(ratios, lam_vals)
+    return DensityTrace(ns=ns, lows=lows, highs=ns.copy(), counts=counts, ratios=ratios,
+                        n_max=int(ns[-1]), verdict=verdict, estimate=estimate)
 
 
 def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = None) -> DensityTrace:
@@ -217,29 +327,20 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
 
     ``member`` is a predicate on indices (or a precomputed boolean array for
     k = 1..n_max).  Ratios are recorded at stages stride, 2*stride, ...; the
-    final stage n_max is always included.
+    final stage n_max is always included.  The set is streamed through a
+    ``WindowCounter`` in blocks of BLOCK_ELEMENTS indices, the counting path
+    of the detectors, so no prefix count as long as the horizon is built.
     """
     if n_max < 10:
         raise DomainError(f"n_max must be >= 10, got {n_max}")
-    if stride is None:
-        stride = max(1, n_max // 1000)
-    if stride < 1:
+    if stride is not None and stride < 1:
         raise DomainError(f"stride must be >= 1, got {stride}")
-
-    mask = membership_array(member, n_max)
-    prefix = np.concatenate([[0], np.cumsum(mask, dtype=np.int64)])
-
-    ns = np.arange(stride, n_max + 1, stride, dtype=np.int64)
-    if ns.size == 0 or ns[-1] != n_max:
-        ns = np.append(ns, n_max)
-
-    lam_vals, lows = _window_lows(lam, ns)
-    counts = prefix[ns] - prefix[lows - 1]
-    ratios = counts / lam_vals
-
-    verdict, estimate = _classify(ratios, lam_vals)
-    return DensityTrace(ns=ns, lows=lows, highs=ns.copy(), counts=counts,
-                        ratios=ratios, n_max=n_max, verdict=verdict, estimate=estimate)
+    blocks = _member_blocks(member, n_max)
+    stages = _stages(lam, n_max, stride)
+    counter = WindowCounter(1, stages[0], stages[2])
+    for block in blocks:
+        counter.feed(block[None])
+    return _trace(stages, counter.counts()[0])
 
 
 def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:

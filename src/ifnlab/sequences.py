@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DomainError, vectorize_scalar
-from .density import LambdaSequence, _window_lows
+from .density import BLOCK_ELEMENTS, LambdaSequence, _window_lows
 
 
 class GridMismatchError(ValueError):
@@ -87,12 +87,18 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
         return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
              + beta * np.asarray(fs2.evaluate_many(ks, x))
 
+    def evaluate_grid(ks, xs):
+        return alpha * fs1.terms(ks, xs) + beta * fs2.terms(ks, xs)
+
+    both = fs1.evaluate_grid is not None and fs2.evaluate_grid is not None
     description = f"{alpha!r}*({fs1.description}) + {beta!r}*({fs2.description})"
-    return FunctionSequence(evaluate, fs1.domain_grid, description)
+    return FunctionSequence(evaluate, fs1.domain_grid, description,
+                            evaluate_grid=evaluate_grid if both else None)
 
 
-# Stages per build step; bounds the build's scratch arrays at any horizon.
-_BUILD_CHUNK = 1 << 20
+# Stages per build step; bounds the build's scratch arrays (about 40 bytes a
+# stage) at any horizon, below the few float arrays of a detector block.
+_BUILD_CHUNK = BLOCK_ELEMENTS // 4
 
 
 class BumpIndexSet:
@@ -113,10 +119,7 @@ class BumpIndexSet:
     (b_n)-th newest member, and that test, once true, stays true until the
     next admission.  So the build gallops from one admission to the next
     and bisects back, instead of visiting every stage.  The members are
-    kept as one sorted int64 array; the boolean mask is a cache filled from
-    it on demand.  The cache doubles when it grows and is filled only past
-    the stages it already holds, so a sweep over growing horizons costs
-    O(n) in all.
+    kept as one sorted int64 array, and membership is read from it alone.
     """
 
     def __init__(self, lam: LambdaSequence):
@@ -125,8 +128,6 @@ class BumpIndexSet:
         self._members = np.zeros(64, dtype=np.int64)  # sorted; first _count valid
         self._count = 0
         self._last = (1, 1)    # window low and budget at stage _built
-        self._mask_cache = np.zeros(1, dtype=bool)
-        self._mask_upto = 0    # the cache holds stages 1.._mask_upto
 
     def ensure(self, n_max: int) -> None:
         while self._built < n_max:
@@ -223,24 +224,35 @@ class BumpIndexSet:
     def mask(self, n_max: int) -> np.ndarray:
         """Boolean array m with m[k] = (k in set) for k = 0..n_max (m[0] unused)."""
         self.ensure(n_max)
-        if n_max > self._mask_upto:
-            if self._mask_cache.size < n_max + 1:
-                grown = np.zeros(max(n_max + 1, 2 * self._mask_cache.size), dtype=bool)
-                grown[: self._mask_cache.size] = self._mask_cache
-                self._mask_cache = grown
-            members = self._members[: self._count]
-            self._mask_cache[members[np.searchsorted(members, self._mask_upto, "right"):
-                                     np.searchsorted(members, n_max, "right")]] = True
-            self._mask_upto = n_max
-        return self._mask_cache[: n_max + 1]
+        members = self._members[: self._count]
+        m = np.zeros(n_max + 1, dtype=bool)
+        m[members[: np.searchsorted(members, n_max, "right")]] = True
+        return m
 
     def mask_for(self, ks: np.ndarray) -> np.ndarray:
+        """Whether each index of ``ks`` is in the set."""
         ks = np.asarray(ks, dtype=np.int64)
+        mask = np.zeros(ks.shape, dtype=bool)
+        mask.reshape(-1)[self._hits(ks.ravel())] = True
+        return mask
+
+    def _hits(self, ks: np.ndarray) -> np.ndarray:
+        """Positions in the 1-D index array ``ks`` of the set's members.
+
+        A block of consecutive ascending indices reads the searchsorted slice
+        of the members over it; other indices are looked up one by one.
+        """
         if ks.size == 0:
-            return np.zeros(0, dtype=bool)
-        if np.min(ks) < 1:
+            return np.zeros(0, dtype=np.int64)
+        lo, hi = int(np.min(ks)), int(np.max(ks))
+        if lo < 1:
             raise DomainError("indices must be >= 1")
-        return self.mask(int(np.max(ks)))[ks]
+        self.ensure(hi)
+        members = self._members[: self._count]
+        if ks.size == hi - lo + 1 and (ks[1:] > ks[:-1]).all():
+            return members[np.searchsorted(members, lo):np.searchsorted(members, hi, "right")] - lo
+        at = np.minimum(np.searchsorted(members, ks), members.size - 1)
+        return np.flatnonzero(members[at] == ks)
 
 
 def _powers(ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -261,11 +273,12 @@ def _bump_terms(bumps: BumpIndexSet, ks, xs: np.ndarray,
     the set.
     """
     ks = np.asarray(ks, dtype=np.int64)
-    out = np.empty(ks.shape + xs.shape)
+    flat = ks.ravel()
+    at = bumps._hits(flat)
+    out = np.empty((flat.size,) + xs.shape)
     out[...] = base
-    in_set = bumps.mask_for(ks.ravel()).reshape(ks.shape)
-    out[in_set] = _powers(ks[in_set], xs) + lift
-    return out
+    out[at] = _powers(flat[at], xs) + lift
+    return out.reshape(ks.shape + xs.shape)
 
 
 def _on_unit_interval(grid) -> np.ndarray:

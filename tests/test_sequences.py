@@ -152,6 +152,19 @@ def test_combine_linear_is_pointwise_linear(unit_grid):
     assert np.allclose(many, direct, atol=1e-15)
 
 
+@pytest.mark.parametrize("second", ["paper-example-2", "reciprocal-shift"])
+def test_combine_linear_grid_form_matches_each_point(unit_grid, second):
+    lam = lambda_family("sqrt")
+    f1, _, _ = build_example("paper-example-1", lam, unit_grid)
+    f2 = (build_example(second, lam, unit_grid)[0] if second.startswith("paper")
+          else build_reciprocal_shift(unit_grid)[0])
+    combo = combine_linear(f1, f2, 0.5, -3.0)
+    assert (combo.evaluate_grid is not None) == (f2.evaluate_grid is not None)
+    ks = np.arange(1, 5000)
+    by_point = np.stack([combo.evaluate_many(ks, x) for x in unit_grid], axis=1)
+    assert np.array_equal(combo.terms(ks, unit_grid)[..., 0], by_point)
+
+
 def test_combine_linear_rejects_mismatched_grids(unit_grid):
     f1, _ = build_reciprocal_shift(unit_grid)
     f2, _ = build_constant_family(np.linspace(0, 2, 11), 0.0)
