@@ -317,10 +317,10 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
         out = np.asarray(term(k=np.asarray(ks, dtype=float), x=float(x)), dtype=float)
         return np.broadcast_to(out, np.asarray(ks).shape).copy()
 
-    def terms(ks, xs):  # k down the rows, x across the columns
-        k = np.asarray(ks, dtype=float)[:, None]
-        return np.broadcast_to(np.asarray(term(k=k, x=xs), dtype=float),
-                               (k.size, xs.size)).copy()
+    def terms(ks, xs):  # x down the rows, k across the columns
+        k = np.asarray(ks, dtype=float)
+        return np.broadcast_to(np.asarray(term(k=k, x=xs[:, None]), dtype=float),
+                               (xs.size, k.size)).copy()
 
     fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}",
                           evaluate_grid=None if _tests_truth(cfg.expression) else terms)

@@ -173,18 +173,22 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     feed: a row per centre, rows mu, nu and their union with ``split``.  A
     block spans all of ``xs`` when the sequence has a grid form, else each
     point in turn, so that an ``evaluate_many`` call answers BLOCK_ELEMENTS
-    indices.  Faults come in point-by-point order.
+    indices.  Blocks are point-major, (points, indices, coordinates): a centre
+    is subtracted as a (points, 1, coordinates) column into one flat buffer
+    for the sweep, and the tests are ORed over the points.  Faults come in
+    point-by-point order.
     """
     width = len(xs) if fs.evaluate_grid is not None else 1
     step = max(1, BLOCK_ELEMENTS // width)
     limits = callable(centres[0])
-    cs = np.stack([_limits(f, xs) for f in centres]) if limits else fs.terms(np.array(centres), xs)
+    cs = (np.stack([_limits(f, xs) for f in centres]) if limits
+          else fs.terms(np.array(centres), xs).swapaxes(0, 1))  # (centres, points, coordinates)
     clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
     first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
     ns, _, lows = stages or ((), None, ())
     rows = len(centres) * (3 if split else 1)
     counter = WindowCounter(rows, ns, lows, captures)
-    diff = None  # one buffer for every block's differences from a centre
+    buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
     span = step * max(1, BLOCK_ELEMENTS // (step * rows))  # indices per feed
     held, fill = np.zeros((len(centres), 1 + split, span), dtype=bool), 0
     for lo in range(0, q.n_max, step):
@@ -195,14 +199,12 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
             if not np.isfinite(vals).all():
                 bad = ~np.isfinite(vals).all(axis=2)
                 seen = first_bad[p:p + width]
-                fresh = (seen == 0) & bad.any(axis=0)
-                seen[fresh] = ks[bad.argmax(axis=0)[fresh]]
+                fresh = (seen == 0) & bad.any(axis=1)
+                seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
                 clean = False
-            if diff is None:
-                diff = np.empty((step,) + vals.shape[1:])
-            for row, c in zip(block if clean else (), cs[:, p:p + width]):
-                d = np.subtract(vals, c, out=diff[:ks.size])
-                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split).any(axis=-1)
+            for row, c in zip(block if clean else (), cs[:, p:p + width, None]):
+                d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
+                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split).any(axis=-2)
         fill += ks.size
         if fill == held.shape[-1] or ks[-1] == q.n_max:
             if clean:
@@ -290,9 +292,9 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
         return []
     ks = tail if callable(centre) else np.union1d(tail, centre)
     vals = fs.terms(ks, xs)  # finite: the sweep behind ``tail`` checked them
-    c = _limits(centre, xs) if callable(centre) else vals[np.searchsorted(ks, centre)]
-    hits = ifn.exceptional(vals[np.searchsorted(ks, tail)] - c, q.epsilon, q.time, GUARD)
-    return [(int(k), float(xs[np.argmax(row)])) for k, row in zip(tail, hits) if row.any()]
+    c = _limits(centre, xs)[:, None] if callable(centre) else vals[:, ks == centre]
+    hits = ifn.exceptional(vals[:, np.searchsorted(ks, tail)] - c, q.epsilon, q.time, GUARD)
+    return [(int(k), float(xs[np.argmax(col)])) for k, col in zip(tail, hits.T) if col.any()]
 
 
 def _detect_windowed(fs: FunctionSequence, ifn, q: ConvergenceQuery, lam: LambdaSequence,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,9 @@ class FunctionSequence:
     it answers each index, else its per-element form, which expects a number
     per term.  A vector-valued family passes ``evaluate_many`` itself.
     ``evaluate_grid(ks, xs)``, when given, answers an index array across an
-    array of points at once (see ``terms``), and the detectors call it in
-    place of ``evaluate_many``.  ``dataclasses.replace`` keeps it, so a copy
-    with another ``evaluate_many`` must pass ``evaluate_grid=None``.
+    array of points at once, one row per point (see ``terms``); the detectors
+    call it in place of ``evaluate_many``.  ``dataclasses.replace`` keeps it,
+    so a copy with another ``evaluate_many`` must pass ``evaluate_grid=None``.
     """
 
     evaluate: Callable
@@ -64,17 +65,17 @@ class FunctionSequence:
         return np.asarray(self.evaluate_many(np.arange(1, n_max + 1), x), dtype=float)
 
     def terms(self, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        """Terms f_k(x) for an index array across points, shaped (ks, points, coordinates).
+        """Terms f_k(x) for an index array across points, shaped (points, ks, coordinates).
 
         One ``evaluate_grid`` call when the sequence has that form, else one
-        ``evaluate_many`` call per point.
+        ``evaluate_many`` call per point, each giving one row.
         """
         if self.evaluate_grid is not None:
             vals = np.asarray(self.evaluate_grid(ks, xs), dtype=float)
         else:
             vals = np.stack([np.asarray(self.evaluate_many(ks, x), dtype=float)
-                             .reshape(ks.size, -1) for x in xs], axis=1)
-        return vals.reshape(ks.size, len(xs), -1)
+                             .reshape(ks.size, -1) for x in xs])
+        return vals.reshape(len(xs), ks.size, -1)
 
 
 def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
@@ -130,8 +131,16 @@ class BumpIndexSet:
         self._last = (1, 1)    # window low and budget at stage _built
 
     def ensure(self, n_max: int) -> None:
+        # Whole chunks, which may run past n_max: one inadmissible past it is
+        # retried up to n_max, as ``_extend`` raises before it changes anything.
         while self._built < n_max:
-            self._extend(min(n_max, self._built + _BUILD_CHUNK))
+            stop = self._built + _BUILD_CHUNK
+            try:
+                self._extend(stop)
+            except DomainError:
+                if stop <= n_max:
+                    raise
+                self._extend(n_max)
 
     def _extend(self, stop: int) -> None:
         """Decide stages _built+1 .. stop."""
@@ -255,30 +264,38 @@ class BumpIndexSet:
         return np.flatnonzero(members[at] == ks)
 
 
-def _powers(ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """x**k for an index array against the points, shaped (ks, points).
+@lru_cache(maxsize=256)
+def _logs(points: bytes) -> np.ndarray:
+    """``math.log`` of each float64 point, -inf at 0; cached, so a sweep takes each once."""
+    logs = np.array([math.log(x) if x != 0.0 else -math.inf for x in np.frombuffer(points)])
+    logs.flags.writeable = False  # shared by every caller
+    return logs
 
-    Computed as exp(k*log x), with one ``math.log`` per point, to avoid pow
-    denormal churn; log 0 is -inf, so the column of x = 0 is exactly 0.
+
+def _powers(ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """x**k for an index array against the points, shaped (points, ks).
+
+    Computed as exp(k*log x), with the points' logs from ``_logs``, to
+    avoid pow denormal churn; log 0 is -inf, so the row of x = 0 is exactly 0.
     """
-    logs = np.array([math.log(x) if x != 0.0 else -math.inf for x in xs])
-    return np.exp(ks.astype(float)[:, None] * logs)
+    logs = _logs(np.ascontiguousarray(xs, dtype=float).tobytes())
+    return np.exp(logs[:, None] * ks.astype(float))
 
 
 def _bump_terms(bumps: BumpIndexSet, ks, xs: np.ndarray,
                 base: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """``base`` off the bump set, x**k + ``lift`` on it, shaped (ks, points).
+    """``base`` off the bump set, x**k + ``lift`` on it, shaped (points, ks).
 
     ``base`` and ``lift`` hold one value per point; powers are taken only on
-    the set.
+    the set's columns.
     """
     ks = np.asarray(ks, dtype=np.int64)
     flat = ks.ravel()
     at = bumps._hits(flat)
-    out = np.empty((flat.size,) + xs.shape)
-    out[...] = base
-    out[at] = _powers(flat[at], xs) + lift
-    return out.reshape(ks.shape + xs.shape)
+    out = np.empty(xs.shape + (flat.size,))
+    out[...] = base[:, None]
+    out[:, at] = _powers(flat[at], xs) + lift[:, None]
+    return out.reshape(xs.shape + ks.shape)
 
 
 def _on_unit_interval(grid) -> np.ndarray:
@@ -294,7 +311,7 @@ def _bump_family(terms: Callable, grid, description: str) -> FunctionSequence:
     """A bundled family from its grid form ``terms(ks, xs)``; ``evaluate`` takes one point."""
 
     def evaluate(ks, x):
-        return terms(ks, np.array([float(x)]))[..., 0]
+        return terms(ks, np.array([float(x)]))[0]
 
     return FunctionSequence(evaluate, _on_unit_interval(grid), description,
                             evaluate_grid=terms)
@@ -312,7 +329,7 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
     def terms(ks, xs):
         upper = xs >= 0.5
         out = _bump_terms(bumps, ks, xs, np.where(upper, 1.0, 0.0), np.where(upper, 0.5, 1.0))
-        out[..., xs == 1.0] = 2.0
+        out[xs == 1.0] = 2.0
         return out
 
     def limit(x):

@@ -169,7 +169,7 @@ def test_expression_terms_across_the_grid_match_each_point(expression, grid_form
     fs, _ = _resolve_sequence(ExperimentConfig(expression=expression), None, grid)
     assert (fs.evaluate_grid is not None) == grid_form
     ks = np.arange(1, 200)
-    by_point = np.stack([fs.evaluate_many(ks, x) for x in grid], axis=1)
+    by_point = np.stack([fs.evaluate_many(ks, x) for x in grid], axis=0)
     assert np.array_equal(fs.terms(ks, grid)[..., 0], by_point)
 
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
                     build_reciprocal_shift, combine_linear, density_trace, detect,
                     detect_cauchy, exceptional_set, lambda_family,
-                    lemma_equivalence_check, standard_ifn, window)
+                    lemma_equivalence_check, builtin_norm, standard_ifn, tconorm,
+                    tnorm, window)
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP
@@ -143,7 +144,7 @@ def late_faults(grid, grid_form):
         return np.where(np.asarray(ks) >= start, np.inf, 0.0)
 
     def evaluate_grid(ks, xs):
-        return np.stack([evaluate_many(ks, x) for x in xs], axis=1)
+        return np.stack([evaluate_many(ks, x) for x in xs], axis=0)
 
     return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]), grid,
                             "late faults", evaluate_many, evaluate_grid if grid_form else None)
@@ -217,6 +218,56 @@ def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid
     assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
     if field == "evaluate_grid":
         assert all(xs.size == unit_grid.size for _, xs in calls)
+
+
+# ---------------------------------------------------------------- grid form
+def planar_family(grid):
+    """f_k(x) = (x / k, sin(k) * x / sqrt(k)), with a (points, indices, 2) grid form."""
+    def evaluate_many(ks, x):
+        k = np.asarray(ks, dtype=float)
+        return np.stack([x / k, np.sin(k) * x / np.sqrt(k)], axis=-1)
+
+    def evaluate_grid(ks, xs):
+        k, x = np.asarray(ks, dtype=float), np.asarray(xs, dtype=float)[:, None]
+        return np.stack([x / k, np.sin(k) * x / np.sqrt(k)], axis=-1)
+
+    return FunctionSequence(lambda k, x: evaluate_many(np.array([k]), x)[0], grid,
+                            "planar", evaluate_many, evaluate_grid)
+
+
+def same_traces(a, b) -> bool:
+    """Whether two verdicts hold the same traces, point for point and row for row."""
+    ta, tb = a._point_traces(), b._point_traces()
+    return [p for p, _ in ta] == [p for p, _ in tb] and all(
+        x.verdict == y.verdict and x.estimate == y.estimate
+        and all(np.array_equal(getattr(x, f), getattr(y, f))
+                for f in ("ns", "lows", "highs", "counts", "ratios"))
+        for (_, x), (_, y) in zip(ta, tb))
+
+
+@pytest.mark.parametrize("family", ["paper-example-1", "paper-example-2", "sin(k) * x", "planar"])
+def test_grid_form_and_per_point_form_agree_in_every_mode(std_space, unit_grid, family):
+    lam, n_max, space = lambda_family("sqrt"), 20_000, std_space
+    if family.startswith("paper"):
+        fs, limit, _ = build_example(family, lam, unit_grid)
+    elif family == "planar":
+        fs, limit = planar_family(unit_grid), lambda x: np.zeros(2)
+        space = standard_ifn(builtin_norm("euclidean"), tnorm("product"), tconorm("bounded-sum"))
+    else:
+        fs = _resolve_sequence(ExperimentConfig(expression=family), lam, unit_grid)[0]
+        limit = lambda x: 0.0  # noqa: E731
+    per_point = dataclasses.replace(fs, evaluate_grid=None)
+    assert fs.evaluate_grid is not None
+    for mode in MODES:
+        q = query(mode, n_max, lam)
+        grid_v, point_v = ((detect_cauchy(s, space, q) if mode in CAUCHY_MODES
+                            else detect(s, limit, space, q)) for s in (fs, per_point))
+        assert grid_v.to_json_dict() == point_v.to_json_dict(), mode
+        assert same_traces(grid_v, point_v), mode
+    for mode in ("pointwise-lambda-stat", "uniform-lambda-stat"):
+        q = query(mode, n_max, lam)
+        assert (lemma_equivalence_check(fs, limit, space, q)
+                == lemma_equivalence_check(per_point, limit, space, q)), mode
 
 
 # ---------------------------------------------------------------- classical mode

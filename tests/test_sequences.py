@@ -84,6 +84,20 @@ def test_bump_set_rejects_decreasing_ladders(values, what, split):
         bumps.ensure(len(values))
 
 
+@pytest.mark.parametrize("past, what", [(1.0, "budget"), (400.0, "window low")])
+def test_bump_set_builds_ahead_only_within_the_admissible_stages(past, what):
+    # admissible up to n_max, not at n_max + 1: building ahead in whole chunks
+    # must not raise for a stage that was not asked for
+    n_max = 300
+    values = [1.0 + 0.5 * i for i in range(n_max)] + [past]
+    lam = lambda_from_table(values)
+    bumps = BumpIndexSet(lam)
+    bumps.ensure(n_max)
+    assert np.array_equal(bumps.mask(n_max), reference_bump_mask(lam, n_max))
+    with pytest.raises(DomainError, match=what):
+        bumps.ensure(n_max + 1)
+
+
 def test_identity_bump_set_is_shifted_squares():
     # windows are [1, n], so the budget ceil(sqrt(n)) admits a new index
     # exactly when n passes a perfect square: W = {1, 2, 5, 10, 17, ...}
@@ -161,7 +175,7 @@ def test_combine_linear_grid_form_matches_each_point(unit_grid, second):
     combo = combine_linear(f1, f2, 0.5, -3.0)
     assert (combo.evaluate_grid is not None) == (f2.evaluate_grid is not None)
     ks = np.arange(1, 5000)
-    by_point = np.stack([combo.evaluate_many(ks, x) for x in unit_grid], axis=1)
+    by_point = np.stack([combo.evaluate_many(ks, x) for x in unit_grid], axis=0)
     assert np.array_equal(combo.terms(ks, unit_grid)[..., 0], by_point)
 
 
