@@ -229,17 +229,6 @@ _EXPR_NODES = (ast.Expression, ast.Name, ast.Load, ast.Constant, ast.BinOp,
                ast.Compare, ast.cmpop, ast.IfExp, ast.Call)
 
 
-def _tests_truth(text: str) -> bool:
-    """Whether a formula takes a truth value (``a if c else b``, and/or/not, a < b < c).
-
-    Such a formula needs a number for x, so it is evaluated one grid point
-    at a time; any other formula is evaluated across the grid at once.
-    """
-    return any(isinstance(node, (ast.IfExp, ast.BoolOp, ast.Not))
-               or (isinstance(node, ast.Compare) and len(node.ops) > 1)
-               for node in ast.walk(ast.parse(text, mode="eval")))
-
-
 def _allowed(node: ast.AST) -> bool:
     if isinstance(node, ast.Constant):
         return isinstance(node.value, (int, float, complex))
@@ -314,16 +303,13 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
     term = compile_expression(cfg.expression, ("k", "x"))
 
     def evaluate(ks, x):
-        out = np.asarray(term(k=np.asarray(ks, dtype=float), x=float(x)), dtype=float)
-        return np.broadcast_to(out, np.asarray(ks).shape).copy()
+        # One point as a number, so that a truth value of x works point by point.  The
+        # float ks dies before the copy: held, it makes glibc trim the heap every block.
+        x = np.asarray(x, dtype=float)
+        out = term(k=np.asarray(ks, dtype=float), x=x if x.ndim else float(x))
+        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(ks, x).shape).copy()
 
-    def terms(ks, xs):  # x down the rows, k across the columns
-        k = np.asarray(ks, dtype=float)
-        return np.broadcast_to(np.asarray(term(k=k, x=xs[:, None]), dtype=float),
-                               (xs.size, k.size)).copy()
-
-    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}",
-                          evaluate_grid=None if _tests_truth(cfg.expression) else terms)
+    fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}")
     limit = None
     if cfg.limit is not None:
         limit_expr = compile_expression(cfg.limit, ("x",))

@@ -10,7 +10,7 @@ modes.  The space answers the test (``IFNorm.exceptional``), a standard one
 by its norm.  The grid is split into groups (``_groups``): each point alone
 in the pointwise modes, the whole grid in the uniform ones.  One grid pass
 (``_union``) sweeps k in blocks, across a group's points when the sequence
-has a grid form, and streams each block, one row per centre of a batch (the
+broadcasts, and streams each block, one row per centre of a batch (the
 union over the points of their exceptional sets), into a ``WindowCounter``.
 The counter keeps the windowed counts at the trace stages and the few
 indices the verdict cites, so no array as long as the horizon is held.
@@ -171,14 +171,14 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     tests go to a ``WindowCounter`` at the trace ``stages`` with the
     ``captures``, whole blocks at a time, about BLOCK_ELEMENTS tests per
     feed: a row per centre, rows mu, nu and their union with ``split``.  A
-    block spans all of ``xs`` when the sequence has a grid form, else each
+    block spans all of ``xs`` when the sequence ``broadcasts``, else each
     point in turn, so that an ``evaluate_many`` call answers BLOCK_ELEMENTS
     indices.  Blocks are point-major, (points, indices, coordinates): a centre
     is subtracted as a (points, 1, coordinates) column into one flat buffer
     for the sweep, and the tests are ORed over the points.  Faults come in
     point-by-point order.
     """
-    width = len(xs) if fs.evaluate_grid is not None else 1
+    width = len(xs) if fs.broadcasts else 1
     step = max(1, BLOCK_ELEMENTS // width)
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits

@@ -11,7 +11,7 @@ sense while every bump term stays far from the limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -30,24 +30,24 @@ class FunctionSequence:
     """A sequence of functions sampled on a fixed domain grid.
 
     ``evaluate(k, x)`` gives the k-th term at point x (k >= 1).
-    ``evaluate_many(ks, x)`` is the batched form the library calls: it takes
-    an integer index array and returns the matching array of values, one
-    row per index for vector-valued terms.  When it is not given,
-    construction probes ``evaluate`` at indices 1..2 and the first grid point
-    with ``vectorize_scalar`` and keeps it when it answers the index array as
-    it answers each index, else its per-element form, which expects a number
+    ``evaluate_many(ks, x)`` is the batched form at one point: it takes an
+    integer index array and returns the matching array of values, one row
+    per index for vector-valued terms.  When it is not given, construction
+    probes ``evaluate`` at indices 1..2 and the first grid point with
+    ``vectorize_scalar`` and keeps it when it answers the index array as it
+    answers each index, else its per-element form, which expects a number
     per term.  A vector-valued family passes ``evaluate_many`` itself.
-    ``evaluate_grid(ks, xs)``, when given, answers an index array across an
-    array of points at once, one row per point (see ``terms``); the detectors
-    call it in place of ``evaluate_many``.  ``dataclasses.replace`` keeps it,
-    so a copy with another ``evaluate_many`` must pass ``evaluate_grid=None``.
+    ``broadcasts`` says whether ``evaluate`` is also the grid form (see
+    ``terms``): construction sets it when ``evaluate(ks[None, :], xs[:, None])``
+    at indices 1..2 and the first two grid points matches the per-point rows
+    in size and value.  It is derived, so ``dataclasses.replace`` probes again.
     """
 
     evaluate: Callable
     domain_grid: np.ndarray
     description: str
     evaluate_many: Callable | None = None
-    evaluate_grid: Callable | None = None
+    broadcasts: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.domain_grid, dtype=float)
@@ -56,9 +56,18 @@ class FunctionSequence:
         if not np.all(np.isfinite(grid)):
             raise DomainError("domain_grid has non-finite points")
         object.__setattr__(self, "domain_grid", grid)
+        ks, xs = np.arange(1, 3), grid[:2]
         if self.evaluate_many is None:
-            object.__setattr__(self, "evaluate_many",
-                               vectorize_scalar(self.evaluate, np.arange(1, 3), grid[0]))
+            object.__setattr__(self, "evaluate_many", vectorize_scalar(self.evaluate, ks, xs[0]))
+        object.__setattr__(self, "broadcasts", False)  # so ``terms`` gives the per-point rows
+        try:  # as in ``vectorize_scalar``; a truth value of an array raises ValueError
+            out = np.asarray(self.evaluate(ks[None, :], xs[:, None]), dtype=float)
+            ref = self.terms(ks, xs)
+            broadcasts = out.size == ref.size and np.allclose(
+                out.reshape(ref.shape), ref, rtol=1e-9, atol=0.0, equal_nan=True)
+        except (TypeError, ValueError, IndexError, AttributeError):
+            broadcasts = False
+        object.__setattr__(self, "broadcasts", broadcasts)
 
     def values_upto(self, n_max: int, x) -> np.ndarray:
         """Terms 1..n_max at x."""
@@ -67,11 +76,12 @@ class FunctionSequence:
     def terms(self, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Terms f_k(x) for an index array across points, shaped (points, ks, coordinates).
 
-        One ``evaluate_grid`` call when the sequence has that form, else one
-        ``evaluate_many`` call per point, each giving one row.
+        One ``evaluate`` call on a row of indices against a column of points
+        when the sequence ``broadcasts``, else one ``evaluate_many`` call per
+        point, each giving one row.
         """
-        if self.evaluate_grid is not None:
-            vals = np.asarray(self.evaluate_grid(ks, xs), dtype=float)
+        if self.broadcasts:
+            vals = np.asarray(self.evaluate(ks[None, :], xs[:, None]), dtype=float)
         else:
             vals = np.stack([np.asarray(self.evaluate_many(ks, x), dtype=float)
                              .reshape(ks.size, -1) for x in xs])
@@ -80,7 +90,7 @@ class FunctionSequence:
 
 def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
                    alpha: float, beta: float) -> FunctionSequence:
-    """Pointwise combination alpha*fs1 + beta*fs2 on a shared grid."""
+    """Pointwise alpha*fs1 + beta*fs2 on a shared grid; broadcasts if both ``evaluate_many`` do."""
     if not np.array_equal(fs1.domain_grid, fs2.domain_grid):
         raise GridMismatchError("sequences live on different domain grids")
 
@@ -88,13 +98,8 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
         return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
              + beta * np.asarray(fs2.evaluate_many(ks, x))
 
-    def evaluate_grid(ks, xs):
-        return alpha * fs1.terms(ks, xs) + beta * fs2.terms(ks, xs)
-
-    both = fs1.evaluate_grid is not None and fs2.evaluate_grid is not None
     description = f"{alpha!r}*({fs1.description}) + {beta!r}*({fs2.description})"
-    return FunctionSequence(evaluate, fs1.domain_grid, description,
-                            evaluate_grid=evaluate_grid if both else None)
+    return FunctionSequence(evaluate, fs1.domain_grid, description)
 
 
 # Stages per build step; bounds the build's scratch arrays (about 40 bytes a
@@ -308,13 +313,21 @@ def _on_unit_interval(grid) -> np.ndarray:
 
 
 def _bump_family(terms: Callable, grid, description: str) -> FunctionSequence:
-    """A bundled family from its grid form ``terms(ks, xs)``; ``evaluate`` takes one point."""
+    """A bundled family from its (points, ks) form ``terms(ks, xs)``.
+
+    ``evaluate(ks, x)`` flattens both, calls ``terms`` once and shapes the
+    answer as they broadcast, so the points' axes must come before the indices'.
+    """
 
     def evaluate(ks, x):
-        return terms(ks, np.array([float(x)]))[0]
+        ks, x = np.asarray(ks), np.asarray(x, dtype=float)
+        shape = np.broadcast(ks, x).shape
+        lead = len(shape) - ks.ndim + next((i for i, d in enumerate(ks.shape) if d > 1), ks.ndim)
+        if x.size != math.prod(shape[:lead]):  # a point axis at or after an index axis
+            raise ValueError("the points' axes must come before the indices'")
+        return terms(ks.ravel(), x.ravel()).reshape(shape)
 
-    return FunctionSequence(evaluate, _on_unit_interval(grid), description,
-                            evaluate_grid=terms)
+    return FunctionSequence(evaluate, _on_unit_interval(grid), description)
 
 
 def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
@@ -358,7 +371,7 @@ def build_constant_family(grid, value: float = 0.0) -> tuple[FunctionSequence, C
     """Every term is the constant ``value``; trivially equicontinuous."""
 
     def evaluate(ks, x):
-        return np.full(np.asarray(ks).shape, float(value))
+        return np.full(np.broadcast(ks, x).shape, float(value))
 
     return (FunctionSequence(evaluate, grid, f"constant {value!r} family"),
             lambda x: value)
@@ -368,7 +381,7 @@ def build_reciprocal_shift(grid) -> tuple[FunctionSequence, Callable]:
     """f_k(x) = x + 1/k; an equicontinuous family converging to x."""
 
     def evaluate(ks, x):
-        return float(x) + 1.0 / np.asarray(ks, dtype=float)
+        return np.asarray(x, dtype=float) + 1.0 / np.asarray(ks, dtype=float)
 
     return (FunctionSequence(evaluate, grid, "identity shifted by 1/k"),
             lambda x: float(x))

@@ -125,6 +125,7 @@ def test_batched_builtins_stay_unwrapped():
     sequences.append(_resolve_sequence(config, lam, GRID)[0])
     for fs in sequences:
         assert fs.evaluate_many is fs.evaluate, fs.description
+        assert fs.broadcasts, fs.description
     for ladder in [lambda_family(name) for name in LAMBDA_IDS] + [lambda_from_table([1, 2, 2])]:
         assert ladder.values_many is ladder.values, ladder.name
 

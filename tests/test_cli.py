@@ -160,6 +160,8 @@ def test_bundled_examples_reject_a_grid_outside_the_unit_interval(tmp_path, caps
 
 @pytest.mark.parametrize("expression, grid_form", [
     ("sin(k) * x + x ** k", True),
+    ("x", True),
+    ("0 * k + 1", True),
     ("x + 1.0 / k if x < 0.5 else x ** k", False),   # a truth value of x
     ("where(0.2 < x < 0.6, 1.0 / k, x)", False),     # a chained comparison
     ("maximum(x, 1.0 / k) if not x else x", False),
@@ -167,7 +169,7 @@ def test_bundled_examples_reject_a_grid_outside_the_unit_interval(tmp_path, caps
 def test_expression_terms_across_the_grid_match_each_point(expression, grid_form):
     grid = np.linspace(0.0, 1.0, 11)
     fs, _ = _resolve_sequence(ExperimentConfig(expression=expression), None, grid)
-    assert (fs.evaluate_grid is not None) == grid_form
+    assert fs.broadcasts == grid_form
     ks = np.arange(1, 200)
     by_point = np.stack([fs.evaluate_many(ks, x) for x in grid], axis=0)
     assert np.array_equal(fs.terms(ks, grid)[..., 0], by_point)

@@ -143,11 +143,15 @@ def late_faults(grid, grid_form):
         start = {0.0: 70_000, 1.0: 5}.get(float(x), np.inf)
         return np.where(np.asarray(ks) >= start, np.inf, 0.0)
 
-    def evaluate_grid(ks, xs):
-        return np.stack([evaluate_many(ks, x) for x in xs], axis=0)
+    def evaluate(ks, xs):
+        start = np.select([xs == 0.0, xs == 1.0], [70_000, 5], np.inf)
+        return np.where(np.asarray(ks) >= start, np.inf, 0.0)
 
-    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]), grid,
-                            "late faults", evaluate_many, evaluate_grid if grid_form else None)
+    fs = FunctionSequence(evaluate if grid_form else
+                          (lambda k, x: float(evaluate_many(np.array([k]), x)[0])),
+                          grid, "late faults", evaluate_many)
+    assert fs.broadcasts == grid_form
+    return fs
 
 
 @pytest.mark.parametrize("grid_form", [True, False], ids=["grid-form", "per-point"])
@@ -172,7 +176,7 @@ def test_faults_come_in_point_by_point_order(std_space, grid_form, grid, mode, l
 
 
 # ---------------------------------------------------------------- sweep counts
-def counted(fs, calls, field="evaluate_grid"):
+def counted(fs, calls, field="evaluate"):
     """fs with one of its evaluation forms recording (indices, points) per call."""
     inner = getattr(fs, field)
 
@@ -180,7 +184,9 @@ def counted(fs, calls, field="evaluate_grid"):
         calls.append((np.array(ks), np.atleast_1d(np.array(xs, dtype=float))))
         return inner(ks, xs)
 
-    return dataclasses.replace(fs, **{field: record})
+    copy = dataclasses.replace(fs, **{field: record})
+    calls.clear()  # construction probes the copy; keep the detector's calls only
+    return copy
 
 
 def sweeps_per_point(calls, grid, k):
@@ -204,35 +210,30 @@ def test_pointwise_cauchy_sweeps_each_point_at_most_three_times(std_space, unit_
         assert terms <= 3 * n_max + 2 * ANCHOR_POOL + WITNESS_CAP + 2, x
 
 
-@pytest.mark.parametrize("field", ["evaluate_grid", "evaluate_many"])
+@pytest.mark.parametrize("field", ["evaluate", "evaluate_many"])
 def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid, field):
     # The config expression evaluates a block across the grid in one call;
     # a sequence without that form is evaluated point by point, in the same
     # three sweeps.
     n_max, lam, calls = 20_000, lambda_family("identity"), []
     fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
-          if field == "evaluate_grid" else sine_family(unit_grid))
+          if field == "evaluate" else sine_family(unit_grid))
     v = detect_cauchy(counted(fs, calls, field), std_space,
                       query("uniform-lambda-cauchy", n_max, lam))
     assert v.verdict == "fails" and v.details["anchor"] is None
     assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
-    if field == "evaluate_grid":
+    if field == "evaluate":
         assert all(xs.size == unit_grid.size for _, xs in calls)
 
 
 # ---------------------------------------------------------------- grid form
 def planar_family(grid):
-    """f_k(x) = (x / k, sin(k) * x / sqrt(k)), with a (points, indices, 2) grid form."""
-    def evaluate_many(ks, x):
-        k = np.asarray(ks, dtype=float)
+    """f_k(x) = (x / k, sin(k) * x / sqrt(k)), broadcasting to (points, indices, 2)."""
+    def evaluate(ks, x):
+        k, x = np.asarray(ks, dtype=float), np.asarray(x, dtype=float)
         return np.stack([x / k, np.sin(k) * x / np.sqrt(k)], axis=-1)
 
-    def evaluate_grid(ks, xs):
-        k, x = np.asarray(ks, dtype=float), np.asarray(xs, dtype=float)[:, None]
-        return np.stack([x / k, np.sin(k) * x / np.sqrt(k)], axis=-1)
-
-    return FunctionSequence(lambda k, x: evaluate_many(np.array([k]), x)[0], grid,
-                            "planar", evaluate_many, evaluate_grid)
+    return FunctionSequence(evaluate, grid, "planar", evaluate)
 
 
 def same_traces(a, b) -> bool:
@@ -256,8 +257,8 @@ def test_grid_form_and_per_point_form_agree_in_every_mode(std_space, unit_grid, 
     else:
         fs = _resolve_sequence(ExperimentConfig(expression=family), lam, unit_grid)[0]
         limit = lambda x: 0.0  # noqa: E731
-    per_point = dataclasses.replace(fs, evaluate_grid=None)
-    assert fs.evaluate_grid is not None
+    per_point = dataclasses.replace(fs, evaluate=lambda k, x: fs.evaluate(k, float(x)))
+    assert fs.broadcasts and not per_point.broadcasts
     for mode in MODES:
         q = query(mode, n_max, lam)
         grid_v, point_v = ((detect_cauchy(s, space, q) if mode in CAUCHY_MODES
@@ -268,6 +269,22 @@ def test_grid_form_and_per_point_form_agree_in_every_mode(std_space, unit_grid, 
         q = query(mode, n_max, lam)
         assert (lemma_equivalence_check(fs, limit, space, q)
                 == lemma_equivalence_check(per_point, limit, space, q)), mode
+
+
+@pytest.mark.parametrize("family", ["paper-example-2", "sin(k) * x"])
+def test_a_replaced_evaluate_is_the_one_swept(std_space, unit_grid, family):
+    # dataclasses.replace probes the copy again, so the original's grid form
+    # does not outlive a new evaluate
+    lam, n_max, limit, calls = lambda_family("sqrt"), 20_000, (lambda x: 0.0), []
+    fs = (build_example(family, lam, unit_grid)[0] if family.startswith("paper")
+          else _resolve_sequence(ExperimentConfig(expression=family), lam, unit_grid)[0])
+    q = query("uniform-lambda-stat", n_max, lam)
+    v = detect(counted(fs, calls), limit, std_space, q)
+    swept = {int(k) for ks, xs in calls if xs.size == unit_grid.size for k in ks.ravel()}
+    assert swept == set(range(1, n_max + 1))
+    one_point = dataclasses.replace(fs, evaluate=lambda k, x: fs.evaluate(k, float(x)))
+    assert fs.broadcasts and one_point.broadcasts is False
+    assert detect(one_point, limit, std_space, q).to_json_dict() == v.to_json_dict()
 
 
 # ---------------------------------------------------------------- classical mode

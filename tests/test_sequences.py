@@ -166,14 +166,22 @@ def test_combine_linear_is_pointwise_linear(unit_grid):
     assert np.allclose(many, direct, atol=1e-15)
 
 
-@pytest.mark.parametrize("second", ["paper-example-2", "reciprocal-shift"])
+def one_point_shift(grid):
+    """x + 1/k, batched over indices but taking one point at a time."""
+    def evaluate(ks, x):
+        return float(x) + 1.0 / np.asarray(ks, dtype=float)
+
+    return FunctionSequence(evaluate, grid, "identity shifted by 1/k, one point at a time")
+
+
+@pytest.mark.parametrize("second", ["paper-example-2", "one-point-shift"])
 def test_combine_linear_grid_form_matches_each_point(unit_grid, second):
     lam = lambda_family("sqrt")
     f1, _, _ = build_example("paper-example-1", lam, unit_grid)
     f2 = (build_example(second, lam, unit_grid)[0] if second.startswith("paper")
-          else build_reciprocal_shift(unit_grid)[0])
+          else one_point_shift(unit_grid))
     combo = combine_linear(f1, f2, 0.5, -3.0)
-    assert (combo.evaluate_grid is not None) == (f2.evaluate_grid is not None)
+    assert combo.broadcasts == f2.broadcasts
     ks = np.arange(1, 5000)
     by_point = np.stack([combo.evaluate_many(ks, x) for x in unit_grid], axis=0)
     assert np.array_equal(combo.terms(ks, unit_grid)[..., 0], by_point)
@@ -217,6 +225,11 @@ def test_uniform_family_branches(unit_grid):
     assert fs.evaluate(5, 0.3) == pytest.approx(0.3 ** 5 + 1.0)   # 5 in W
     assert fs.evaluate(6, 0.3) == 0.0
     assert fs.evaluate(6, 0.9) == 0.0
+    ks, xs = np.array([5, 6]), np.array([0.3, 0.9])  # a column of points against a row of indices
+    assert np.allclose(fs.evaluate(ks[None, :], xs[:, None]), [[0.3 ** 5 + 1.0, 0.0],
+                                                               [0.9 ** 5 + 1.0, 0.0]])
+    with pytest.raises(ValueError, match="points' axes must come before"):
+        fs.evaluate(ks[:, None], xs[None, :])
     assert limit(0.3) == 0.0 and limit(0.9) == 0.0
 
 
