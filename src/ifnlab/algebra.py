@@ -33,31 +33,40 @@ def _check_unit(value, label: str):
     return arr if arr.ndim else float(arr)
 
 
+# How a scalar-only callable fails on arrays; IndexError also comes from a short probe vector.
+PROBE_ERRORS = (TypeError, ValueError, IndexError, AttributeError)
+
+
+def agrees(out: np.ndarray, ref: np.ndarray) -> bool:
+    """Whether two probe answers match in shape and value (NaN matching NaN), up to the
+    last-ulp differences of numpy's array and scalar kernels."""
+    return out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0, equal_nan=True)
+
+
 def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Callable:
     """``fn`` if it broadcasts over the ``probe`` arguments, else its per-element form.
 
     The library calls every user function on arrays; this is the one place
     where a callable is checked for that.  ``fn`` is called once on the probe
-    arrays and once per probe element; it is returned unchanged when the two
-    answers match in shape and value (NaN matching NaN).  Otherwise the
-    per-element form is returned: it calls ``fn`` once per element through
-    ``np.vectorize`` and returns floats.  ``signature`` marks core dimensions
-    as in numpy, such as ``"(d),()->()"`` for a function of one vector and
-    one time.
+    arrays and once per probe element.  It is returned unchanged when the two
+    answers ``agree``.  Without a ``signature`` it is also returned when it
+    answers the arrays but raises on an element: it then takes arrays only.
+    (With one, the element may just be shorter than the callable expects, and
+    the array call may have read the batch axis as coordinates.)
+    Otherwise the per-element form is returned: it calls ``fn`` once per
+    element through ``np.vectorize`` and returns floats.  ``signature`` marks
+    core dimensions as in numpy, such as ``"(d),()->()"`` for a function of
+    one vector and one time.
     """
     batched = np.vectorize(fn, otypes=[float], signature=signature)
     try:
         out = np.asarray(fn(*probe), dtype=float)
-        ref = batched(*probe)
-        # array and scalar kernels of numpy may differ in the last ulp
-        if out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0,
-                                                  equal_nan=True):
-            return fn
-    # a scalar-only callable fails on arrays in these ways; an IndexError
-    # also comes from a probe vector shorter than the callable expects
-    except (TypeError, ValueError, IndexError, AttributeError):
-        pass
-    return batched
+    except PROBE_ERRORS:
+        return batched
+    try:
+        return fn if agrees(out, batched(*probe)) else batched
+    except PROBE_ERRORS:
+        return fn if signature is None else batched
 
 
 @dataclass(frozen=True)

@@ -317,15 +317,14 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
     return fs, limit
 
 
-def _resolve_density_set(cfg: ExperimentConfig) -> np.ndarray:
-    """Membership mask of the configured index set over k = 1..n_max."""
+def _resolve_density_set(cfg: ExperimentConfig):
+    """Membership predicate of the configured index set, answered in the shape of k."""
     text = (cfg.density_expression if cfg.density_set is None
             else DENSITY_SETS[cfg.density_set])
     if text is None:
         raise ConfigError("density: need a set name or an expression")
-    ks = np.arange(1, cfg.n_max + 1, dtype=np.int64)
-    out = np.asarray(compile_expression(text, ("k",))(k=ks))
-    return np.broadcast_to(out, ks.shape).astype(bool)
+    member = compile_expression(text, ("k",))
+    return lambda ks: np.broadcast_to(member(k=ks), np.shape(ks))
 
 
 def _json_bytes(payload) -> bytes:

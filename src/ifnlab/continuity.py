@@ -112,12 +112,8 @@ def check_equicontinuity(fs: FunctionSequence, ifn_domain: IFNorm, ifn_target: I
         raise DomainError(f"k_max must be >= 1, got {k_max}")
     probes = _probe_points(q)
     ks = np.arange(1, k_max + 1)
-
-    def terms(x) -> np.ndarray:
-        return np.asarray(fs.evaluate_many(ks, x), dtype=float).reshape(k_max, -1)
-
-    at_center = terms(q.point)
-    gaps = np.stack([terms(p) - at_center for p in probes], axis=1)  # (k, probe, coord)
+    vals = fs.terms(ks, np.concatenate([[q.point], probes]))  # (points, k, coord)
+    gaps = (vals[1:] - vals[0]).swapaxes(0, 1)  # (k, probe, coord)
     return _modulus_search(_gap_ok(ifn_target, gaps, q), ks, probes, ifn_domain, q)
 
 

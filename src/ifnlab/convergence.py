@@ -172,7 +172,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     ``captures``, whole blocks at a time, about BLOCK_ELEMENTS tests per
     feed: a row per centre, rows mu, nu and their union with ``split``.  A
     block spans all of ``xs`` when the sequence ``broadcasts``, else each
-    point in turn, so that an ``evaluate_many`` call answers BLOCK_ELEMENTS
+    point in turn, so that a ``per_point`` call answers BLOCK_ELEMENTS
     indices.  Blocks are point-major, (points, indices, coordinates): a centre
     is subtracted as a (points, 1, coordinates) column into one flat buffer
     for the sweep, and the tests are ORed over the points.  Faults come in

@@ -34,31 +34,25 @@ BLOCK_ELEMENTS = 1 << 16
 class LambdaSequence:
     """Window-length sequence: lambda_n for the stages n >= 1.
 
-    ``values_many(ns)`` is the batched form the library calls: it takes an
-    integer array of stages and returns the matching lambda values.  When it
-    is not given, construction probes ``values`` at stages 1..3 with
-    ``vectorize_scalar`` and keeps it when it answers an array as it answers
-    each stage, else its per-element form.  A ladder that only takes arrays
-    passes itself as ``values_many`` too.
+    ``values(ns)`` maps an integer array of stages to their lambda values.  A
+    callable of one stage is accepted too: construction probes ``values`` at
+    stages 1..3 and stores its ``vectorize_scalar`` form in its place.
     """
 
     name: str
     values: Callable
-    values_many: Callable | None = None
 
     def __post_init__(self):
-        if self.values_many is None:
-            object.__setattr__(self, "values_many",
-                               vectorize_scalar(self.values, np.arange(1, 4)))
+        object.__setattr__(self, "values", vectorize_scalar(self.values, np.arange(1, 4)))
 
     def table(self, n_max: int) -> np.ndarray:
         """lambda_1 .. lambda_n_max as a float array."""
-        return np.asarray(self.values_many(np.arange(1, n_max + 1)), dtype=float)
+        return np.asarray(self.values(np.arange(1, n_max + 1)), dtype=float)
 
     def at(self, n: int) -> float:
         if n < 1:
             raise DomainError(f"stage must be >= 1, got {n}")
-        return float(self.values_many(np.array([n]))[0])
+        return float(self.values(np.array([n]))[0])
 
 
 _FAMILIES = {
@@ -110,7 +104,7 @@ class IndexWindow:
 
 def _window_lows(lam: LambdaSequence, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """lambda values and window lower ends (clamped at 1) at the stages ``ns``."""
-    lam_vals = np.asarray(lam.values_many(ns), dtype=float)
+    lam_vals = np.asarray(lam.values(ns), dtype=float)
     if np.min(lam_vals) <= 0:
         raise DomainError("lambda values must be positive")
     return lam_vals, np.maximum(1, ns - np.ceil(lam_vals).astype(np.int64) + 1)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError, vectorize_scalar
+from .algebra import PROBE_ERRORS, DomainError, agrees, vectorize_scalar
 from .density import BLOCK_ELEMENTS, LambdaSequence, _window_lows
 
 
@@ -29,24 +29,23 @@ class GridMismatchError(ValueError):
 class FunctionSequence:
     """A sequence of functions sampled on a fixed domain grid.
 
-    ``evaluate(k, x)`` gives the k-th term at point x (k >= 1).
-    ``evaluate_many(ks, x)`` is the batched form at one point: it takes an
-    integer index array and returns the matching array of values, one row
-    per index for vector-valued terms.  When it is not given, construction
-    probes ``evaluate`` at indices 1..2 and the first grid point with
-    ``vectorize_scalar`` and keeps it when it answers the index array as it
-    answers each index, else its per-element form, which expects a number
-    per term.  A vector-valued family passes ``evaluate_many`` itself.
-    ``broadcasts`` says whether ``evaluate`` is also the grid form (see
-    ``terms``): construction sets it when ``evaluate(ks[None, :], xs[:, None])``
-    at indices 1..2 and the first two grid points matches the per-point rows
-    in size and value.  It is derived, so ``dataclasses.replace`` probes again.
+    ``evaluate(k, x)`` gives the k-th term at point x (k >= 1).  The library
+    reads terms through ``terms`` and two forms derived at construction, so
+    ``dataclasses.replace`` derives them again.  ``per_point(ks, x)`` answers
+    an index array at one point, one row per index for vector-valued terms:
+    it is ``evaluate_many`` when given (a vector-valued ``evaluate`` that takes
+    one index at a time needs it), else ``evaluate`` through ``vectorize_scalar``,
+    probed at indices 1..2 and the first grid point.  ``broadcasts`` says
+    whether ``evaluate`` is also the grid form (see ``terms``): whether
+    ``evaluate(ks[None, :], xs[:, None])`` at indices 1..2 and the first two
+    grid points matches the per-point rows in size and, reshaped, ``agrees``.
     """
 
     evaluate: Callable
     domain_grid: np.ndarray
     description: str
     evaluate_many: Callable | None = None
+    per_point: Callable = field(init=False, repr=False, compare=False)
     broadcasts: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,46 +56,40 @@ class FunctionSequence:
             raise DomainError("domain_grid has non-finite points")
         object.__setattr__(self, "domain_grid", grid)
         ks, xs = np.arange(1, 3), grid[:2]
-        if self.evaluate_many is None:
-            object.__setattr__(self, "evaluate_many", vectorize_scalar(self.evaluate, ks, xs[0]))
+        object.__setattr__(self, "per_point", vectorize_scalar(self.evaluate, ks, xs[0])
+                           if self.evaluate_many is None else self.evaluate_many)
         object.__setattr__(self, "broadcasts", False)  # so ``terms`` gives the per-point rows
-        try:  # as in ``vectorize_scalar``; a truth value of an array raises ValueError
+        try:
             out = np.asarray(self.evaluate(ks[None, :], xs[:, None]), dtype=float)
             ref = self.terms(ks, xs)
-            broadcasts = out.size == ref.size and np.allclose(
-                out.reshape(ref.shape), ref, rtol=1e-9, atol=0.0, equal_nan=True)
-        except (TypeError, ValueError, IndexError, AttributeError):
+            broadcasts = out.size == ref.size and agrees(out.reshape(ref.shape), ref)
+        except PROBE_ERRORS:  # a truth value of an array raises ValueError
             broadcasts = False
         object.__setattr__(self, "broadcasts", broadcasts)
-
-    def values_upto(self, n_max: int, x) -> np.ndarray:
-        """Terms 1..n_max at x."""
-        return np.asarray(self.evaluate_many(np.arange(1, n_max + 1), x), dtype=float)
 
     def terms(self, ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
         """Terms f_k(x) for an index array across points, shaped (points, ks, coordinates).
 
         One ``evaluate`` call on a row of indices against a column of points
-        when the sequence ``broadcasts``, else one ``evaluate_many`` call per
+        when the sequence ``broadcasts``, else one ``per_point`` call per
         point, each giving one row.
         """
         if self.broadcasts:
             vals = np.asarray(self.evaluate(ks[None, :], xs[:, None]), dtype=float)
         else:
-            vals = np.stack([np.asarray(self.evaluate_many(ks, x), dtype=float)
+            vals = np.stack([np.asarray(self.per_point(ks, x), dtype=float)
                              .reshape(ks.size, -1) for x in xs])
         return vals.reshape(len(xs), ks.size, -1)
 
 
 def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
                    alpha: float, beta: float) -> FunctionSequence:
-    """Pointwise alpha*fs1 + beta*fs2 on a shared grid; broadcasts if both ``evaluate_many`` do."""
+    """Pointwise alpha*fs1 + beta*fs2 on a shared grid; broadcasts if both ``per_point`` do."""
     if not np.array_equal(fs1.domain_grid, fs2.domain_grid):
         raise GridMismatchError("sequences live on different domain grids")
 
     def evaluate(ks, x):
-        return alpha * np.asarray(fs1.evaluate_many(ks, x)) \
-             + beta * np.asarray(fs2.evaluate_many(ks, x))
+        return alpha * np.asarray(fs1.per_point(ks, x)) + beta * np.asarray(fs2.per_point(ks, x))
 
     description = f"{alpha!r}*({fs1.description}) + {beta!r}*({fs2.description})"
     return FunctionSequence(evaluate, fs1.domain_grid, description)

@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import AxiomReport, DomainError, UnitIntervalOp, _report, vectorize_scalar
+from .algebra import (PROBE_ERRORS, AxiomReport, DomainError, UnitIntervalOp, _report, agrees,
+                      vectorize_scalar)
 
 # Probe times for the t -> infinity / t -> 0 limit axioms.
 LIMIT_T_LARGE = 1e9
@@ -86,10 +87,10 @@ class IFNorm:
     ``vectorize_scalar`` form instead.
 
     ``norm``, when set, says that mu and nu are the standard construction
-    over it: mu = t/(t + norm(x)) and nu = norm(x)/(t + norm(x)).  Only
-    ``standard_ifn`` sets it, and ``exceptional`` then answers by the norm.
-    It is probed like mu and nu.  ``dataclasses.replace`` keeps it, so a copy
-    with other mu or nu must pass ``norm=None``.
+    over it: mu = t/(t + norm(x)) and nu = norm(x)/(t + norm(x)).  It is
+    probed like mu and nu, and kept only when mu and nu ``agree`` with that
+    construction on the probe vectors and times; ``exceptional`` then
+    answers by the norm.  ``standard_ifn`` sets it.
     """
 
     mu: Callable
@@ -106,6 +107,14 @@ class IFNorm:
             fn = getattr(self, name)
             if fn is not None:
                 object.__setattr__(self, name, vectorize_scalar(fn, *probe, signature=signature))
+        if self.norm is not None:  # kept for the standard construction over it only
+            try:
+                r = self.norm(vectors)
+                keep = (agrees(np.asarray(self.mu(vectors, times)), times / (times + r))
+                        and agrees(np.asarray(self.nu(vectors, times)), r / (times + r)))
+            except PROBE_ERRORS:
+                keep = False
+            object.__setattr__(self, "norm", self.norm if keep else None)
 
     def exceptional(self, d: np.ndarray, epsilon: float, t: float, guard: float = 0.0,
                     split: bool = False) -> np.ndarray:

@@ -12,6 +12,7 @@ from ifnlab import (LAMBDA_IDS, BumpIndexSet, ContinuityQuery, ConvergenceQuery,
                     combine_linear, default_samples, default_times, density_trace, detect,
                     lambda_family, lambda_from_table, standard_ifn, tconorm, tnorm)
 from ifnlab.algebra import _TNORM_FNS
+from ifnlab.density import _window_lows
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 
 GRID = np.linspace(0.0, 1.0, 11)
@@ -30,9 +31,9 @@ def run_detect(fs, limit, ifn):
 
 def sequence_case():
     fs, limit, _ = build_example("paper-example-1", lambda_family("sqrt"), GRID)
-    scalar = FunctionSequence(lambda k, x: float(fs.evaluate_many(np.array([int(k)]), x)[0]),
+    scalar = FunctionSequence(lambda k, x: float(fs.per_point(np.array([int(k)]), x)[0]),
                               GRID, fs.description)
-    assert isinstance(scalar.evaluate_many, np.vectorize)
+    assert isinstance(scalar.per_point, np.vectorize)
     space = euclidean_space()
 
     def run(seq):
@@ -46,8 +47,8 @@ def sequence_case():
 
 def lambda_case():
     lam = lambda_family("sqrt")
-    scalar = LambdaSequence("sqrt", lambda n: float(lam.values_many(np.array([int(n)]))[0]))
-    assert isinstance(scalar.values_many, np.vectorize)
+    scalar = LambdaSequence("sqrt", lambda n: float(lam.values(np.array([int(n)]))[0]))
+    assert isinstance(scalar.values, np.vectorize)
     mask = np.arange(1, 5001) % 7 == 0
 
     def run(ladder):
@@ -100,9 +101,55 @@ def op_case():
     return certify(tnorm("product")), certify(scalar)
 
 
+# Callables that take arrays only: called on one element they raise, so the
+# probe keeps them as given.  Each is run against its scalar twin.
+def array_predicate_case():
+    def run(member):
+        trace = density_trace(member, lambda_family("sqrt"), 5000)
+        return trace.counts.tolist(), trace.ratios.tolist(), trace.verdict
+
+    return run(lambda ks: ks.astype(float) % 7 == 0), run(lambda k: k % 7 == 0)
+
+
+def array_lambda_case():
+    mask = np.arange(1, 5001) % 7 == 0
+
+    def run(ladder):
+        trace = density_trace(mask, ladder, 5000)
+        return (trace.ratios.tolist(), trace.lows.tolist(), ladder.at(77),
+                BumpIndexSet(ladder).mask(5000).tolist())
+
+    return (run(LambdaSequence("ramp", lambda ns: ns.astype(float))),
+            run(LambdaSequence("ramp", lambda n: float(n))))
+
+
+def array_planar_case():
+    def evaluate(ks, x):  # indices batched, one point at a time
+        k = ks.astype(float)
+        return np.column_stack([x / k, np.sin(k) * x])
+
+    def scalar(k, x):
+        return np.array([x / k, np.sin(k) * x])
+
+    array_only = FunctionSequence(evaluate, GRID, "planar")
+    assert array_only.per_point is evaluate and not array_only.broadcasts
+    twin = FunctionSequence(scalar, GRID, "planar",
+                            lambda ks, x: np.stack([scalar(float(k), x) for k in ks]))
+    space = euclidean_space()
+
+    def run(seq):
+        equi = check_equicontinuity(seq, space, space,
+                                    ContinuityQuery(point=0.5, epsilon=0.3, time=1.0), k_max=50)
+        return seq.terms(np.arange(1, 200), GRID).tolist(), equi
+
+    return run(array_only), run(twin)
+
+
 @pytest.mark.parametrize("case", [sequence_case, lambda_case, degree_case,
-                                  plane_degree_case, op_case],
-                         ids=["sequence", "lambda", "mu-nu", "mu-nu-plane", "op"])
+                                  plane_degree_case, op_case, array_predicate_case,
+                                  array_lambda_case, array_planar_case],
+                         ids=["sequence", "lambda", "mu-nu", "mu-nu-plane", "op",
+                              "array-predicate", "array-lambda", "array-planar"])
 def test_scalar_forms_match_builtin_twins(case):
     builtin, scalar = case()
     assert builtin == scalar
@@ -124,10 +171,10 @@ def test_batched_builtins_stay_unwrapped():
     config = ExperimentConfig(expression="sin(k) * x", limit="0 * x")
     sequences.append(_resolve_sequence(config, lam, GRID)[0])
     for fs in sequences:
-        assert fs.evaluate_many is fs.evaluate, fs.description
+        assert fs.per_point is fs.evaluate, fs.description
         assert fs.broadcasts, fs.description
     for ladder in [lambda_family(name) for name in LAMBDA_IDS] + [lambda_from_table([1, 2, 2])]:
-        assert ladder.values_many is ladder.values, ladder.name
+        assert not isinstance(ladder.values, np.vectorize), ladder.name
 
 
 def test_functionals_see_a_flat_list_of_vectors():
@@ -163,13 +210,55 @@ def test_nan_at_the_probe_keeps_the_batched_form():
             return np.sqrt(np.asarray(x, dtype=float) - 0.5) + 0.0 * np.asarray(ks)
 
     fs = FunctionSequence(evaluate, GRID, "sqrt(x - 0.5)")
-    assert GRID[0] == 0.0 and fs.evaluate_many is evaluate
-    assert np.isnan(fs.evaluate_many(np.arange(1, 4), 0.0)).all()
+    assert GRID[0] == 0.0 and fs.per_point is evaluate
+    assert np.isnan(fs.per_point(np.arange(1, 4), 0.0)).all()
 
 
 def test_at_reads_the_batched_form():
     def ramp(ns):
         return ns.astype(float)  # arrays only: a Python int has no astype
 
-    lam = LambdaSequence("ramp", ramp, ramp)
+    lam = LambdaSequence("ramp", ramp)
     assert lam.at(5) == 5.0 and lam.at(1) == 1.0
+
+
+# ---------------------------------------------------------------- dataclasses.replace
+# Every form construction derives is derived again by ``replace``.
+def test_a_replaced_ladder_answers_its_new_values():
+    identity, ns = lambda_family("identity"), np.arange(1, 3001)
+    lam = dataclasses.replace(lambda_family("sqrt"), values=lambda ns: np.asarray(ns, float))
+    assert lam.at(100) == 100.0
+    assert all(np.array_equal(a, b) for a, b in zip(_window_lows(lam, ns),
+                                                    _window_lows(identity, ns)))
+    assert np.array_equal(BumpIndexSet(lam).mask(3000), BumpIndexSet(identity).mask(3000))
+
+
+def test_a_replaced_evaluate_is_probed_again():
+    fs, _ = _resolve_sequence(ExperimentConfig(expression="sin(k) * x"), None, GRID)
+    doubled = dataclasses.replace(fs, evaluate=lambda k, x: 2 * fs.evaluate(k, x))
+    assert doubled.broadcasts
+    ks = np.arange(1, 200)
+    expected = 2 * np.sin(ks) * GRID[:, None]
+    assert np.array_equal(doubled.terms(ks, GRID)[..., 0], expected)
+    assert np.array_equal(doubled.per_point(ks, GRID[3]), expected[3])
+
+
+def test_replaced_mu_and_nu_drop_the_norm():
+    std = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
+
+    def mu(x, t):
+        return t / (t + np.abs(x[..., 0]) / 2)
+
+    def nu(x, t):
+        r = np.abs(x[..., 0]) / 2
+        return r / (t + r)
+
+    halved, plain = dataclasses.replace(std, mu=mu, nu=nu), IFNorm(mu, nu, std.tnorm, std.tconorm)
+    assert std.norm is not None and halved.norm is None
+    assert std.exceptional(np.array([[0.15]]), 0.1, 1.0)
+    assert not halved.exceptional(np.array([[0.15]]), 0.1, 1.0)
+    fs, limit = build_reciprocal_shift(GRID)
+    q = ConvergenceQuery(mode="pointwise-lambda-stat", epsilon=0.1, time=1.0,
+                         lam=lambda_family("identity"), n_max=1000)
+    verdicts = [detect(fs, limit, ifn, q).to_json_dict() for ifn in (std, halved, plain)]
+    assert verdicts[1] == verdicts[2] != verdicts[0]

@@ -119,8 +119,9 @@ def reference_member(name: str, ks: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("name", DENSITY_SETS)
 def test_named_density_sets_match_the_reference(name):
     n = 1_000_000
-    mask = _resolve_density_set(ExperimentConfig(density_set=name, n_max=n))
-    assert np.array_equal(mask, reference_member(name, np.arange(1, n + 1)))
+    member = _resolve_density_set(ExperimentConfig(density_set=name, n_max=n))
+    ks = np.arange(1, n + 1)
+    assert np.array_equal(member(ks), reference_member(name, ks))
 
 
 @pytest.mark.parametrize("text, fragment", [
@@ -171,7 +172,7 @@ def test_expression_terms_across_the_grid_match_each_point(expression, grid_form
     fs, _ = _resolve_sequence(ExperimentConfig(expression=expression), None, grid)
     assert fs.broadcasts == grid_form
     ks = np.arange(1, 200)
-    by_point = np.stack([fs.evaluate_many(ks, x) for x in grid], axis=0)
+    by_point = np.stack([fs.per_point(ks, x) for x in grid], axis=0)
     assert np.array_equal(fs.terms(ks, grid)[..., 0], by_point)
 
 

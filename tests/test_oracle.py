@@ -83,7 +83,7 @@ def check_against_oracle(std_space, example, lam, mode, n_max, eps, t):
     for points, trace in zip(keys, traces):
         hits = np.unique(np.concatenate([sets[j] for j in points]))
         assert np.array_equal(trace.counts, oracle_counts(hits, trace.ns, trace.lows))
-        lam_vals = lam.values_many(trace.ns)
+        lam_vals = lam.values(trace.ns)
         assert np.array_equal(trace.lows, np.maximum(1, trace.ns - np.ceil(lam_vals) + 1))
         assert np.array_equal(trace.ratios, trace.counts / lam_vals)
         ends.append(None if trace.verdict == "limit-zero" else (trace.lows[-1], trace.ns[-1]))

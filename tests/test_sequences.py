@@ -145,9 +145,9 @@ def test_function_sequence_validates_grid():
         FunctionSequence(lambda k, x: 0.0, np.array([0.0, np.nan]), "bad value")
 
 
-def test_values_upto_matches_scalar_evaluate(unit_grid):
+def test_terms_match_scalar_evaluate(unit_grid):
     fs, _ = build_reciprocal_shift(unit_grid)
-    vals = fs.values_upto(50, 0.3)
+    vals = fs.terms(np.arange(1, 51), np.array([0.3]))[0, :, 0]
     assert vals.shape == (50,)
     for k in (1, 2, 25, 50):
         assert vals[k - 1] == pytest.approx(fs.evaluate(k, 0.3), abs=1e-15)
@@ -161,8 +161,9 @@ def test_combine_linear_is_pointwise_linear(unit_grid):
         for x in (0.0, 0.5, 1.0):
             assert combo.evaluate(k, x) == pytest.approx(
                 2.0 * f1.evaluate(k, x) - 3.0 * f2.evaluate(k, x), abs=1e-15)
-    many = combo.values_upto(20, 0.5)
-    direct = 2.0 * f1.values_upto(20, 0.5) - 3.0 * f2.values_upto(20, 0.5)
+    ks, xs = np.arange(1, 21), np.array([0.5])
+    many = combo.terms(ks, xs)
+    direct = 2.0 * f1.terms(ks, xs) - 3.0 * f2.terms(ks, xs)
     assert np.allclose(many, direct, atol=1e-15)
 
 
@@ -183,7 +184,7 @@ def test_combine_linear_grid_form_matches_each_point(unit_grid, second):
     combo = combine_linear(f1, f2, 0.5, -3.0)
     assert combo.broadcasts == f2.broadcasts
     ks = np.arange(1, 5000)
-    by_point = np.stack([combo.evaluate_many(ks, x) for x in unit_grid], axis=0)
+    by_point = np.stack([combo.per_point(ks, x) for x in unit_grid], axis=0)
     assert np.array_equal(combo.terms(ks, unit_grid)[..., 0], by_point)
 
 
@@ -238,7 +239,7 @@ def test_power_evaluation_handles_edges(unit_grid):
     fs, _ = build_example_uniform(lam, unit_grid)
     assert fs.evaluate(5, 0.0) == 1.0        # 0**5 + 1 on the bump branch
     assert fs.evaluate(5, 1.0) == 2.0        # 1**5 + 1
-    big = fs.values_upto(100_000, 0.999)     # no overflow/underflow surprises
+    big = fs.terms(np.arange(1, 100_001), np.array([0.999]))     # no overflow/underflow surprises
     assert np.all(np.isfinite(big))
 
 
