@@ -38,25 +38,19 @@ PROBE_ERRORS = (TypeError, ValueError, IndexError, AttributeError)
 
 
 def agrees(out: np.ndarray, ref: np.ndarray) -> bool:
-    """Whether two probe answers match in shape and value (NaN matching NaN), up to the
-    last-ulp differences of numpy's array and scalar kernels."""
+    """Whether two probe answers match in shape and value up to rtol 1e-9, NaN matching NaN."""
     return out.shape == ref.shape and np.allclose(out, ref, rtol=1e-9, atol=0.0, equal_nan=True)
 
 
 def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Callable:
     """``fn`` if it broadcasts over the ``probe`` arguments, else its per-element form.
 
-    The library calls every user function on arrays; this is the one place
-    where a callable is checked for that.  ``fn`` is called once on the probe
-    arrays and once per probe element.  It is returned unchanged when the two
-    answers ``agree``.  Without a ``signature`` it is also returned when it
-    answers the arrays but raises on an element: it then takes arrays only.
-    (With one, the element may just be shorter than the callable expects, and
-    the array call may have read the batch axis as coordinates.)
-    Otherwise the per-element form is returned: it calls ``fn`` once per
-    element through ``np.vectorize`` and returns floats.  ``signature`` marks
-    core dimensions as in numpy, such as ``"(d),()->()"`` for a function of
-    one vector and one time.
+    The one place where a user callable is checked for arrays.  ``fn`` is kept
+    when its answer on the probe arrays ``agrees`` with its per-element form
+    (``np.vectorize``, returning floats), or when it answers the arrays but
+    raises on the first probe elements as Python numbers and has no core
+    dimensions (a numpy ``signature`` such as ``"(d),()->()"``, for which an
+    element may be shorter than ``fn`` expects): it takes arrays only.
     """
     batched = np.vectorize(fn, otypes=[float], signature=signature)
     try:
@@ -66,7 +60,13 @@ def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Call
     try:
         return fn if agrees(out, batched(*probe)) else batched
     except PROBE_ERRORS:
-        return fn if signature is None else batched
+        if signature is not None:
+            return batched
+    try:
+        fn(*(np.asarray(p).flat[0].item() for p in probe))
+    except PROBE_ERRORS:
+        return fn
+    return batched
 
 
 @dataclass(frozen=True)

@@ -323,8 +323,8 @@ def _resolve_density_set(cfg: ExperimentConfig):
             else DENSITY_SETS[cfg.density_set])
     if text is None:
         raise ConfigError("density: need a set name or an expression")
-    member = compile_expression(text, ("k",))
-    return lambda ks: np.broadcast_to(member(k=ks), np.shape(ks))
+    member = compile_expression(text, ("k",))  # k as an array: numpy's division by zero
+    return lambda ks: np.broadcast_to(member(k=np.asarray(ks)), np.shape(ks))
 
 
 def _json_bytes(payload) -> bytes:

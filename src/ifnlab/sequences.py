@@ -34,7 +34,7 @@ class FunctionSequence:
     ``dataclasses.replace`` derives them again.  ``per_point(ks, x)`` answers
     an index array at one point, one row per index for vector-valued terms:
     it is ``evaluate_many`` when given (a vector-valued ``evaluate`` that takes
-    one index at a time needs it), else ``evaluate`` through ``vectorize_scalar``,
+    one index as a number needs it), else ``evaluate`` through ``vectorize_scalar``,
     probed at indices 1..2 and the first grid point.  ``broadcasts`` says
     whether ``evaluate`` is also the grid form (see ``terms``): whether
     ``evaluate(ks[None, :], xs[:, None])`` at indices 1..2 and the first two

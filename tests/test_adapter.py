@@ -222,6 +222,18 @@ def test_at_reads_the_batched_form():
     assert lam.at(5) == 5.0 and lam.at(1) == 1.0
 
 
+def test_a_vector_valued_scalar_evaluate_needs_evaluate_many():
+    # Each element's answer is a row, which np.vectorize cannot store as one float:
+    # terms raise rather than read the array call's (coordinates, indices) as rows.
+    def scalar(k, x):
+        return np.array([x / k, np.sin(k) * x])
+
+    fs = FunctionSequence(scalar, GRID, "planar")
+    assert isinstance(fs.per_point, np.vectorize) and not fs.broadcasts
+    with pytest.raises(ValueError):
+        fs.terms(np.arange(1, 200), GRID)
+
+
 # ---------------------------------------------------------------- dataclasses.replace
 # Every form construction derives is derived again by ``replace``.
 def test_a_replaced_ladder_answers_its_new_values():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifnlab import DomainError, build_example, lambda_family
+from ifnlab import DomainError, build_example, density_trace, lambda_family
 from ifnlab.cli import (DENSITY_SETS, _KEYS, ConfigError, ExperimentConfig, _reproduce_config,
                         _resolve_density_set, _resolve_sequence, compile_expression, from_ini,
                         load_config, main)
@@ -314,6 +314,21 @@ def test_density_expression_sets(tmp_path):
     assert run_cli("density", ini, "--out", out) == 0
     payload = json.loads((out / "density.json").read_text())
     assert abs(payload["estimate"] - 1.0 / 3.0) < 1e-3
+
+
+@pytest.mark.parametrize("expression", ["1 / (k - 1) < 0.5", "k > 0 and 1 / (k - 1) < 0.5"],
+                         ids=["array", "per-element"])
+def test_density_formula_with_a_pole_matches_the_index_array(tmp_path, expression):
+    # k = 1 divides by zero: the formula sees k as numpy integers, whose 1 / 0 is inf,
+    # so both forms count as a formula run once on the int64 range does
+    n = 3000
+    ini = tmp_path / "d.ini"
+    ini.write_text(f"[density]\nexpression = {expression}\n[query]\nn_max = {n}\n")
+    assert run_cli("density", ini, "--out", tmp_path / "o") == 0
+    with np.errstate(divide="ignore"):
+        mask = 1 / (np.arange(1, n + 1) - 1.0) < 0.5
+    density_trace(mask, lambda_family("identity"), n).to_csv(tmp_path / "ref.csv")
+    assert (tmp_path / "o" / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_axioms_subcommand_passes_for_builtins(tmp_path, capsys):
