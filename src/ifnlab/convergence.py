@@ -13,7 +13,9 @@ in the pointwise modes, the whole grid in the uniform ones.  One grid pass
 broadcasts, and streams each block, one row per centre of a batch (the
 union over the points of their exceptional sets), into a ``WindowCounter``.
 The counter keeps the windowed counts at the trace stages and the few
-indices the verdict cites, so no array as long as the horizon is held.
+indices the verdict cites, so no array as long as the horizon is held.  A
+standard space tests a block by the largest norm over its points, once per
+index.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -21,7 +23,9 @@ set has vanishing windowed density.  The stat modes have one candidate, the
 limit (the plain stat modes use lambda_n = n).  The Cauchy modes try the
 first ANCHOR_POOL indices outside the group's set against the latest term
 f_{n_max}, the first alone and then the rest in one pass: at most three
-passes per group.  A group that does not converge gives witnesses (``_witnesses``):
+passes per group.  The pool pass stops at the block where its tenth anchor
+turns up; the anchor passes cover the whole horizon, so they meet any fault
+it stopped short of.  A group that does not converge gives witnesses (``_witnesses``):
 the last indices of its last set in the final window, kept by the sweep,
 each paired with the first point of the group where it is exceptional
 against the same centre.  ifn-classical instead asks every exceptional
@@ -170,7 +174,9 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     tested against every centre (the limit f, or anchor indices N).  The
     tests go to a ``WindowCounter`` at the trace ``stages`` with the
     ``captures``, whole blocks at a time, about BLOCK_ELEMENTS tests per
-    feed: a row per centre, rows mu, nu and their union with ``split``.  A
+    feed: a row per centre, rows mu, nu and their union with ``split``.
+    Without stages every block is fed, and the sweep stops once the counter
+    is ``done`` (say, a full anchor pool); faults past that go unchecked.  A
     block spans all of ``xs`` when the sequence ``broadcasts``, else each
     point in turn, so that a ``per_point`` call answers BLOCK_ELEMENTS
     indices.  Blocks are point-major, (points, indices, coordinates): a centre
@@ -189,7 +195,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     rows = len(centres) * (3 if split else 1)
     counter = WindowCounter(rows, ns, lows, captures)
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
-    span = step * max(1, BLOCK_ELEMENTS // (step * rows))  # indices per feed
+    span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # indices per feed
     held, fill = np.zeros((len(centres), 1 + split, span), dtype=bool), 0
     for lo in range(0, q.n_max, step):
         ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
@@ -204,7 +210,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                 clean = False
             for row, c in zip(block if clean else (), cs[:, p:p + width, None]):
                 d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
-                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split).any(axis=-2)
+                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True)
         fill += ks.size
         if fill == held.shape[-1] or ks[-1] == q.n_max:
             if clean:
@@ -213,6 +219,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     tests = np.concatenate([tests, tests.any(axis=1, keepdims=True)], axis=1)
                 counter.feed(tests.reshape(-1, fill))
             held[...], fill = False, 0
+            if counter.done:
+                break
     _faults(xs, first_bad, cs if limits else None)
     return counter
 
@@ -290,10 +298,10 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
     tail = tail[tail > 0][-cap:]
     if tail.size == 0:
         return []
-    ks = tail if callable(centre) else np.union1d(tail, centre)
+    ks = tail if callable(centre) else np.append(tail, centre)
     vals = fs.terms(ks, xs)  # finite: the sweep behind ``tail`` checked them
-    c = _limits(centre, xs)[:, None] if callable(centre) else vals[:, ks == centre]
-    hits = ifn.exceptional(vals[:, np.searchsorted(ks, tail)] - c, q.epsilon, q.time, GUARD)
+    c = _limits(centre, xs)[:, None] if callable(centre) else vals[:, -1:]
+    hits = ifn.exceptional(vals[:, :tail.size] - c, q.epsilon, q.time, GUARD)
     return [(int(k), float(xs[np.argmax(col)])) for k, col in zip(tail, hits.T) if col.any()]
 
 

@@ -291,6 +291,12 @@ class WindowCounter:
             self.kept[n] = np.take_along_axis(both, take, axis=1)
         self._fed += m
 
+    @property
+    def done(self) -> bool:
+        """Whether more blocks change nothing: no stages, and full first-``cap`` captures."""
+        return (self._bounds.size == 0
+                and all(not c.last and k.all() for c, k in zip(self.captures, self.kept)))
+
     def counts(self) -> np.ndarray:
         """Per row, the count in each window [low, n] of the stages."""
         return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]

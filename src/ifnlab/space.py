@@ -117,30 +117,37 @@ class IFNorm:
             object.__setattr__(self, "norm", self.norm if keep else None)
 
     def exceptional(self, d: np.ndarray, epsilon: float, t: float, guard: float = 0.0,
-                    split: bool = False) -> np.ndarray:
+                    split: bool = False, union: bool = False) -> np.ndarray:
         """Whether mu(d, t) <= 1 - epsilon + guard or nu(d, t) >= epsilon - guard.
 
-        ``d`` holds vectors, coordinates last; the answer has its batch axes.
-        The functionals see them as one flat list of vectors.  ``split``
+        ``d`` holds vectors, coordinates last; the answer has its batch axes,
+        or with ``union`` all but the first, ORed over it (the points of a
+        block).  The functionals see one flat list of vectors.  ``split``
         stacks the mu test and the nu test, always from mu and nu.  Otherwise
         a space with a ``norm`` answers by it: for the standard construction
-        both tests say norm(d) >= t(epsilon - guard)/(1 - epsilon + guard).
+        both tests say norm(d) >= t(epsilon - guard)/(1 - epsilon + guard),
+        and a union tests the largest norm along the first axis once.
         Rounding moves the mu/nu boundary off that radius by a few ulps, so
-        norms within the RADIUS_SLACK band of it take mu and nu.
+        columns whose norm falls within the RADIUS_SLACK band of it take mu
+        and nu on their points that reach the band.
         """
         batch, d = d.shape[:-1], d.reshape(-1, d.shape[-1])
         if self.norm is None or split:
-            mu, nu = self.mu(d, t), self.nu(d, t)
+            mu, nu = self.mu(d, t).reshape(batch), self.nu(d, t).reshape(batch)
             tests = np.stack([mu <= 1.0 - epsilon + guard, nu >= epsilon - guard])
-            return tests.reshape(2, *batch) if split else tests.any(axis=0).reshape(batch)
-        r = self.norm(d)
+            tests = tests.any(axis=1) if union else tests
+            return tests if split else tests.any(axis=0)
+        r = self.norm(d).reshape(batch[0] if union else 1, -1)  # (points, columns)
         radius = t * (epsilon - guard) / (1.0 - epsilon + guard)
         slack = RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2
-        out = r >= radius + slack
-        near = (r >= radius - slack) ^ out
+        top = r[0] if r.shape[0] == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
+        out = top >= radius + slack
+        near = (top >= radius - slack) ^ out
         if near.any():
-            out[near] = self.exceptional(d[near], epsilon, t, guard, split=True).any(axis=0)
-        return out.reshape(batch)
+            i, j = np.nonzero((r >= radius - slack) & near)
+            hit = self.exceptional(d[i * r.shape[1] + j], epsilon, t, guard, split=True)
+            out[j[hit.any(axis=0)]] = True
+        return out.reshape(batch[1:] if union else batch)
 
 
 def _check_time(t) -> None:
@@ -253,9 +260,10 @@ def certify_ifn(
     if not vectors:
         raise DomainError("sample_vectors must be non-empty")
     dim = vectors[0].shape[0]
-    times = np.unique(np.asarray(time_grid, dtype=float))  # sorted, repeats dropped
+    times = np.sort(np.asarray(time_grid, dtype=float), axis=None)
     if times.size == 0:
         raise DomainError("time_grid must be non-empty")
+    times = times[np.append(True, times[1:] != times[:-1])]  # repeats dropped
     if times[0] <= 0.0:
         raise DomainError("time_grid must be strictly positive")
 

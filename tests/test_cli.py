@@ -1,6 +1,9 @@
 """The batch runner: config parsing, subcommands, exit codes, artifacts."""
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from configparser import ConfigParser
 from dataclasses import fields, replace
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ifnlab
 from ifnlab import DomainError, build_example, density_trace, lambda_family
 from ifnlab.cli import (DENSITY_SETS, _KEYS, ConfigError, ExperimentConfig, _reproduce_config,
                         _resolve_density_set, _resolve_sequence, compile_expression, from_ini,
@@ -248,6 +252,34 @@ def test_analyze_matches_golden_cauchy_verdict(tmp_path):
     produced = (out / "verdict.json").read_bytes()
     assert produced == (DATA / "golden_cauchy_verdict.json").read_bytes()
     assert (out / "trace.csv").exists()
+
+
+def test_cauchy_and_axioms_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without indices imports numpy.ma, about 14 ms, on its first call
+    ini = tmp_path / "cauchy.ini"
+    ini.write_text("[sequence]\nexpression = sin(k) * x\n"
+                   "[query]\nmode = uniform-lambda-cauchy\nn_max = 2000\ngrid_points = 11\n")
+    script = ("import sys; from ifnlab.cli import main; "
+              f"codes = main(['analyze', {str(ini)!r}, '--out', {str(tmp_path / 'c')!r}]), "
+              f"main(['axioms', {str(ini)!r}, '--out', {str(tmp_path / 'a')!r}]); "
+              "print(codes, 'numpy.ma' in sys.modules)")
+    src = str(Path(ifnlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines()[-1] == "(1, 0) False"
+
+
+@pytest.mark.parametrize("mode", ["uniform-lambda-cauchy", "pointwise-lambda-cauchy"])
+def test_cauchy_fault_past_the_anchor_pool_is_reported(tmp_path, capsys, mode):
+    # the pool sweep stops at its tenth anchor, long before k = 150,000;
+    # the anchor sweeps meet the pole and name its first point
+    ini = tmp_path / "pole.ini"
+    ini.write_text("[sequence]\nexpression = sin(k) * x + x / (k - 150000)\n"
+                   f"[query]\nmode = {mode}\nn_max = 200000\ngrid_points = 11\n")
+    assert run_cli("analyze", ini, "--out", tmp_path / "o") == 4
+    assert capsys.readouterr().err == ("runtime error: ValueError: sequence value not finite "
+                                       "at (k=150000, x=0.0)\n")
 
 
 def test_analyze_is_deterministic(tmp_path):

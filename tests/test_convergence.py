@@ -14,6 +14,7 @@ from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP
+from ifnlab.space import RADIUS_SLACK
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -113,6 +114,38 @@ def test_radius_test_matches_mu_nu_near_the_radius(std_space, epsilon, t, scale,
     assert np.array_equal(kernel, oracle(std_space, diffs, epsilon, t))
 
 
+@pytest.mark.parametrize("epsilon, t", [(0.1, 1.0), (0.9, 0.25)])
+@pytest.mark.parametrize("block", ["random", "near-radius", "one-point"])
+@pytest.mark.parametrize("space_id", ["abs", "norm-less", "euclidean"])
+def test_union_form_is_the_any_over_points(std_space, space_id, block, epsilon, t):
+    # union=True must OR the per-element answer over the first (points)
+    # axis, also where a column's largest norm falls in the RADIUS_SLACK band
+    space, dim = {"abs": (std_space, 1),
+                  "norm-less": (dataclasses.replace(std_space, norm=None), 1),
+                  "euclidean": (standard_ifn(builtin_norm("euclidean"), tnorm("product"),
+                                             tconorm("bounded-sum")), 2)}[space_id]
+    rng = np.random.default_rng(15)
+    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
+    slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
+    points = 1 if block == "one-point" else 5
+    if block == "random":
+        lengths = rng.uniform(0.0, 1.5 * radius, size=(points, 400))
+    else:  # mostly zeros; the rest at the radius, the exact boundary gap and the band's edges
+        near = [radius, epsilon * t / (1.0 - epsilon), radius - slack, radius + slack,
+                np.nextafter(radius - slack, 0.0), np.nextafter(radius + slack, np.inf),
+                radius - 4 * slack, radius + 4 * slack, 0.5 * radius]
+        lengths = rng.choice(near, size=(points, 400)) * (rng.random((points, 400)) < 0.3)
+        assert (np.abs(lengths.max(axis=0) - radius) <= slack).any()
+    angles = rng.uniform(0.0, 2 * np.pi, size=lengths.shape)
+    d = (lengths * np.sign(np.cos(angles)))[..., None] if dim == 1 else (
+        lengths[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+    by_mu_nu = space.exceptional(d, epsilon, t, GUARD, split=True)
+    assert np.array_equal(space.exceptional(d, epsilon, t, GUARD), by_mu_nu.any(axis=0))
+    for split in (False, True):
+        expect = space.exceptional(d, epsilon, t, GUARD, split).any(axis=-2)
+        assert np.array_equal(space.exceptional(d, epsilon, t, GUARD, split, union=True), expect)
+
+
 @pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
                          ids=["first-row", "one-number"])
 def test_scalar_only_norm_matches_exceptional_set(std_space, unit_grid, norm):
@@ -210,18 +243,32 @@ def test_pointwise_cauchy_sweeps_each_point_at_most_three_times(std_space, unit_
         assert terms <= 3 * n_max + 2 * ANCHOR_POOL + WITNESS_CAP + 2, x
 
 
+def test_a_full_anchor_pool_ends_its_sweep(std_space):
+    # Each point finds its ten anchors in its first block of 2**16 indices,
+    # so only the anchor sweeps reach the second block: the first candidate,
+    # then the rest.
+    grid, n_max, lam, calls = np.array([0.0, 0.3, 0.7]), 150_000, lambda_family("sqrt"), []
+    fs, _, _ = build_example("paper-example-1", lam, grid)
+    v = detect_cauchy(counted(fs, calls), std_space, query("pointwise-lambda-cauchy", n_max, lam))
+    sweeps = sweeps_per_point(calls, grid, (1 << 16) + 1)
+    assert max(sweeps) == 2 and v.verdict == "inconclusive", (sweeps, v.details)
+
+
 @pytest.mark.parametrize("field", ["evaluate", "evaluate_many"])
 def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid, field):
     # The config expression evaluates a block across the grid in one call;
     # a sequence without that form is evaluated point by point, in the same
-    # three sweeps.
+    # three sweeps.  The pool sweep stops at the block where its tenth
+    # anchor turns up: a grid block of 65,536 // 11 indices ends before
+    # n_max // 2, while a per-point block of 65,536 covers the horizon.
     n_max, lam, calls = 20_000, lambda_family("identity"), []
     fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
           if field == "evaluate" else sine_family(unit_grid))
     v = detect_cauchy(counted(fs, calls, field), std_space,
                       query("uniform-lambda-cauchy", n_max, lam))
     assert v.verdict == "fails" and v.details["anchor"] is None
-    assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
+    sweeps = 2 if field == "evaluate" else 3
+    assert sweeps_per_point(calls, unit_grid, n_max // 2) == [sweeps] * unit_grid.size
     if field == "evaluate":
         assert all(xs.size == unit_grid.size for _, xs in calls)
 
