@@ -14,8 +14,8 @@ from .convergence import (CAUCHY_MODES, MODES, STAT_MODES, ConvergenceQuery,
                           ConvergenceVerdict, detect, detect_cauchy,
                           exceptional_set, lemma_equivalence_check)
 from .density import (DensityTrace, IndexWindow, LAMBDA_IDS, LambdaSequence,
-                      density_trace, lambda_family, lambda_from_table,
-                      membership_array, validate, window)
+                      density_trace, lambda_family, lambda_from_table, validate,
+                      window)
 from .sequences import (BumpIndexSet, EXAMPLE_IDS, FunctionSequence,
                         GridMismatchError, build_constant_family, build_example,
                         build_example_pointwise, build_example_uniform,
@@ -38,7 +38,6 @@ __all__ = [
     "check_equicontinuity", "check_limit_continuity", "combine_linear",
     "default_samples", "default_times", "density_trace", "detect",
     "detect_cauchy", "euclidean_norm", "exceptional_set", "lambda_family",
-    "lambda_from_table", "lemma_equivalence_check", "membership_array",
-    "split_triangle_check", "standard_ifn", "tconorm", "tnorm", "validate",
-    "window", "__version__",
+    "lambda_from_table", "lemma_equivalence_check", "split_triangle_check",
+    "standard_ifn", "tconorm", "tnorm", "validate", "window", "__version__",
 ]

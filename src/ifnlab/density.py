@@ -193,16 +193,6 @@ def _classify(ratios: np.ndarray, lam_vals: np.ndarray) -> tuple[str, float | No
     return "inconclusive", None
 
 
-def membership_array(member, n_max: int) -> np.ndarray:
-    """Boolean membership for k = 1..n_max from a boolean array or a predicate.
-
-    A predicate is probed at k = 1..3 with ``vectorize_scalar``: one that
-    answers an index array is called on blocks of BLOCK_ELEMENTS indices,
-    any other once per index.
-    """
-    return np.concatenate([np.zeros(0, dtype=bool), *_member_blocks(member, n_max)])
-
-
 def _member_blocks(member, n_max: int):
     """``member`` on k = 1..n_max as boolean blocks of BLOCK_ELEMENTS indices, in order."""
     starts = range(0, n_max, BLOCK_ELEMENTS)
@@ -326,8 +316,10 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     """Trace the windowed density of an index set up to stage n_max.
 
     ``member`` is a predicate on indices (or a precomputed boolean array for
-    k = 1..n_max).  Ratios are recorded at stages stride, 2*stride, ...; the
-    final stage n_max is always included.  The set is streamed through a
+    k = 1..n_max), probed at k = 1..3 with ``vectorize_scalar``: one that
+    answers an index array is called on blocks, any other once per index.
+    Ratios are recorded at stages stride, 2*stride, ...; the final stage
+    n_max is always included.  The set is streamed through a
     ``WindowCounter`` in blocks of BLOCK_ELEMENTS indices, the counting path
     of the detectors, so no prefix count as long as the horizon is built.
     """

@@ -29,35 +29,48 @@ class GridMismatchError(ValueError):
 class FunctionSequence:
     """A sequence of functions sampled on a fixed domain grid.
 
-    ``evaluate(k, x)`` gives the k-th term at point x (k >= 1).  The library
-    reads terms through ``terms`` and two forms derived at construction, so
-    ``dataclasses.replace`` derives them again.  ``per_point(ks, x)`` answers
-    an index array at one point, one row per index for vector-valued terms:
-    it is ``evaluate_many`` when given (a vector-valued ``evaluate`` that takes
-    one index as a number needs it), else ``evaluate`` through ``vectorize_scalar``,
-    probed at indices 1..2 and the first grid point.  ``broadcasts`` says
-    whether ``evaluate`` is also the grid form (see ``terms``): whether
-    ``evaluate(ks[None, :], xs[:, None])`` at indices 1..2 and the first two
-    grid points matches the per-point rows in size and, reshaped, ``agrees``.
+    ``evaluate(k, x)`` gives the k-th term at point x (k >= 1): a number, or a
+    row of d coordinates for a vector-valued sequence.  The library reads
+    terms through ``terms`` and two forms derived at construction, so
+    ``dataclasses.replace`` derives them again.  Construction calls
+    ``evaluate`` once on index 1 and the first grid point as numpy scalars and
+    reads the width d of the answer (1 if that call raises a probe error: the
+    callable takes arrays only).  ``per_point(ks, x)`` answers an index array
+    at one point, one row per index: ``evaluate`` through ``vectorize_scalar``
+    (with the signature ``"(),()->(d)"`` when d > 1), probed at indices
+    1..d+1 and the first grid point, so an index-batched answer of shape
+    (d+1, d) is never mistaken for a coordinates-first one of shape (d, d+1).
+    ``broadcasts`` says whether ``evaluate`` is also the grid form (see
+    ``terms``): whether ``evaluate(ks[None, :], xs[:, None])`` at the same
+    indices and the first two grid points matches the per-point rows in size
+    and, reshaped, ``agrees``.  ``evaluate_many`` must be None; it is a field
+    only for callers that still pass it to ``dataclasses.replace``.
     """
 
     evaluate: Callable
     domain_grid: np.ndarray
     description: str
-    evaluate_many: Callable | None = None
+    evaluate_many: None = None
     per_point: Callable = field(init=False, repr=False, compare=False)
     broadcasts: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.evaluate_many is not None:
+            raise TypeError("evaluate_many is no longer an input: pass one evaluate(k, x), "
+                            "which may answer index arrays and rows of coordinates")
         grid = np.asarray(self.domain_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise DomainError("domain_grid must be a non-empty 1-D array")
         if not np.all(np.isfinite(grid)):
             raise DomainError("domain_grid has non-finite points")
         object.__setattr__(self, "domain_grid", grid)
-        ks, xs = np.arange(1, 3), grid[:2]
-        object.__setattr__(self, "per_point", vectorize_scalar(self.evaluate, ks, xs[0])
-                           if self.evaluate_many is None else self.evaluate_many)
+        try:  # numpy scalars, as np.vectorize with a signature passes them
+            width = np.size(self.evaluate(np.int64(1), grid[0]))
+        except PROBE_ERRORS:  # takes arrays only
+            width = 1
+        ks, xs = np.arange(1, width + 2), grid[:2]
+        object.__setattr__(self, "per_point", vectorize_scalar(
+            self.evaluate, ks, xs[0], signature="(),()->(d)" if width > 1 else None))
         object.__setattr__(self, "broadcasts", False)  # so ``terms`` gives the per-point rows
         try:
             out = np.asarray(self.evaluate(ks[None, :], xs[:, None]), dtype=float)
@@ -235,13 +248,6 @@ class BumpIndexSet:
         m = np.zeros(n_max + 1, dtype=bool)
         m[members[: np.searchsorted(members, n_max, "right")]] = True
         return m
-
-    def mask_for(self, ks: np.ndarray) -> np.ndarray:
-        """Whether each index of ``ks`` is in the set."""
-        ks = np.asarray(ks, dtype=np.int64)
-        mask = np.zeros(ks.shape, dtype=bool)
-        mask.reshape(-1)[self._hits(ks.ravel())] = True
-        return mask
 
     def _hits(self, ks: np.ndarray) -> np.ndarray:
         """Positions in the 1-D index array ``ks`` of the set's members.

@@ -44,14 +44,12 @@ def make_decay_family(rng: np.random.Generator, grid: np.ndarray):
     def limit(x):
         return a * float(x) + b
 
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):  # an index array at one point
         ks = np.asarray(ks, dtype=float)
         return limit(x) + c * np.exp(ks * np.log(r)) * (1.0 + float(x))
 
-    def evaluate(k, x):
-        return float(evaluate_many(np.array([k]), x)[0])
-
-    fs = FunctionSequence(evaluate, grid, f"decay c={c:.3f} r={r:.3f}", evaluate_many)
+    fs = FunctionSequence(evaluate, grid, f"decay c={c:.3f} r={r:.3f}")
+    assert fs.per_point is evaluate and not fs.broadcasts
     return fs, limit
 
 

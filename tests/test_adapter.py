@@ -123,33 +123,51 @@ def array_lambda_case():
             run(LambdaSequence("ramp", lambda n: float(n))))
 
 
+# Vector-valued sequences: one callable each, read by the width of a term.
+def scalar_planar(k, x):  # numbers in, one row out
+    return np.array([x / k, np.sin(k) * x])
+
+
+def broadcasting_planar(ks, xs):
+    k, x = np.asarray(ks, dtype=float), np.asarray(xs, dtype=float)
+    return np.stack([x / k, np.sin(k) * x], axis=-1)
+
+
+def scalar_spatial(k, x):
+    return np.array([x / k, np.cos(k) * x, x * x])
+
+
+def run_planar(seq):
+    space = euclidean_space()
+    equi = check_equicontinuity(seq, space, space,
+                                ContinuityQuery(point=0.5, epsilon=0.3, time=1.0), k_max=50)
+    return (seq.terms(np.arange(1, 200), GRID).tolist(), equi,
+            run_detect(seq, lambda x: np.zeros(2), space))
+
+
 def array_planar_case():
     def evaluate(ks, x):  # indices batched, one point at a time
         k = ks.astype(float)
         return np.column_stack([x / k, np.sin(k) * x])
 
-    def scalar(k, x):
-        return np.array([x / k, np.sin(k) * x])
-
     array_only = FunctionSequence(evaluate, GRID, "planar")
     assert array_only.per_point is evaluate and not array_only.broadcasts
-    twin = FunctionSequence(scalar, GRID, "planar",
-                            lambda ks, x: np.stack([scalar(float(k), x) for k in ks]))
-    space = euclidean_space()
+    return run_planar(array_only), run_planar(FunctionSequence(scalar_planar, GRID, "planar"))
 
-    def run(seq):
-        equi = check_equicontinuity(seq, space, space,
-                                    ContinuityQuery(point=0.5, epsilon=0.3, time=1.0), k_max=50)
-        return seq.terms(np.arange(1, 200), GRID).tolist(), equi
 
-    return run(array_only), run(twin)
+def broadcasting_planar_case():
+    fs = FunctionSequence(broadcasting_planar, GRID, "planar")
+    assert fs.per_point is broadcasting_planar and fs.broadcasts
+    return run_planar(fs), run_planar(FunctionSequence(scalar_planar, GRID, "planar"))
 
 
 @pytest.mark.parametrize("case", [sequence_case, lambda_case, degree_case,
                                   plane_degree_case, op_case, array_predicate_case,
-                                  array_lambda_case, array_planar_case],
+                                  array_lambda_case, array_planar_case,
+                                  broadcasting_planar_case],
                          ids=["sequence", "lambda", "mu-nu", "mu-nu-plane", "op",
-                              "array-predicate", "array-lambda", "array-planar"])
+                              "array-predicate", "array-lambda", "array-planar",
+                              "broadcasting-planar"])
 def test_scalar_forms_match_builtin_twins(case):
     builtin, scalar = case()
     assert builtin == scalar
@@ -222,16 +240,42 @@ def test_at_reads_the_batched_form():
     assert lam.at(5) == 5.0 and lam.at(1) == 1.0
 
 
-def test_a_vector_valued_scalar_evaluate_needs_evaluate_many():
-    # Each element's answer is a row, which np.vectorize cannot store as one float:
-    # terms raise rather than read the array call's (coordinates, indices) as rows.
-    def scalar(k, x):
-        return np.array([x / k, np.sin(k) * x])
+@pytest.mark.parametrize("evaluate, width, broadcasts", [
+    (scalar_planar, 2, False), (scalar_spatial, 3, False), (broadcasting_planar, 2, True),
+], ids=["scalar-2", "scalar-3", "broadcasting-2"])
+def test_a_vector_valued_evaluate_reads_rows(evaluate, width, broadcasts):
+    # A scalar form's array call puts the coordinates first; it is read through
+    # its per-element rows instead, as the width probe tells it apart.
+    fs = FunctionSequence(evaluate, GRID, "vector")
+    assert fs.broadcasts == broadcasts
+    assert isinstance(fs.per_point, np.vectorize) != broadcasts
+    ks = np.arange(1, 200)
+    twin = np.array([[evaluate(float(k), float(x)) for k in ks] for x in GRID])
+    assert twin.shape == (GRID.size, ks.size, width)
+    assert np.array_equal(fs.terms(ks, GRID), twin)
+    assert np.array_equal(fs.per_point(ks, GRID[4]), twin[4])
 
-    fs = FunctionSequence(scalar, GRID, "planar")
-    assert isinstance(fs.per_point, np.vectorize) and not fs.broadcasts
-    with pytest.raises(ValueError):
-        fs.terms(np.arange(1, 200), GRID)
+
+def test_a_pole_at_the_first_point_keeps_the_grid_form():
+    # 1 / x is a ZeroDivisionError on the Python float 0.0, so the width is read
+    # on numpy scalars, where it is inf
+    def evaluate(ks, x):
+        return 1.0 / x + ks
+
+    with np.errstate(divide="ignore"):
+        fs = FunctionSequence(evaluate, GRID, "1 / x + k")
+        assert GRID[0] == 0.0 and fs.per_point is evaluate and fs.broadcasts
+        terms = fs.terms(np.arange(1, 4), GRID[:2])
+    assert np.isinf(terms[0]).all() and np.array_equal(terms[1, :, 0], 10.0 + np.arange(1, 4))
+
+
+def test_evaluate_many_is_not_an_input():
+    fs, _ = build_reciprocal_shift(GRID)
+    with pytest.raises(TypeError, match="one evaluate"):
+        FunctionSequence(fs.evaluate, GRID, "shift", fs.evaluate)
+    with pytest.raises(TypeError, match="one evaluate"):
+        dataclasses.replace(fs, evaluate_many=fs.evaluate)
+    assert dataclasses.replace(fs, evaluate_many=None).broadcasts
 
 
 # ---------------------------------------------------------------- dataclasses.replace
@@ -253,6 +297,18 @@ def test_a_replaced_evaluate_is_probed_again():
     expected = 2 * np.sin(ks) * GRID[:, None]
     assert np.array_equal(doubled.terms(ks, GRID)[..., 0], expected)
     assert np.array_equal(doubled.per_point(ks, GRID[3]), expected[3])
+
+
+def test_a_replaced_vector_evaluate_is_read_by_its_width():
+    fs, _ = build_reciprocal_shift(GRID)
+    ks = np.arange(1, 50)
+    assert fs.terms(ks, GRID).shape == (GRID.size, ks.size, 1)
+    for evaluate, broadcasts in ((scalar_planar, False), (broadcasting_planar, True)):
+        planar = dataclasses.replace(fs, evaluate=evaluate)
+        assert planar.broadcasts == broadcasts
+        assert np.array_equal(planar.terms(ks, GRID),
+                              FunctionSequence(scalar_planar, GRID, "planar").terms(ks, GRID))
+    assert dataclasses.replace(planar, evaluate=fs.evaluate).terms(ks, GRID).shape[-1] == 1
 
 
 def test_replaced_mu_and_nu_drop_the_norm():

@@ -22,11 +22,12 @@ def make_query(point=0.5, epsilon=0.3):
 
 
 def linear_blowup(grid):
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):  # an index array at one point
         return np.asarray(ks, dtype=float) * float(x)
 
-    return FunctionSequence(lambda k, x: float(k) * float(x), grid,
-                            "steepening lines", evaluate_many)
+    fs = FunctionSequence(evaluate, grid, "steepening lines")
+    assert fs.per_point is evaluate and not fs.broadcasts
+    return fs
 
 
 def test_shared_shift_family_is_equicontinuous(std_space, unit_grid):

@@ -28,27 +28,30 @@ def query(mode, n_max, lam=None):
 
 def block_oscillator(grid):
     """f_k = 2 on blocks [100m, 100m+99] for odd m, else 0: density never settles."""
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):  # one row of indices: a grid of points gets the wrong size
         return 2.0 * ((np.asarray(ks) // 100) % 2).astype(float)
 
-    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
-                            grid, "block oscillator", evaluate_many)
+    return per_point_only(FunctionSequence(evaluate, grid, "block oscillator"))
 
 
 def alternating_sign(grid):
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return np.where(np.asarray(ks) % 2 == 0, 1.0, -1.0)
 
-    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
-                            grid, "alternating sign", evaluate_many)
+    return per_point_only(FunctionSequence(evaluate, grid, "alternating sign"))
 
 
 def sine_family(grid):
-    def evaluate_many(ks, x):
-        return np.sin(np.asarray(ks, dtype=float)) * x
+    def evaluate(ks, x):
+        return np.sin(np.asarray(ks, dtype=float)) * float(x)
 
-    return FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
-                            grid, "sin(k) * x", evaluate_many)
+    return per_point_only(FunctionSequence(evaluate, grid, "sin(k) * x"))
+
+
+def per_point_only(fs):
+    """fs, checked to be read one point at a time through its own ``evaluate``."""
+    assert fs.per_point is fs.evaluate and not fs.broadcasts, fs.description
+    return fs
 
 
 # ---------------------------------------------------------------- exceptional set
@@ -70,11 +73,10 @@ def diffs_sequence(diffs):
     """f_k = diffs[k - 1] at every point, so exceptional_set against 0 tests each diff."""
     values = np.asarray(diffs, dtype=float)
 
-    def evaluate_many(ks, x):
-        return values[np.asarray(ks) - 1]
+    def evaluate(ks, x):  # float(x): one point at a time, even on a one-point grid
+        return values[np.asarray(ks) - 1] + 0.0 * float(x)
 
-    return FunctionSequence(lambda k, x: float(values[k - 1]), np.array([0.0]), "diffs",
-                            evaluate_many)
+    return per_point_only(FunctionSequence(evaluate, np.array([0.0]), "diffs"))
 
 
 def oracle(std_space, diffs, epsilon, t):
@@ -172,7 +174,7 @@ def test_scalar_only_norm_matches_exceptional_set(std_space, unit_grid, norm):
 # ---------------------------------------------------------------- fault order
 def late_faults(grid, grid_form):
     """Terms 0, but infinite from k = 70,000 at x = 0 and from k = 5 at x = 1."""
-    def evaluate_many(ks, x):
+    def one_point(ks, x):
         start = {0.0: 70_000, 1.0: 5}.get(float(x), np.inf)
         return np.where(np.asarray(ks) >= start, np.inf, 0.0)
 
@@ -180,10 +182,8 @@ def late_faults(grid, grid_form):
         start = np.select([xs == 0.0, xs == 1.0], [70_000, 5], np.inf)
         return np.where(np.asarray(ks) >= start, np.inf, 0.0)
 
-    fs = FunctionSequence(evaluate if grid_form else
-                          (lambda k, x: float(evaluate_many(np.array([k]), x)[0])),
-                          grid, "late faults", evaluate_many)
-    assert fs.broadcasts == grid_form
+    fs = FunctionSequence(evaluate if grid_form else one_point, grid, "late faults")
+    assert fs.per_point is fs.evaluate and fs.broadcasts == grid_form
     return fs
 
 
@@ -209,15 +209,13 @@ def test_faults_come_in_point_by_point_order(std_space, grid_form, grid, mode, l
 
 
 # ---------------------------------------------------------------- sweep counts
-def counted(fs, calls, field="evaluate"):
-    """fs with one of its evaluation forms recording (indices, points) per call."""
-    inner = getattr(fs, field)
-
+def counted(fs, calls):
+    """fs with its ``evaluate`` recording (indices, points) per call."""
     def record(ks, xs):
         calls.append((np.array(ks), np.atleast_1d(np.array(xs, dtype=float))))
-        return inner(ks, xs)
+        return fs.evaluate(ks, xs)
 
-    copy = dataclasses.replace(fs, **{field: record})
+    copy = dataclasses.replace(fs, evaluate=record)
     calls.clear()  # construction probes the copy; keep the detector's calls only
     return copy
 
@@ -254,8 +252,8 @@ def test_a_full_anchor_pool_ends_its_sweep(std_space):
     assert max(sweeps) == 2 and v.verdict == "inconclusive", (sweeps, v.details)
 
 
-@pytest.mark.parametrize("field", ["evaluate", "evaluate_many"])
-def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid, field):
+@pytest.mark.parametrize("form", ["grid", "per-point"])
+def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid, form):
     # The config expression evaluates a block across the grid in one call;
     # a sequence without that form is evaluated point by point, in the same
     # three sweeps.  The pool sweep stops at the block where its tenth
@@ -263,13 +261,12 @@ def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid
     # n_max // 2, while a per-point block of 65,536 covers the horizon.
     n_max, lam, calls = 20_000, lambda_family("identity"), []
     fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
-          if field == "evaluate" else sine_family(unit_grid))
-    v = detect_cauchy(counted(fs, calls, field), std_space,
-                      query("uniform-lambda-cauchy", n_max, lam))
+          if form == "grid" else sine_family(unit_grid))
+    v = detect_cauchy(counted(fs, calls), std_space, query("uniform-lambda-cauchy", n_max, lam))
     assert v.verdict == "fails" and v.details["anchor"] is None
-    sweeps = 2 if field == "evaluate" else 3
+    sweeps = 2 if form == "grid" else 3
     assert sweeps_per_point(calls, unit_grid, n_max // 2) == [sweeps] * unit_grid.size
-    if field == "evaluate":
+    if form == "grid":
         assert all(xs.size == unit_grid.size for _, xs in calls)
 
 
@@ -280,7 +277,7 @@ def planar_family(grid):
         k, x = np.asarray(ks, dtype=float), np.asarray(x, dtype=float)
         return np.stack([x / k, np.sin(k) * x / np.sqrt(k)], axis=-1)
 
-    return FunctionSequence(evaluate, grid, "planar", evaluate)
+    return FunctionSequence(evaluate, grid, "planar")
 
 
 def same_traces(a, b) -> bool:
@@ -353,11 +350,10 @@ def test_classical_rejects_recurring_bumps(std_space, unit_grid):
 def test_classical_inconclusive_between_thresholds(std_space, unit_grid):
     # last exceptional index at 70% of the horizon: too late to clear,
     # too early to condemn
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         return np.where(np.asarray(ks) == 7_000, 5.0, 0.0)
 
-    fs = FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
-                          unit_grid, "late lone spike", evaluate_many)
+    fs = per_point_only(FunctionSequence(evaluate, unit_grid, "late lone spike"))
     v = detect(fs, lambda x: 0.0, std_space, query("ifn-classical", 10_000))
     assert v.verdict == "inconclusive"
 
@@ -585,13 +581,12 @@ def test_query_validates_parameters():
 
 
 def test_rejects_non_finite_sequence_values(std_space, unit_grid):
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):
         out = np.zeros(np.asarray(ks).shape)
         out[np.asarray(ks) == 37] = np.nan
         return out
 
-    fs = FunctionSequence(lambda k, x: float(evaluate_many(np.array([k]), x)[0]),
-                          unit_grid, "poisoned", evaluate_many)
+    fs = per_point_only(FunctionSequence(evaluate, unit_grid, "poisoned"))
     with pytest.raises(ValueError, match="37"):
         detect(fs, lambda x: 0.0, std_space, query("pointwise-lambda-stat", 1_000))
 

@@ -61,11 +61,12 @@ def test_predicate_and_mask_give_equal_traces_past_a_block(ladder):
 # ------------------------------------------------- the detectors at block edges
 def indicator_family(members: np.ndarray) -> FunctionSequence:
     """f_k = 1 on ``members``, else 0, at every point: against 0, exceptional on ``members``."""
-    def evaluate_many(ks, x):
+    def evaluate(ks, x):  # one row of indices: a grid of points gets the wrong size
         return np.isin(np.asarray(ks), members).astype(float)
 
-    return FunctionSequence(lambda k, x: float(k in members), GRID, "indicator",
-                            evaluate_many)
+    fs = FunctionSequence(evaluate, GRID, "indicator")
+    assert fs.per_point is evaluate and not fs.broadcasts
+    return fs
 
 
 def edge_set(n_max: int, lam) -> np.ndarray:
