@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import json
 import sys
 from configparser import ConfigParser, Error as ConfigParserError
@@ -238,13 +239,36 @@ def _allowed(node: ast.AST) -> bool:
     return isinstance(node, _EXPR_NODES)
 
 
-def compile_expression(text: str, variables: tuple):
+# numpy's forms of and/or/not, under names no formula can spell: a formula's
+# names are checked against ``_EXPR_NAMES`` and its variables first.
+_TRUTH_OPS = {"_and": np.logical_and, "_or": np.logical_or, "_not": np.logical_not}
+
+
+def _truth_valued(node: ast.AST) -> ast.AST:
+    """``node`` with each and/or/not in truth-value position as a ``_TRUTH_OPS`` call.
+
+    Those are ``node`` itself and the operands of such nodes: only their
+    truth is read, which numpy's logical functions give index by index.
+    """
+    if isinstance(node, ast.BoolOp):
+        op = "_and" if isinstance(node.op, ast.And) else "_or"
+        return functools.reduce(lambda a, b: ast.Call(ast.Name(op, ast.Load()), [a, b], []),
+                                map(_truth_valued, node.values))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return ast.Call(ast.Name("_not", ast.Load()), [_truth_valued(node.operand)], [])
+    return node
+
+
+def compile_expression(text: str, variables: tuple, truth: bool = False):
     """Compile a config formula over the given variables.
 
     The formula may use numeric constants, the variables, the names in
     ``_EXPR_NAMES`` and the syntax in ``_EXPR_NODES``; anything else is a
     ``ConfigError``.  Integer constants become floats, so no formula runs
-    unbounded integer arithmetic such as ``9**9**9``.
+    unbounded integer arithmetic such as ``9**9**9``.  A ``truth`` formula
+    is read as a truth value: once it is checked, its and/or/not in
+    truth-value position become numpy's logical functions (``_truth_valued``),
+    so it answers an index array at once.
     """
     try:
         tree = ast.parse(text, "<config expression>", mode="eval")
@@ -263,12 +287,16 @@ def compile_expression(text: str, variables: tuple):
                 node.value = float(node.value)
             except OverflowError:
                 raise ConfigError(f"expression {text!r}: integer constant too large") from None
+    names = _EXPR_NAMES
+    if truth:
+        tree.body, names = _truth_valued(tree.body), {**_EXPR_NAMES, **_TRUTH_OPS}
+        ast.fix_missing_locations(tree)
     code = compile(tree, "<config expression>", "eval")
 
     def run(**env):
         # non-finite results are reported by the detectors, with (k, x)
         with np.errstate(all="ignore"):
-            return eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, **env})
+            return eval(code, {"__builtins__": {}}, {**names, **env})
 
     return run
 
@@ -323,7 +351,8 @@ def _resolve_density_set(cfg: ExperimentConfig):
             else DENSITY_SETS[cfg.density_set])
     if text is None:
         raise ConfigError("density: need a set name or an expression")
-    member = compile_expression(text, ("k",))  # k as an array: numpy's division by zero
+    # k as an array, so division by zero is numpy's
+    member = compile_expression(text, ("k",), truth=True)
     return lambda ks: np.broadcast_to(member(k=np.asarray(ks)), np.shape(ks))
 
 

@@ -15,7 +15,9 @@ union over the points of their exceptional sets), into a ``WindowCounter``.
 The counter keeps the windowed counts at the trace stages and the few
 indices the verdict cites, so no array as long as the horizon is held.  A
 standard space tests a block by the largest norm over its points, once per
-index.
+index.  A bundled family is swept sparsely: off its bump set every term is
+the base value, tested once per centre, so a pass evaluates only the set's
+members.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -183,6 +185,15 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     is subtracted as a (points, 1, coordinates) column into one flat buffer
     for the sweep, and the tests are ORed over the points.  Faults come in
     point-by-point order.
+
+    A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``
+    takes a sparse sweep when the base values and the centres are finite.
+    Every index off the bump set has the base term, so ``base - centre`` is
+    tested once per centre and fills each feed's row; the members of the
+    feed, a searchsorted slice of the set, are evaluated in sub-blocks of at
+    most BLOCK_ELEMENTS terms (members times points), checked and tested like
+    a dense block, and their tests written over the fill.  The feeds, and so
+    the counts, captures and faults, are the dense sweep's.
     """
     width = len(xs) if fs.broadcasts else 1
     step = max(1, BLOCK_ELEMENTS // width)
@@ -197,27 +208,60 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
     span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # indices per feed
     held, fill = np.zeros((len(centres), 1 + split, span), dtype=bool), 0
-    for lo in range(0, q.n_max, step):
-        ks = np.arange(lo + 1, min(lo + step, q.n_max) + 1)
-        block = held[..., fill:fill + ks.size]
-        for p in range(0, len(xs), width):
-            vals = fs.terms(ks, xs[p:p + width])
-            if not np.isfinite(vals).all():
-                bad = ~np.isfinite(vals).all(axis=2)
-                seen = first_bad[p:p + width]
-                fresh = (seen == 0) & bad.any(axis=1)
-                seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
-                clean = False
-            for row, c in zip(block if clean else (), cs[:, p:p + width, None]):
-                d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
-                row |= ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True)
-        fill += ks.size
-        if fill == held.shape[-1] or ks[-1] == q.n_max:
+
+    def tests(p: int, ks: np.ndarray, vals: np.ndarray) -> list:
+        """Each centre's tests of ``vals`` at points p.. and indices ``ks``; none after a fault."""
+        nonlocal clean
+        if not np.isfinite(vals).all():
+            bad = ~np.isfinite(vals).all(axis=2)
+            seen = first_bad[p:p + len(vals)]
+            fresh = (seen == 0) & bad.any(axis=1)
+            seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
+            clean = False
+        out = []
+        for c in cs[:, p:p + len(vals), None] if clean else ():
+            d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
+            out.append(ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True))
+        return out
+
+    sparse = getattr(fs.evaluate, "sparse", None)
+    if sparse is not None:
+        bumps, base, bump = sparse
+        base_vals = base(xs).reshape(len(xs), 1, 1)
+        if clean and np.isfinite(base_vals).all():
+            # each centre's tests of every index off the set
+            off = np.reshape([ifn.exceptional(base_vals - c, q.epsilon, q.time, GUARD, split,
+                                              union=True) for c in cs[:, :, None]],
+                             (len(centres), 1 + split, 1))
+            sub = max(1, BLOCK_ELEMENTS // len(xs))  # members per bump evaluation
+        else:
+            sparse = None
+    stride = span if sparse else step
+    for lo in range(0, q.n_max, stride):
+        hi = min(lo + stride, q.n_max)
+        block = held[..., fill:fill + hi - lo]
+        if sparse:
+            block[...] = off
+            members = bumps.members_in(lo + 1, hi)
+            for a in range(0, members.size, sub):
+                ks = members[a:a + sub]
+                vals = bump(ks, xs)[..., None]
+                for row, t in zip(block, tests(0, ks, vals)):
+                    row[..., ks - lo - 1] = t
+        else:
+            ks = np.arange(lo + 1, hi + 1)
+            for p in range(0, len(xs), width):
+                # held until the next block's terms exist: freed first, glibc trims the heap
+                vals = fs.terms(ks, xs[p:p + width])
+                for row, t in zip(block, tests(p, ks, vals)):
+                    row |= t
+        fill += hi - lo
+        if fill == held.shape[-1] or hi == q.n_max:
             if clean:
-                tests = held[..., :fill]
+                fed = held[..., :fill]
                 if split:
-                    tests = np.concatenate([tests, tests.any(axis=1, keepdims=True)], axis=1)
-                counter.feed(tests.reshape(-1, fill))
+                    fed = np.concatenate([fed, fed.any(axis=1, keepdims=True)], axis=1)
+                counter.feed(fed.reshape(-1, fill))
             held[...], fill = False, 0
             if counter.done:
                 break

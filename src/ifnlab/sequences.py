@@ -249,21 +249,27 @@ class BumpIndexSet:
         m[members[: np.searchsorted(members, n_max, "right")]] = True
         return m
 
+    def members_in(self, lo: int, hi: int) -> np.ndarray:
+        """The members k with lo <= k <= hi, ascending: a searchsorted slice of the set."""
+        self.ensure(hi)
+        members = self._members[: self._count]
+        return members[np.searchsorted(members, lo):np.searchsorted(members, hi, "right")]
+
     def _hits(self, ks: np.ndarray) -> np.ndarray:
         """Positions in the 1-D index array ``ks`` of the set's members.
 
-        A block of consecutive ascending indices reads the searchsorted slice
-        of the members over it; other indices are looked up one by one.
+        A block of consecutive ascending indices reads ``members_in`` over it;
+        other indices are looked up one by one.
         """
         if ks.size == 0:
             return np.zeros(0, dtype=np.int64)
         lo, hi = int(np.min(ks)), int(np.max(ks))
         if lo < 1:
             raise DomainError("indices must be >= 1")
+        if ks.size == hi - lo + 1 and (ks[1:] > ks[:-1]).all():
+            return self.members_in(lo, hi) - lo
         self.ensure(hi)
         members = self._members[: self._count]
-        if ks.size == hi - lo + 1 and (ks[1:] > ks[:-1]).all():
-            return members[np.searchsorted(members, lo):np.searchsorted(members, hi, "right")] - lo
         at = np.minimum(np.searchsorted(members, ks), members.size - 1)
         return np.flatnonzero(members[at] == ks)
 
@@ -286,22 +292,6 @@ def _powers(ks: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return np.exp(logs[:, None] * ks.astype(float))
 
 
-def _bump_terms(bumps: BumpIndexSet, ks, xs: np.ndarray,
-                base: np.ndarray, lift: np.ndarray) -> np.ndarray:
-    """``base`` off the bump set, x**k + ``lift`` on it, shaped (points, ks).
-
-    ``base`` and ``lift`` hold one value per point; powers are taken only on
-    the set's columns.
-    """
-    ks = np.asarray(ks, dtype=np.int64)
-    flat = ks.ravel()
-    at = bumps._hits(flat)
-    out = np.empty(xs.shape + (flat.size,))
-    out[...] = base[:, None]
-    out[:, at] = _powers(flat[at], xs) + lift[:, None]
-    return out.reshape(xs.shape + ks.shape)
-
-
 def _on_unit_interval(grid) -> np.ndarray:
     """The grid of a bundled family, which is defined on [0, 1] only."""
     grid = np.asarray(grid, dtype=float)
@@ -311,11 +301,19 @@ def _on_unit_interval(grid) -> np.ndarray:
     return grid
 
 
-def _bump_family(terms: Callable, grid, description: str) -> FunctionSequence:
-    """A bundled family from its (points, ks) form ``terms(ks, xs)``.
+def _bump_family(bumps: BumpIndexSet, base: Callable, bump: Callable, grid,
+                 description: str) -> FunctionSequence:
+    """A bundled family from its two branches: ``base`` off the bump set, ``bump`` on it.
 
-    ``evaluate(ks, x)`` flattens both, calls ``terms`` once and shapes the
-    answer as they broadcast, so the points' axes must come before the indices'.
+    ``base(xs)`` gives one value per point and ``bump(ks, xs)`` the terms of
+    members ks, shaped (points, ks).  ``evaluate(ks, x)`` flattens both,
+    fills the base and writes the members' columns, and shapes the answer as
+    they broadcast, so the points' axes must come before the indices'.
+    ``evaluate.sparse`` is the triple ``(bumps, base, bump)``: off the set
+    every index has the same term, so ``convergence._union`` tests the base
+    once per centre and evaluates only the members.  It lives on the
+    callable, so a replaced or wrapped ``evaluate`` has none and is read
+    densely.
     """
 
     def evaluate(ks, x):
@@ -324,8 +322,14 @@ def _bump_family(terms: Callable, grid, description: str) -> FunctionSequence:
         lead = len(shape) - ks.ndim + next((i for i, d in enumerate(ks.shape) if d > 1), ks.ndim)
         if x.size != math.prod(shape[:lead]):  # a point axis at or after an index axis
             raise ValueError("the points' axes must come before the indices'")
-        return terms(ks.ravel(), x.ravel()).reshape(shape)
+        flat, xs = ks.astype(np.int64).ravel(), x.ravel()
+        at = bumps._hits(flat)
+        out = np.empty((xs.size, flat.size))
+        out[...] = base(xs)[:, None]
+        out[:, at] = bump(flat[at], xs)
+        return out.reshape(shape)
 
+    evaluate.sparse = (bumps, base, bump)
     return FunctionSequence(evaluate, _on_unit_interval(grid), description)
 
 
@@ -336,11 +340,12 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
     terms sit at the limit already.  The value at x = 1 is pinned to 2.
     Limit: 0 on [0, 1/2), 1 on [1/2, 1), 2 at x = 1.
     """
-    bumps = BumpIndexSet(lam)
 
-    def terms(ks, xs):
-        upper = xs >= 0.5
-        out = _bump_terms(bumps, ks, xs, np.where(upper, 1.0, 0.0), np.where(upper, 0.5, 1.0))
+    def base(xs):
+        return np.where(xs == 1.0, 2.0, np.where(xs >= 0.5, 1.0, 0.0))
+
+    def bump(ks, xs):
+        out = _powers(ks, xs) + np.where(xs >= 0.5, 0.5, 1.0)[:, None]
         out[xs == 1.0] = 2.0
         return out
 
@@ -350,20 +355,24 @@ def build_example_pointwise(lam: LambdaSequence, grid) -> tuple[FunctionSequence
             return 2.0
         return 1.0 if x >= 0.5 else 0.0
 
-    return _bump_family(terms, grid, "piecewise power family, three-level limit"), limit
+    return _bump_family(BumpIndexSet(lam), base, bump, grid,
+                        "piecewise power family, three-level limit"), limit
 
 
 def build_example_uniform(lam: LambdaSequence, grid) -> tuple[FunctionSequence, Callable]:
     """Power-bump family vanishing identically off the bump set; limit 0."""
-    bumps = BumpIndexSet(lam)
 
-    def terms(ks, xs):
-        return _bump_terms(bumps, ks, xs, np.zeros(xs.shape), np.ones(xs.shape))
+    def base(xs):
+        return np.zeros(xs.shape)
+
+    def bump(ks, xs):
+        return _powers(ks, xs) + 1.0
 
     def limit(x):
         return 0.0
 
-    return _bump_family(terms, grid, "power-bump family, zero limit"), limit
+    return _bump_family(BumpIndexSet(lam), base, bump, grid,
+                        "power-bump family, zero limit"), limit
 
 
 def build_constant_family(grid, value: float = 0.0) -> tuple[FunctionSequence, Callable]:

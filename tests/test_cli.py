@@ -14,6 +14,7 @@ import pytest
 
 import ifnlab
 from ifnlab import DomainError, build_example, density_trace, lambda_family
+from ifnlab.algebra import vectorize_scalar
 from ifnlab.cli import (DENSITY_SETS, _KEYS, ConfigError, ExperimentConfig, _reproduce_config,
                         _resolve_density_set, _resolve_sequence, compile_expression, from_ini,
                         load_config, main)
@@ -348,8 +349,9 @@ def test_density_expression_sets(tmp_path):
     assert abs(payload["estimate"] - 1.0 / 3.0) < 1e-3
 
 
-@pytest.mark.parametrize("expression", ["1 / (k - 1) < 0.5", "k > 0 and 1 / (k - 1) < 0.5"],
-                         ids=["array", "per-element"])
+@pytest.mark.parametrize("expression", ["1 / (k - 1) < 0.5", "k > 0 and 1 / (k - 1) < 0.5",
+                                        "(k > 0 and 1 / (k - 1)) < 0.5"],
+                         ids=["array", "per-element", "value-position"])
 def test_density_formula_with_a_pole_matches_the_index_array(tmp_path, expression):
     # k = 1 divides by zero: the formula sees k as numpy integers, whose 1 / 0 is inf,
     # so both forms count as a formula run once on the int64 range does
@@ -361,6 +363,39 @@ def test_density_formula_with_a_pole_matches_the_index_array(tmp_path, expressio
         mask = 1 / (np.arange(1, n + 1) - 1.0) < 0.5
     density_trace(mask, lambda_family("identity"), n).to_csv(tmp_path / "ref.csv")
     assert (tmp_path / "o" / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("logical, arithmetic", [
+    ("k > 5 and k % 3 == 0", "(k > 5) * (k % 3 == 0)"),
+    ("not k % 4 or k < 10 and not k > 3", "(k % 4 == 0) + (k < 10) * (k <= 3) > 0"),
+    ("k % 7 and k % 5 and k", "(k % 7 != 0) * (k % 5 != 0)"),
+])
+def test_truth_valued_density_formulas_run_by_blocks(tmp_path, logical, arithmetic):
+    # and/or/not read as truth values become numpy's logical functions, so the
+    # formula answers an index array; it counts what its arithmetic twin does
+    member = _resolve_density_set(ExperimentConfig(density_expression=logical))
+    assert vectorize_scalar(member, np.arange(1, 4)) is member
+    outputs = []
+    for n, text in enumerate((logical, arithmetic)):
+        ini = tmp_path / f"{n}.ini"
+        ini.write_text(f"[density]\nexpression = {text}\n[query]\nn_max = 100000\n")
+        assert run_cli("density", ini, "--out", tmp_path / str(n)) == 0
+        outputs.append([(tmp_path / str(n) / name).read_bytes()
+                        for name in ("trace.csv", "density.json")])
+    assert outputs[0] == outputs[1]
+    with pytest.raises(ConfigError, match="unknown names"):  # the rewrite's names stay hidden
+        compile_expression("_and(k > 5, k < 9) + _not(k)", ("k",), truth=True)
+
+
+def test_a_used_value_of_and_stays_per_index():
+    # the value of ``k % 3 and 7`` is used, not its truth: Python's per-index meaning
+    member = _resolve_density_set(ExperimentConfig(density_expression="(k % 3 and 7) - 7"))
+    assert vectorize_scalar(member, np.arange(1, 4)) is not member
+    ks = np.arange(1, 10)
+    assert np.array_equal(np.vectorize(member, otypes=[bool])(ks), ks % 3 == 0)
+    # a sequence formula keeps Python's and: its value is a term
+    run = compile_expression("k > 1 and x", ("k", "x"))
+    assert run(k=2, x=0.25) == 0.25
 
 
 def test_axioms_subcommand_passes_for_builtins(tmp_path, capsys):

@@ -103,3 +103,13 @@ def test_kernel_matches_the_closed_form_set_over_a_long_horizon(std_space):
     v = check_against_oracle(std_space, "paper-example-2", lambda_family("identity"),
                              "uniform-lambda-stat", 3_000_000, 0.1, 1.0)
     assert v.verdict == "converges"
+
+
+def test_the_bumps_never_die_out_yet_the_family_converges_windowed(std_space):
+    """The paper's separation on example 2: fails classically, converges lambda-statistically."""
+    lam = lambda_family("identity")
+    fs, limit, _ = build_example("paper-example-2", lam, GRID)
+    verdicts = {mode: detect(fs, limit, std_space,
+                             ConvergenceQuery(mode, 0.1, 1.0, lam, 10_000_000)).verdict
+                for mode in ("ifn-classical", "uniform-lambda-stat")}
+    assert verdicts == {"ifn-classical": "fails", "uniform-lambda-stat": "converges"}
