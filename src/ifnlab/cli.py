@@ -138,7 +138,7 @@ class ExperimentConfig:
             (self.dimension >= 1, f"space.dimension must be >= 1, got {self.dimension}"),
             (self.norm != "abs" or self.dimension == 1, "space.norm abs requires dimension 1"),
             (0.0 < self.epsilon < 1.0, f"query.epsilon outside (0, 1): {self.epsilon}"),
-            (self.time > 0.0, f"query.time must be positive: {self.time}"),
+            (0.0 < self.time < np.inf, f"query.time must be positive and finite: {self.time}"),
             (self.n_max >= 10, f"query.n_max must be >= 10: {self.n_max}"),
             (self.stride is None or self.stride >= 1, f"query.stride must be >= 1: {self.stride}"),
             (self.grid_low < self.grid_high, "query.grid_low must be below query.grid_high"),
@@ -248,8 +248,13 @@ def _truth_valued(node: ast.AST) -> ast.AST:
     """``node`` with each and/or/not in truth-value position as a ``_TRUTH_OPS`` call.
 
     Those are ``node`` itself and the operands of such nodes: only their
-    truth is read, which numpy's logical functions give index by index.
+    truth is read, which numpy's logical functions give index by index.  A
+    chained comparison there, ``a < b < c``, is the ``_and`` of its links.
     """
+    if isinstance(node, ast.Compare) and len(node.ops) > 1:
+        operands = [node.left, *node.comparators]
+        node = ast.BoolOp(ast.And(), [ast.Compare(a, [op], [b]) for a, op, b
+                                      in zip(operands, node.ops, operands[1:])])
     if isinstance(node, ast.BoolOp):
         op = "_and" if isinstance(node.op, ast.And) else "_or"
         return functools.reduce(lambda a, b: ast.Call(ast.Name(op, ast.Load()), [a, b], []),
@@ -266,9 +271,9 @@ def compile_expression(text: str, variables: tuple, truth: bool = False):
     ``_EXPR_NAMES`` and the syntax in ``_EXPR_NODES``; anything else is a
     ``ConfigError``.  Integer constants become floats, so no formula runs
     unbounded integer arithmetic such as ``9**9**9``.  A ``truth`` formula
-    is read as a truth value: once it is checked, its and/or/not in
-    truth-value position become numpy's logical functions (``_truth_valued``),
-    so it answers an index array at once.
+    is read as a truth value: once it is checked, its and/or/not and chained
+    comparisons in truth-value position become numpy's logical functions
+    (``_truth_valued``), so it answers an index array at once.
     """
     try:
         tree = ast.parse(text, "<config expression>", mode="eval")

@@ -37,8 +37,8 @@ class ContinuityQuery:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.time <= 0.0:
-            raise DomainError(f"time must be positive, got {self.time}")
+        if not 0.0 < self.time < np.inf:
+            raise DomainError(f"time must be positive and finite, got {self.time}")
         if not self.delta_grid or any(not 0.0 < d < 1.0 for d in self.delta_grid):
             raise DomainError("delta_grid must be non-empty with values in (0, 1)")
         lo, hi = self.domain

@@ -9,15 +9,16 @@ The centre is the candidate limit f, or an anchor term f_N in the Cauchy
 modes.  The space answers the test (``IFNorm.exceptional``), a standard one
 by its norm.  The grid is split into groups (``_groups``): each point alone
 in the pointwise modes, the whole grid in the uniform ones.  One grid pass
-(``_union``) sweeps k in blocks, across a group's points when the sequence
-broadcasts, and streams each block, one row per centre of a batch (the
-union over the points of their exceptional sets), into a ``WindowCounter``.
-The counter keeps the windowed counts at the trace stages and the few
-indices the verdict cites, so no array as long as the horizon is held.  A
-standard space tests a block by the largest norm over its points, once per
-index.  A bundled family is swept sparsely: off its bump set every term is
-the base value, tested once per centre, so a pass evaluates only the set's
-members.
+(``_union``) is one loop over feeds of consecutive indices, each a row per
+centre of a batch (the union over the points of their exceptional sets) for
+a ``WindowCounter``.  A feed is filled with the test of every index it does
+not evaluate, and its indices are evaluated in blocks, across a group's
+points when the sequence broadcasts.  A dense feed takes every index over
+an empty fill.  A bundled family's feed takes only its bump set's members,
+over the base value's test: off the set every term is the base value.  The
+counter keeps the windowed counts at the trace stages and the few indices
+the verdict cites, so no array as long as the horizon is held.  A standard
+space tests a block by the largest norm over its points, once per index.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -88,8 +89,8 @@ class ConvergenceQuery:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.time <= 0.0:
-            raise DomainError(f"time must be positive, got {self.time}")
+        if not 0.0 < self.time < np.inf:
+            raise DomainError(f"time must be positive and finite, got {self.time}")
         if self.n_max < 10:
             raise DomainError(f"n_max must be >= 10, got {self.n_max}")
         if self.stride is not None and self.stride < 1:
@@ -172,99 +173,81 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
            stages: tuple | None = None, captures=(), split: bool = False) -> WindowCounter:
     """The grid pass: per centre, the windowed counts of the union of the points' exceptional sets.
 
-    One sweep of k = 1..n_max in blocks of about BLOCK_ELEMENTS terms, each
-    tested against every centre (the limit f, or anchor indices N).  The
-    tests go to a ``WindowCounter`` at the trace ``stages`` with the
-    ``captures``, whole blocks at a time, about BLOCK_ELEMENTS tests per
-    feed: a row per centre, rows mu, nu and their union with ``split``.
-    Without stages every block is fed, and the sweep stops once the counter
-    is ``done`` (say, a full anchor pool); faults past that go unchecked.  A
-    block spans all of ``xs`` when the sequence ``broadcasts``, else each
-    point in turn, so that a ``per_point`` call answers BLOCK_ELEMENTS
-    indices.  Blocks are point-major, (points, indices, coordinates): a centre
-    is subtracted as a (points, 1, coordinates) column into one flat buffer
-    for the sweep, and the tests are ORed over the points.  Faults come in
-    point-by-point order.
+    One loop over feeds of ``span`` indices of k = 1..n_max, about
+    BLOCK_ELEMENTS tests each: a row per centre (rows mu, nu and their union
+    with ``split``), fed to a ``WindowCounter`` at the trace ``stages`` with
+    the ``captures``.  Without stages every block is a feed, and the sweep
+    stops once the counter is ``done`` (say, a full anchor pool); faults past
+    that go unchecked.  Each feed fills its rows with ``off``, the test of
+    every index it does not evaluate, takes its indices, and evaluates them
+    in blocks of ``step`` indices, one ``terms`` call per chunk of ``width``
+    points: all of ``xs`` when the sequence ``broadcasts``, else one, so a
+    ``per_point`` call answers BLOCK_ELEMENTS indices.  Blocks are
+    point-major, (points, indices, coordinates): a centre is subtracted as a
+    (points, 1, coordinates) column into one flat buffer.  The first point
+    chunk writes its tests over the fill, later ones OR into them.  Faults
+    come in point-by-point order.
 
-    A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``
-    takes a sparse sweep when the base values and the centres are finite.
-    Every index off the bump set has the base term, so ``base - centre`` is
-    tested once per centre and fills each feed's row; the members of the
-    feed, a searchsorted slice of the set, are evaluated in sub-blocks of at
-    most BLOCK_ELEMENTS terms (members times points), checked and tested like
-    a dense block, and their tests written over the fill.  The feeds, and so
-    the counts, captures and faults, are the dense sweep's.
+    A dense feed takes every index over an empty fill.  A bundled family's
+    ``evaluate.sparse`` form ``(bumps, base, bump)``, with finite base values
+    and centres, takes the feed's members of the bump set, a searchsorted
+    slice, over each centre's test of ``base - centre``: every index off the
+    set has the base term.  The feeds, and so the counts, captures and
+    faults, are the dense sweep's.
     """
-    width = len(xs) if fs.broadcasts else 1
-    step = max(1, BLOCK_ELEMENTS // width)
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
           else fs.terms(np.array(centres), xs).swapaxes(0, 1))  # (centres, points, coordinates)
     clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
     first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
+    terms, width = fs.terms, len(xs) if fs.broadcasts else 1
+    members, off = None, False  # dense feeds: every index, over an empty fill
+    sparse = getattr(fs.evaluate, "sparse", None)
+    if sparse is not None and clean:
+        bumps, base, bump = sparse
+        base_vals = base(xs).reshape(len(xs), 1, 1)
+        if np.isfinite(base_vals).all():
+            # each centre's tests of every index off the set
+            off = np.reshape([ifn.exceptional(base_vals - c, q.epsilon, q.time, GUARD, split,
+                                              union=True) for c in cs[:, :, None]],
+                             (len(centres), 1 + split, 1))
+            terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
+            members = bumps.members_in
+    step = max(1, BLOCK_ELEMENTS // width)  # indices per block
     ns, _, lows = stages or ((), None, ())
     rows = len(centres) * (3 if split else 1)
     counter = WindowCounter(rows, ns, lows, captures)
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
     span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # indices per feed
-    held, fill = np.zeros((len(centres), 1 + split, span), dtype=bool), 0
-
-    def tests(p: int, ks: np.ndarray, vals: np.ndarray) -> list:
-        """Each centre's tests of ``vals`` at points p.. and indices ``ks``; none after a fault."""
-        nonlocal clean
-        if not np.isfinite(vals).all():
-            bad = ~np.isfinite(vals).all(axis=2)
-            seen = first_bad[p:p + len(vals)]
-            fresh = (seen == 0) & bad.any(axis=1)
-            seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
-            clean = False
-        out = []
-        for c in cs[:, p:p + len(vals), None] if clean else ():
-            d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
-            out.append(ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True))
-        return out
-
-    sparse = getattr(fs.evaluate, "sparse", None)
-    if sparse is not None:
-        bumps, base, bump = sparse
-        base_vals = base(xs).reshape(len(xs), 1, 1)
-        if clean and np.isfinite(base_vals).all():
-            # each centre's tests of every index off the set
-            off = np.reshape([ifn.exceptional(base_vals - c, q.epsilon, q.time, GUARD, split,
-                                              union=True) for c in cs[:, :, None]],
-                             (len(centres), 1 + split, 1))
-            sub = max(1, BLOCK_ELEMENTS // len(xs))  # members per bump evaluation
-        else:
-            sparse = None
-    stride = span if sparse else step
-    for lo in range(0, q.n_max, stride):
-        hi = min(lo + stride, q.n_max)
-        block = held[..., fill:fill + hi - lo]
-        if sparse:
-            block[...] = off
-            members = bumps.members_in(lo + 1, hi)
-            for a in range(0, members.size, sub):
-                ks = members[a:a + sub]
-                vals = bump(ks, xs)[..., None]
-                for row, t in zip(block, tests(0, ks, vals)):
-                    row[..., ks - lo - 1] = t
-        else:
-            ks = np.arange(lo + 1, hi + 1)
+    held = np.empty((len(centres), 1 + split, span), dtype=bool)
+    for lo in range(0, q.n_max, span):
+        hi = min(lo + span, q.n_max)
+        block = held[..., :hi - lo]
+        block[...] = off
+        feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
+        for a in range(0, feed.size, step):
+            ks = feed[a:a + step]
+            # a dense feed's indices are contiguous: a slice, cheaper than a fancy index
+            at = slice(a, a + ks.size) if members is None else ks - lo - 1
             for p in range(0, len(xs), width):
                 # held until the next block's terms exist: freed first, glibc trims the heap
-                vals = fs.terms(ks, xs[p:p + width])
-                for row, t in zip(block, tests(p, ks, vals)):
-                    row |= t
-        fill += hi - lo
-        if fill == held.shape[-1] or hi == q.n_max:
-            if clean:
-                fed = held[..., :fill]
-                if split:
-                    fed = np.concatenate([fed, fed.any(axis=1, keepdims=True)], axis=1)
-                counter.feed(fed.reshape(-1, fill))
-            held[...], fill = False, 0
-            if counter.done:
-                break
+                vals = terms(ks, xs[p:p + width])
+                if not np.isfinite(vals).all():
+                    bad = ~np.isfinite(vals).all(axis=2)
+                    seen = first_bad[p:p + len(vals)]
+                    fresh = (seen == 0) & bad.any(axis=1)
+                    seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
+                    clean = False
+                for row, c in zip(block, cs[:, p:p + width, None] if clean else ()):
+                    d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
+                    t = ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True)
+                    row[..., at] = t | row[..., at] if p else t
+        if clean:
+            if split:
+                block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)
+            counter.feed(block.reshape(-1, hi - lo))
+        if counter.done:
+            break
     _faults(xs, first_bad, cs if limits else None)
     return counter
 
@@ -281,8 +264,8 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     """Predicate on indices: is k exceptional at x for (epsilon, time)?  Always by mu and nu."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if time <= 0.0:
-        raise DomainError(f"time must be positive, got {time}")
+    if not 0.0 < time < np.inf:
+        raise DomainError(f"time must be positive and finite, got {time}")
     xs = np.array([x], dtype=float)
     fx = _limits(f, xs)
     _faults(xs, [0], fx[None])

@@ -220,8 +220,9 @@ class BumpIndexSet:
                     break
             if c == capacity:
                 members.release()
-                self._members = np.concatenate([self._members, np.zeros_like(self._members)])
-                members, capacity = memoryview(self._members), 2 * capacity
+                grown = np.empty(2 * capacity, dtype=np.int64)  # two arrays held, not three
+                grown[:c] = self._members
+                self._members, members, capacity = grown, memoryview(grown), 2 * capacity
             members[c] = start + i
             c += 1
             i += 1

@@ -193,8 +193,8 @@ class OpenBall:
         object.__setattr__(self, "center", as_vector(self.center))
         if not 0.0 < self.radius < 1.0:
             raise DomainError(f"radius must lie in (0, 1), got {self.radius}")
-        if self.time <= 0.0:
-            raise DomainError(f"time must be positive, got {self.time}")
+        if not 0.0 < self.time < np.inf:
+            raise DomainError(f"time must be positive and finite, got {self.time}")
 
 
 def ball_contains(ball: OpenBall, ifn: IFNorm, y) -> bool:

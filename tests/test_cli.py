@@ -107,6 +107,15 @@ def test_replace_validates():
         replace(ExperimentConfig(), epsilon=2.0)
 
 
+@pytest.mark.parametrize("time", ["nan", "inf"])
+def test_non_finite_time_exits_three_before_the_run(tmp_path, time):
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(time=float(time))
+    out = tmp_path / "r"
+    assert run_cli("reproduce", "example-2", "--time", time, "--out", out) == 3
+    assert not (out / "verdict.json").exists()
+
+
 def reference_member(name: str, ks: np.ndarray) -> np.ndarray:
     """The membership if-chain that the DENSITY_SETS formulas replaced."""
     if name == "evens":
@@ -369,6 +378,7 @@ def test_density_formula_with_a_pole_matches_the_index_array(tmp_path, expressio
     ("k > 5 and k % 3 == 0", "(k > 5) * (k % 3 == 0)"),
     ("not k % 4 or k < 10 and not k > 3", "(k % 4 == 0) + (k < 10) * (k <= 3) > 0"),
     ("k % 7 and k % 5 and k", "(k % 7 != 0) * (k % 5 != 0)"),
+    ("3 < k % 7 < 6", "(3 < k % 7) * (k % 7 < 6)"),
 ])
 def test_truth_valued_density_formulas_run_by_blocks(tmp_path, logical, arithmetic):
     # and/or/not read as truth values become numpy's logical functions, so the

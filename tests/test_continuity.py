@@ -110,8 +110,9 @@ def test_probe_points_must_exist(std_space):
 def test_query_validation():
     with pytest.raises(DomainError):
         ContinuityQuery(point=0.5, epsilon=0.0, time=1.0)
-    with pytest.raises(DomainError):
-        ContinuityQuery(point=0.5, epsilon=0.3, time=-1.0)
+    for time in (-1.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            ContinuityQuery(point=0.5, epsilon=0.3, time=time)
 
 
 def test_split_triangle_on_standard_space(std_space):

@@ -580,6 +580,17 @@ def test_query_validates_parameters():
         ConvergenceQuery(mode="pointwise-stat", epsilon=EPS, time=T, lam=lam, n_max=5)
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf])
+def test_non_finite_time_is_rejected(std_space, unit_grid, time):
+    # under a nan time every test is false: no index would read as exceptional
+    fs, limit = build_reciprocal_shift(unit_grid)
+    with pytest.raises(DomainError, match="finite"):
+        ConvergenceQuery(mode="uniform-lambda-cauchy", epsilon=EPS, time=time,
+                         lam=lambda_family("identity"), n_max=1000)
+    with pytest.raises(DomainError, match="finite"):
+        exceptional_set(fs, limit, std_space, 0.5, EPS, time)
+
+
 def test_rejects_non_finite_sequence_values(std_space, unit_grid):
     def evaluate(ks, x):
         out = np.zeros(np.asarray(ks).shape)

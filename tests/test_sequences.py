@@ -1,5 +1,6 @@
 """Function sequences, bump index sets, and the bundled benchmark families."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,29 @@ def test_bump_set_is_sparse_but_infinite():
     count = int(mask.sum())
     assert count == 1000  # ceil(sqrt(n)) members up to n = 10**6
     assert 1.0 * count / 1_000_000 <= 1.1e-3
+
+
+def test_bump_set_growth_holds_two_arrays_at_most():
+    # the doubling past 2**16 members holds the old array and the new one,
+    # not a third of zeros; the old one is built before tracing starts
+    bumps = BumpIndexSet(lambda_family("sqrt"))
+    while bumps._count + 2000 < 1 << 16:
+        bumps.ensure(bumps._built + 1)  # one build chunk at a time
+    old = bumps._members.nbytes
+    tracemalloc.start()
+    try:
+        bumps.ensure(bumps._built + 1)
+        scratch = tracemalloc.get_traced_memory()[1]  # one chunk's build scratch
+        assert bumps._members.nbytes == old
+        tracemalloc.reset_peak()
+        while bumps._members.nbytes == old:
+            bumps.ensure(bumps._built + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = bumps._members.nbytes
+    assert final == 2 * old
+    assert old + peak <= 1.5 * final + scratch, (old, peak, scratch, final)
 
 
 # ------------------------------------------------------------ sequences

@@ -136,5 +136,6 @@ def test_ball_rejects_bad_parameters():
         OpenBall(center=np.array([0.0]), radius=0.0, time=1.0)
     with pytest.raises(DomainError):
         OpenBall(center=np.array([0.0]), radius=1.0, time=1.0)
-    with pytest.raises(DomainError):
-        OpenBall(center=np.array([0.0]), radius=0.5, time=0.0)
+    for time in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            OpenBall(center=np.array([0.0]), radius=0.5, time=time)
