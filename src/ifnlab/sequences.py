@@ -11,6 +11,7 @@ sense while every bump term stays far from the limit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -108,9 +109,10 @@ def combine_linear(fs1: FunctionSequence, fs2: FunctionSequence,
     return FunctionSequence(evaluate, fs1.domain_grid, description)
 
 
-# Stages per build step; bounds the build's scratch arrays (about 40 bytes a
-# stage) at any horizon, below the few float arrays of a detector block.
-_BUILD_CHUNK = BLOCK_ELEMENTS // 4
+# Stages per build step.  Each of the build's scratch arrays holds 8 bytes a
+# stage, 64 KiB here: under glibc's 128 KiB mmap threshold, so the arrays come
+# from the heap at any allocation history, not from a map faulted in anew.
+_BUILD_CHUNK = BLOCK_ELEMENTS // 8
 
 
 class BumpIndexSet:
@@ -125,13 +127,15 @@ class BumpIndexSet:
     explicit predicate so the per-window bound is directly testable.
 
     The ladder must be admissible: the window lows and the budgets
-    ceil(sqrt(lambda_n)) may never decrease, and ``ensure`` raises
+    b_n = ceil(sqrt(lambda_n)) may never decrease, and ``ensure`` raises
     ``DomainError`` when they do.  The build is then event-driven.  With c
-    members so far, stage n is admitted iff b_n > c or low_n exceeds the
-    (b_n)-th newest member, and that test, once true, stays true until the
-    next admission.  So the build gallops from one admission to the next
-    and bisects back, instead of visiting every stage.  The members are
-    kept as one sorted int64 array, and membership is read from it alone.
+    members so far, stage n is admitted iff b_n > c or low_n exceeds m, the
+    (b_n)-th newest member.  After a refusal the next admission under the
+    same budget is the first stage whose low exceeds m: one jump when the
+    lows rise by one a stage, else a bisection of the lows.  A budget that
+    grows first moves the build to the stage where it grows, found by a
+    bisection of the budgets.  The members are kept as one sorted int64
+    array, and membership is read from it alone.
     """
 
     def __init__(self, lam: LambdaSequence):
@@ -168,56 +172,19 @@ class BumpIndexSet:
 
         low, budget = memoryview(lows), memoryview(budgets)
         members, c = memoryview(self._members), self._count
-        last = stop - start
-
-        def shortfall(i: int) -> int:
-            """How far the window low at offset i is from admitting it; <= 0 admits.
-
-            While the budget stands still this is also the least number of
-            stages to the next admission when lows rise by at most 1 per
-            stage, as they do for an admissible ladder; the search only
-            relies on lows and budgets never decreasing.
-            """
+        i, size, capacity = 0, len(low), len(members)
+        while i < size:
             b = budget[i]
-            return members[c - b] + 1 - low[i] if b <= c else 0
-
-        def after_refusal(refused: int, step: int) -> int:
-            """First admitted offset after a refused one, or last + 1 if none.
-
-            Gallops by the shortfall (doubling while the lows stand still),
-            then bisects back; the first jump is usually exact.  The two
-            probes per admission are ``shortfall`` inlined: on dense sets
-            the call overhead would double the build time.
-            """
-            while True:
-                j = refused + step if refused + step < last else last
-                b = budget[j]
-                short = members[c - b] + 1 - low[j] if b <= c else 0
-                if short <= 0:
-                    break
-                if j == last:
-                    return last + 1
-                refused, step = j, max(short, 2 * step)
-            # the first admitted offset lies in (refused, j]; it is usually j
-            b = budget[j - 1]
-            if j - refused > 1 and (b > c or low[j - 1] > members[c - b]):
-                j -= 1
-                while j - refused > 1:
-                    mid = (refused + j) // 2
-                    if shortfall(mid) <= 0:
-                        j = mid
-                    else:
-                        refused = mid
-            return j
-
-        i, capacity = 0, len(members)
-        while i <= last:
-            b = budget[i]  # shortfall(i), inlined on the hot path
-            short = members[c - b] + 1 - low[i] if b <= c else 0
-            if short > 0:
-                i = after_refusal(i, short)
-                if i > last:
-                    break
+            if b <= c:
+                m, lo = members[c - b], low[i]
+                if m >= lo:  # refused: I_n holds b members
+                    j = i + m + 1 - lo  # exact when the lows rise by one a stage
+                    if not (j < size and low[j - 1] <= m < low[j]):
+                        j = bisect_right(low, m, i + 1)
+                    if j == size or budget[j] != b:  # the budget grows first
+                        i = bisect_right(budget, b, i)
+                        continue
+                    i = j
             if c == capacity:
                 members.release()
                 grown = np.empty(2 * capacity, dtype=np.int64)  # two arrays held, not three
@@ -235,19 +202,14 @@ class BumpIndexSet:
     def contains(self, k: int) -> bool:
         if k < 1:
             raise DomainError(f"index must be >= 1, got {k}")
-        self.ensure(k)
-        members = self._members[: self._count]
-        pos = int(np.searchsorted(members, k))
-        return pos < members.size and int(members[pos]) == k
+        return self.members_in(k, k).size == 1
 
     __contains__ = contains
 
     def mask(self, n_max: int) -> np.ndarray:
         """Boolean array m with m[k] = (k in set) for k = 0..n_max (m[0] unused)."""
-        self.ensure(n_max)
-        members = self._members[: self._count]
         m = np.zeros(n_max + 1, dtype=bool)
-        m[members[: np.searchsorted(members, n_max, "right")]] = True
+        m[self.members_in(1, n_max)] = True
         return m
 
     def members_in(self, lo: int, hi: int) -> np.ndarray:

@@ -151,8 +151,9 @@ class IFNorm:
 
 
 def _check_time(t) -> None:
-    if np.min(np.asarray(t, dtype=float)) <= 0.0:
-        raise DomainError(f"time must be positive, got {t!r}")
+    times = np.asarray(t, dtype=float)
+    if not np.all((0.0 < times) & (times < np.inf)):
+        raise DomainError(f"time must be positive and finite, got {t!r}")
 
 
 def standard_ifn(norm: Callable, tnorm: UnitIntervalOp, tconorm: UnitIntervalOp) -> IFNorm:
@@ -254,7 +255,8 @@ def certify_ifn(
       mu = 1, nu = 0 at all times, so it is excluded from the t -> 0 probes).
 
     Strict-inequality axioms report the sentinel violation ``STRICT_HIT``
-    when the forbidden boundary value is attained exactly.
+    when the forbidden boundary value is attained exactly.  Every time must
+    be positive and finite (``DomainError`` otherwise); repeats are dropped.
     """
     vectors = [as_vector(v) for v in sample_vectors]
     if not vectors:
@@ -264,8 +266,8 @@ def certify_ifn(
     if times.size == 0:
         raise DomainError("time_grid must be non-empty")
     times = times[np.append(True, times[1:] != times[:-1])]  # repeats dropped
-    if times[0] <= 0.0:
-        raise DomainError("time_grid must be strictly positive")
+    if not 0.0 < times[0] <= times[-1] < np.inf:  # a nan sorts last
+        raise DomainError("time_grid must be positive and finite")
 
     zero = np.zeros(dim)
     stacked = np.stack(vectors)[:, None, :]

@@ -1,11 +1,16 @@
 """Function sequences, bump index sets, and the bundled benchmark families."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ifnlab
 from ifnlab import (BumpIndexSet, EXAMPLE_IDS, FunctionSequence, GridMismatchError,
                     build_constant_family, build_example, build_example_pointwise,
                     build_example_uniform, build_reciprocal_shift, combine_linear,
@@ -56,14 +61,26 @@ def test_bump_budget_on_random_ladders(increments):
     assert budget_violations(lam, len(values)) == []
 
 
-@given(st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0]), min_size=1, max_size=300),
-       st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_bump_set_matches_reference_greedy(increments, horizons):
-    # admissible: lambda_1 = 1, steps in [0, 1]; past the table it grows by 1
+# Admissible ladders as lambda moves from lambda_1 = 1.  A move in [0, 1]
+# raises lambda by that much.  A move -f dips it the fraction f of the way
+# down to (b - 1)^2, b = ceil(sqrt(lambda)): the budget b stays, ceil(lambda)
+# falls and the window low jumps by more than one stage.  A dip is deep only
+# where a budget level is wide, so dipping ladders are long.
+RISES = st.lists(st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0]), min_size=1, max_size=300)
+DIPS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, -0.5, -0.9]),
+                min_size=100, max_size=300)
+
+
+@given(st.one_of(RISES, DIPS), st.lists(st.integers(min_value=1, max_value=400),
+                                        min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_bump_set_matches_reference_greedy(moves, horizons):
+    # past the table lambda grows by 1
     values = [1.0]
-    for step in increments:
-        values.append(values[-1] + step)
+    for move in moves:
+        v = values[-1]
+        values.append(v + move if move >= 0 else
+                      v + move * (v - (math.ceil(math.sqrt(v)) - 1) ** 2))
     lam = lambda_from_table(values)
     bumps = BumpIndexSet(lam)
     for n in sorted(horizons):  # built in pieces, as the detectors grow it
@@ -159,6 +176,26 @@ def test_bump_set_growth_holds_two_arrays_at_most():
     final = bumps._members.nbytes
     assert final == 2 * old
     assert old + peak <= 1.5 * final + scratch, (old, peak, scratch, final)
+
+
+@pytest.mark.parametrize("freed", [0, 1 << 20])
+def test_bump_set_build_takes_few_page_faults(freed):
+    # scratch arrays at glibc's 128 KiB mmap threshold were mapped, trimmed
+    # and faulted in again every chunk, or not, by the process's allocation
+    # history; under it they come from the heap, whatever was freed before
+    pytest.importorskip("resource")
+    script = ("import resource; import numpy as np; "
+              "from ifnlab import BumpIndexSet, lambda_family; "
+              f"np.ones({freed}, dtype=np.uint8); "  # freed at once
+              "bumps = BumpIndexSet(lambda_family('identity')); "
+              "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
+              "bumps.ensure(3_000_000); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    src = str(Path(ifnlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True)
+    assert int(run.stdout) < 1_000, run.stdout
 
 
 # ------------------------------------------------------------ sequences

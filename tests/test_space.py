@@ -108,6 +108,19 @@ def test_certify_requires_nonempty_inputs(std_space):
         certify_ifn(std_space, [], default_times())
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_times_must_be_positive_and_finite(std_space, bad):
+    # a nan or inf time made 4-5 axioms of the standard space fail with
+    # violation nan, and mu/nu answered nan
+    with pytest.raises(DomainError, match="positive and finite"):
+        certify_ifn(std_space, default_samples(1), [1.0, 2.0, bad])
+    for degree in (std_space.mu, std_space.nu):
+        with pytest.raises(DomainError, match="positive and finite"):
+            degree([1.0], bad)
+        with pytest.raises(DomainError, match="positive and finite"):
+            degree([1.0], np.array([1.0, bad]))
+
+
 # ---------------------------------------------------------------- balls
 def test_ball_membership_is_strict(std_space):
     # center 0, radius r, time t: y is inside iff mu > 1-r and nu < r;
