@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import DomainError
 from .density import (BLOCK_ELEMENTS, Capture, DensityTrace, LambdaSequence, WindowCounter,
-                      _stages, _trace, lambda_family)
+                      _check_horizon, _stages, _trace, lambda_family)
 from .density import density_trace  # noqa: F401  (perfbench/child.py wraps it here)
 from .sequences import FunctionSequence
 
@@ -91,10 +91,7 @@ class ConvergenceQuery:
             raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.time < np.inf:
             raise DomainError(f"time must be positive and finite, got {self.time}")
-        if self.n_max < 10:
-            raise DomainError(f"n_max must be >= 10, got {self.n_max}")
-        if self.stride is not None and self.stride < 1:
-            raise DomainError(f"stride must be >= 1, got {self.stride}")
+        _check_horizon(self.n_max, self.stride)
 
 
 @dataclass
@@ -183,10 +180,10 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     in blocks of ``step`` indices, one ``terms`` call per chunk of ``width``
     points: all of ``xs`` when the sequence ``broadcasts``, else one, so a
     ``per_point`` call answers BLOCK_ELEMENTS indices.  Blocks are
-    point-major, (points, indices, coordinates): a centre is subtracted as a
-    (points, 1, coordinates) column into one flat buffer.  The first point
-    chunk writes its tests over the fill, later ones OR into them.  Faults
-    come in point-by-point order.
+    point-major, (points, indices, coordinates); ``exceptional_batch`` tests
+    one against the batch, bounding later centres by the first.  The first
+    point chunk writes its tests over the fill, later ones OR into them.
+    Faults come in point-by-point order.
 
     A dense feed takes every index over an empty fill.  A bundled family's
     ``evaluate.sparse`` form ``(bumps, base, bump)``, with finite base values
@@ -208,9 +205,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         base_vals = base(xs).reshape(len(xs), 1, 1)
         if np.isfinite(base_vals).all():
             # each centre's tests of every index off the set
-            off = np.reshape([ifn.exceptional(base_vals - c, q.epsilon, q.time, GUARD, split,
-                                              union=True) for c in cs[:, :, None]],
-                             (len(centres), 1 + split, 1))
+            off = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time, GUARD,
+                                        split, np.empty(len(xs))).reshape(len(centres), -1, 1)
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
     step = max(1, BLOCK_ELEMENTS // width)  # indices per block
@@ -238,10 +234,10 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     fresh = (seen == 0) & bad.any(axis=1)
                     seen[fresh] = ks[bad.argmax(axis=1)[fresh]]
                     clean = False
-                for row, c in zip(block, cs[:, p:p + width, None] if clean else ()):
-                    d = np.subtract(vals, c, out=buf[:vals.size].reshape(vals.shape))
-                    t = ifn.exceptional(d, q.epsilon, q.time, GUARD, split, union=True)
-                    row[..., at] = t | row[..., at] if p else t
+                if clean:
+                    t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
+                                              GUARD, split, buf).reshape(block.shape[:2] + (-1,))
+                    block[..., at] = t | block[..., at] if p else t
         if clean:
             if split:
                 block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)

@@ -292,6 +292,13 @@ class WindowCounter:
         return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]
 
 
+def _check_horizon(n_max, stride) -> None:
+    """Raise DomainError unless n_max >= 10 and stride, if given, >= 1 are integers."""
+    for name, value, low in (("n_max", n_max, 10), ("stride", 1 if stride is None else stride, 1)):
+        if not isinstance(value, (int, np.integer)) or value < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _stages(lam: LambdaSequence, n_max: int, stride: int | None) -> tuple:
     """Trace stages stride, 2*stride, ... and n_max, with their lambda values and window lows."""
     if stride is None:
@@ -323,10 +330,7 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     ``WindowCounter`` in blocks of BLOCK_ELEMENTS indices, the counting path
     of the detectors, so no prefix count as long as the horizon is built.
     """
-    if n_max < 10:
-        raise DomainError(f"n_max must be >= 10, got {n_max}")
-    if stride is not None and stride < 1:
-        raise DomainError(f"stride must be >= 1, got {stride}")
+    _check_horizon(n_max, stride)
     blocks = _member_blocks(member, n_max)
     stages = _stages(lam, n_max, stride)
     counter = WindowCounter(1, stages[0], stages[2])

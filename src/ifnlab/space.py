@@ -39,6 +39,10 @@ TIME_CONTINUITY_SLACK = 4.0
 # their boundary by a few 2**-53 units.
 RADIUS_SLACK = 2.0 ** -40
 
+# ``IFNorm.exceptional_batch``'s margin, relative to T_0 + a_n + radius, far above the
+# rounding of a length, and the radii it serves (there squares neither overflow nor underflow).
+BOUND_MARGIN, BOUND_RADII = 2.0 ** -30, (2.0 ** -500, 2.0 ** 500)
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float vector; scalars become 1-vectors."""
@@ -66,6 +70,7 @@ def euclidean_norm(v) -> np.ndarray:
 
 _NORMS = {"abs": abs_norm, "euclidean": euclidean_norm}
 NORM_IDS = tuple(_NORMS)
+SUBADDITIVE_NORMS = (abs_norm, euclidean_norm)  # taken to obey the triangle inequality
 
 
 def builtin_norm(name: str) -> Callable:
@@ -90,7 +95,8 @@ class IFNorm:
     over it: mu = t/(t + norm(x)) and nu = norm(x)/(t + norm(x)).  It is
     probed like mu and nu, and kept only when mu and nu ``agree`` with that
     construction on the probe vectors and times; ``exceptional`` then
-    answers by the norm.  ``standard_ifn`` sets it.
+    answers by the norm.  ``standard_ifn`` sets it.  Only ``abs_norm`` and
+    ``euclidean_norm`` are taken as subadditive (see ``exceptional_batch``).
     """
 
     mu: Callable
@@ -137,17 +143,51 @@ class IFNorm:
             tests = np.stack([mu <= 1.0 - epsilon + guard, nu >= epsilon - guard])
             tests = tests.any(axis=1) if union else tests
             return tests if split else tests.any(axis=0)
-        r = self.norm(d).reshape(batch[0] if union else 1, -1)  # (points, columns)
+        return self._by_norm(d, batch[0] if union else 1, epsilon, t, guard)[0].reshape(
+            batch[1:] if union else batch)
+
+    def _by_norm(self, d: np.ndarray, points: int, epsilon: float, t: float, guard: float):
+        """Per column of the flat vectors ``d`` as (points, columns): test, top, radius, slack."""
+        r = self.norm(d).reshape(points, -1)
         radius = t * (epsilon - guard) / (1.0 - epsilon + guard)
         slack = RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2
-        top = r[0] if r.shape[0] == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
+        top = r[0] if points == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
         out = top >= radius + slack
         near = (top >= radius - slack) ^ out
         if near.any():
             i, j = np.nonzero((r >= radius - slack) & near)
             hit = self.exceptional(d[i * r.shape[1] + j], epsilon, t, guard, split=True)
             out[j[hit.any(axis=0)]] = True
-        return out.reshape(batch[1:] if union else batch)
+        return out, top, radius, slack
+
+    def exceptional_batch(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
+                          guard: float, split: bool, buf: np.ndarray) -> np.ndarray:
+        """Per centre, ``exceptional(vals - centre, epsilon, t, guard, split, union=True)``.
+
+        ``vals`` is (points, indices, coordinates), ``centres`` (centres, points, 1,
+        coordinates), ``buf`` flat scratch for ``vals``.  Over SUBADDITIVE_NORMS on several
+        points, without ``split``, only the first centre is tested on the block: a later
+        one's top norm lies within T_0 -+ a_n (the first's, and that of their difference),
+        which decides an index outside the RADIUS_SLACK band widened by BOUND_MARGIN (or
+        by inf outside BOUND_RADII; inf and nan decide nothing).  The rest are gathered."""
+        (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
+        if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
+            return np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t, guard,
+                                              split, union=True) for c in centres])
+        first, top, radius, slack = self._by_norm(
+            np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t, guard)
+        shift = self.norm(centres[1:] - centres[0]).max(axis=(1, 2))[:, None]  # a_n
+        margin = (BOUND_MARGIN * (top + shift + radius)
+                  if BOUND_RADII[0] <= radius <= BOUND_RADII[1] else np.inf)
+        out = np.vstack([first, top - shift - margin >= radius + slack])
+        n, k = np.nonzero(~out[1:] & ~(top + shift + margin < radius - slack))
+        for a in range(0, n.size, m):  # a block's worth of pairs at a time
+            ns, ks = n[a:a + m], k[a:a + m]
+            g = np.take(vals, ks, axis=1, mode="clip",  # "raise" would copy through a buffer
+                        out=buf[:points * ks.size * dim].reshape(points, -1, dim))
+            g -= centres[1:, :, 0][ns].swapaxes(0, 1)
+            out[1 + ns, ks] = self._by_norm(g.reshape(-1, dim), points, epsilon, t, guard)[0]
+        return out
 
 
 def _check_time(t) -> None:

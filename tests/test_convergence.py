@@ -13,8 +13,9 @@ from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
                     tnorm, window)
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
-from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP
-from ifnlab.space import RADIUS_SLACK
+from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP, _union
+from ifnlab.density import Capture, WindowCounter, _stages
+from ifnlab.space import RADIUS_SLACK, SUBADDITIVE_NORMS
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -146,6 +147,122 @@ def test_union_form_is_the_any_over_points(std_space, space_id, block, epsilon, 
     for split in (False, True):
         expect = space.exceptional(d, epsilon, t, GUARD, split).any(axis=-2)
         assert np.array_equal(space.exceptional(d, epsilon, t, GUARD, split, union=True), expect)
+
+
+# ------------------------------------------- a batch of centres bounded by the first
+def table_sequence(table):
+    """f_k(x) = table[k - 1, x] on the grid 0, 1, ..., points - 1, in grid form."""
+    terms = table[..., 0] if table.shape[-1] == 1 else table  # a number per term on the line
+
+    def evaluate(ks, xs):
+        return terms[np.asarray(ks) - 1, np.asarray(xs).astype(int)]
+
+    fs = FunctionSequence(evaluate, np.arange(table.shape[1], dtype=float), "table")
+    assert fs.broadcasts
+    return fs
+
+
+def unit_vectors(rng, shape, dim):
+    v = rng.normal(size=shape + (dim,))
+    return v / np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
+
+
+def placed_batch(rng, points, dim, n_max, count, radius, slack):
+    """Centres near the first and columns whose top norm against it sits on the radius,
+    on its band's edges, or at T_0 -+ a_n on those edges (a_n: a later centre's distance)."""
+    c0 = rng.uniform(-radius, radius, (points, dim))
+    shifts = rng.choice([0.0, 1e-9 * radius, slack, 0.5 * radius, radius, 3 * radius], count - 1)
+    star = rng.integers(points, size=count - 1)  # where each later centre is farthest from c0
+    weights = rng.uniform(0.0, 1.0, (count - 1, points))
+    weights[np.arange(count - 1), star] = 1.0
+    u = unit_vectors(rng, (count - 1, points), dim)
+    centres = np.concatenate([c0[None], c0 + (shifts[:, None] * weights)[..., None] * u])
+    edges = [radius, radius - slack, radius + slack, np.nextafter(radius - slack, 0.0),
+             np.nextafter(radius + slack, np.inf), radius * (1 + 2.0 ** -45),
+             radius * (1 - 2.0 ** -45), 0.5 * radius, 2.0 * radius]
+    tops, at = rng.choice(edges, n_max), rng.integers(points, size=n_max)
+    dirs = unit_vectors(rng, (n_max, points), dim)
+    n, sign = rng.integers(count - 1, size=n_max), rng.choice([-1.0, 1.0], n_max)
+    around = (rng.random(n_max) < 0.5) & (radius - slack - sign * shifts[n] >= 0)
+    # f - c0 = (radius -+ slack + a_n) u: f - c_n lands on radius -+ slack
+    tops[around] = rng.choice([radius - slack, radius + slack], around.sum()) + (
+        sign * shifts[n])[around]
+    at[around] = star[n[around]]
+    dirs[around, at[around]] = sign[around, None] * u[n[around], star[n[around]]]
+    lengths = rng.uniform(0.0, 1.0, (n_max, points)) * tops[:, None]
+    lengths[np.arange(n_max), at] = tops
+    return c0 + lengths[..., None] * dirs, centres
+
+
+BOUND_CASES = ("random", "placed", "offset", "euclidean", "huge", "tiny-radius", "huge-radius",
+               "square")
+
+
+def bound_batch(case, rng):
+    """(space, table (n_max, points, dim), centres (count, points, dim), epsilon, t)."""
+    product, bounded = tnorm("product"), tconorm("bounded-sum")
+    dim = 2 if case in ("euclidean", "tiny-radius", "huge-radius") else 1
+    space = standard_ifn(builtin_norm("euclidean" if dim == 2 else "abs"), product, bounded)
+    points, count, n_max = int(rng.integers(2, 41)), int(rng.integers(2, 11)), 300
+    epsilon = float(rng.choice([1e-4, 0.1, 0.5, 0.9, 0.9999]))
+    t = float(10.0 ** rng.uniform(-2, 2))
+    if case.endswith("radius"):  # euclidean lengths whose squares are subnormal or overflow
+        t = 10.0 ** rng.uniform(-165, -155) if case == "tiny-radius" else 1e160
+    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
+    slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
+    if case == "square":  # |x|**2 with its mu and nu: kept, but not subadditive
+        space = standard_ifn(lambda v: np.asarray(v)[..., 0] ** 2, product, bounded)
+        radius = np.sqrt(radius)
+    if case in ("placed", "euclidean", "square"):
+        table, centres = placed_batch(rng, points, dim, n_max, count, radius, slack)
+        return space, table, centres, epsilon, t
+    scale = {"random": radius, "huge": 8e307, "huge-radius": 4.7e153, "offset": radius,
+             "tiny-radius": radius}[case]
+    table = scale * rng.uniform(-2, 2, (n_max, points, dim))
+    centres = scale * rng.uniform(-2, 2, (count, points, dim))
+    if case == "huge-radius":  # lengths from c_0 = 0 finite, some between the others not
+        centres[0] = 0.0
+    if case == "tiny-radius":  # centres apart, each f_k about a radius from one of them
+        centres = radius * 10.0 ** rng.uniform(0, 6) * rng.uniform(-1, 1, centres.shape)
+        table = centres[rng.integers(count, size=n_max)] + radius * rng.uniform(-1.5, 1.5,
+                                                                                table.shape)
+    if case == "offset":  # f_k within a radius of a later centre, and c_0 so far off at some
+        # points that T_0 and a_n round by about a radius there
+        table = centres[rng.integers(1, count, n_max)] + rng.uniform(-radius, radius, table.shape)
+        far = rng.random(points) < 0.3
+        centres[0, far] = rng.choice([-radius, radius], (far.sum(), dim)) * 2.0 ** rng.uniform(
+            52, 55, (far.sum(), dim))
+    return space, table, centres, epsilon, t
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the 1e308 scale
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_a_batch_of_centres_matches_mu_and_nu(case):
+    # A batch's later centres are tested only where the first centre's top norm,
+    # give or take their distance from it, leaves an index open.  Every test must
+    # be mu's and nu's, point by point, as must the grid pass's counts and captures.
+    rng = np.random.default_rng(BOUND_CASES.index(case))
+    for _ in range(12):
+        space, table, centres, epsilon, t = bound_batch(case, rng)
+        assert (space.norm in SUBADDITIVE_NORMS) == (case != "square")
+        expect = np.array([[space.exceptional(table[:, p] - c[p], epsilon, t, GUARD, split=True)
+                            .any(axis=0) for p in range(table.shape[1])] for c in centres])
+        expect = expect.any(axis=1)  # (centres, indices): ORed over mu, nu and the points
+        vals = np.ascontiguousarray(table.swapaxes(0, 1))
+        got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, GUARD, False,
+                                      np.empty(vals.size))
+        assert np.array_equal(got, expect)
+        n_max, lam = len(table), lambda_family("identity")
+        stages = _stages(lam, n_max, None)
+        captures = (Capture(WITNESS_CAP, int(stages[2][-1]), last=True),
+                    Capture(ANCHOR_POOL, misses=True))
+        q = ConvergenceQuery("uniform-lambda-cauchy", epsilon, t, lam, n_max)
+        counter = _union(table_sequence(table), space, q, np.arange(table.shape[1], dtype=float),
+                         [lambda x, c=c: c[int(x)] for c in centres], stages, captures)
+        reference = WindowCounter(len(centres), stages[0], stages[2], captures)
+        reference.feed(expect)
+        assert np.array_equal(counter.counts(), reference.counts())
+        assert all(np.array_equal(a, b) for a, b in zip(counter.kept, reference.kept))
 
 
 @pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
@@ -578,6 +695,21 @@ def test_query_validates_parameters():
         ConvergenceQuery(mode="pointwise-stat", epsilon=EPS, time=0.0, lam=lam, n_max=1000)
     with pytest.raises(DomainError):
         ConvergenceQuery(mode="pointwise-stat", epsilon=EPS, time=T, lam=lam, n_max=5)
+
+
+@pytest.mark.parametrize("n_max, stride", [(1e4, None), (1000.0, None), (1000, 2.5),
+                                           (1000, 2.0)])
+def test_horizon_and_stride_must_be_integers(std_space, unit_grid, n_max, stride):
+    # a float n_max made range() raise TypeError mid-detection, and stride 2.5
+    # traced stages past the horizon and out of order
+    lam = lambda_family("identity")
+    with pytest.raises(DomainError, match="integer"):
+        ConvergenceQuery("uniform-lambda-stat", EPS, T, lam, n_max, stride)
+    with pytest.raises(DomainError, match="integer"):
+        density_trace(lambda k: k % 2 == 0, lam, n_max, stride)
+    fs, limit = build_reciprocal_shift(unit_grid)  # numpy integers are integers
+    q = ConvergenceQuery("uniform-lambda-stat", EPS, T, lam, np.int64(1000), np.int32(7))
+    assert detect(fs, limit, std_space, q).traces.ns[-2:].tolist() == [994, 1000]
 
 
 @pytest.mark.parametrize("time", [np.nan, np.inf])
