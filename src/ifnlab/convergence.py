@@ -11,14 +11,16 @@ by its norm.  The grid is split into groups (``_groups``): each point alone
 in the pointwise modes, the whole grid in the uniform ones.  One grid pass
 (``_union``) is one loop over feeds of consecutive indices, each a row per
 centre of a batch (the union over the points of their exceptional sets) for
-a ``WindowCounter``.  A feed is filled with the test of every index it does
-not evaluate, and its indices are evaluated in blocks, across a group's
-points when the sequence broadcasts.  A dense feed takes every index over
-an empty fill.  A bundled family's feed takes only its bump set's members,
-over the base value's test: off the set every term is the base value.  The
-counter keeps the windowed counts at the trace stages and the few indices
-the verdict cites, so no array as long as the horizon is held.  A standard
-space tests a block by the largest norm over its points, once per index.
+a ``WindowCounter``.  A feed gives each row a fill, the test of every index
+it does not evaluate, and the indices whose test differs from it; its
+indices are evaluated in blocks, across a group's points when the sequence
+broadcasts.  A dense feed takes every index over a False fill.  A bundled
+family's feed takes only its bump set's members, over the base value's
+test: off the set every term is the base value, so the feed costs the
+members, not the indices.  The counter keeps the windowed counts at the
+trace stages and the few indices the verdict cites, so no array as long as
+the horizon is held.  A standard space tests a block by the largest norm
+over its points, once per index.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -175,22 +177,22 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     with ``split``), fed to a ``WindowCounter`` at the trace ``stages`` with
     the ``captures``.  Without stages every block is a feed, and the sweep
     stops once the counter is ``done`` (say, a full anchor pool); faults past
-    that go unchecked.  Each feed fills its rows with ``off``, the test of
-    every index it does not evaluate, takes its indices, and evaluates them
-    in blocks of ``step`` indices, one ``terms`` call per chunk of ``width``
+    that go unchecked.  Each feed takes its indices and evaluates them in
+    blocks of ``step`` indices, one ``terms`` call per chunk of ``width``
     points: all of ``xs`` when the sequence ``broadcasts``, else one, so a
     ``per_point`` call answers BLOCK_ELEMENTS indices.  Blocks are
     point-major, (points, indices, coordinates); ``exceptional_batch`` tests
     one against the batch, bounding later centres by the first.  The first
-    point chunk writes its tests over the fill, later ones OR into them.
-    Faults come in point-by-point order.
+    point chunk writes its tests into the feed's rows, later ones OR into
+    them.  Faults come in point-by-point order.
 
-    A dense feed takes every index over an empty fill.  A bundled family's
-    ``evaluate.sparse`` form ``(bumps, base, bump)``, with finite base values
-    and centres, takes the feed's members of the bump set, a searchsorted
-    slice, over each centre's test of ``base - centre``: every index off the
-    set has the base term.  The feeds, and so the counts, captures and
-    faults, are the dense sweep's.
+    A dense feed takes every index and counts its hits over a False fill.
+    A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``, with
+    finite base values and centres, takes the feed's members of the bump
+    set, a searchsorted slice, and fills each row with its centre's test of
+    ``base - centre``: every index off the set has the base term.  Only the
+    members whose test differs from the fill go to the counter.  The feeds,
+    and so the counts, captures and faults, are the dense sweep's.
     """
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
@@ -198,7 +200,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
     first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
     terms, width = fs.terms, len(xs) if fs.broadcasts else 1
-    members, off = None, False  # dense feeds: every index, over an empty fill
+    members, fill = None, False  # dense feeds: every index, over an all-False fill
     sparse = getattr(fs.evaluate, "sparse", None)
     if sparse is not None and clean:
         bumps, base, bump = sparse
@@ -206,7 +208,9 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         if np.isfinite(base_vals).all():
             # each centre's tests of every index off the set
             off = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time, GUARD,
-                                        split, np.empty(len(xs))).reshape(len(centres), -1, 1)
+                                        split, np.empty(len(xs))).reshape(len(centres), -1)
+            fill = np.concatenate([off, off.any(axis=1, keepdims=True)], axis=1) if split else off
+            fill = fill.reshape(-1, 1)
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
     step = max(1, BLOCK_ELEMENTS // width)  # indices per block
@@ -218,13 +222,10 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     held = np.empty((len(centres), 1 + split, span), dtype=bool)
     for lo in range(0, q.n_max, span):
         hi = min(lo + span, q.n_max)
-        block = held[..., :hi - lo]
-        block[...] = off
         feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
+        block = held[..., :feed.size]  # the tests of the feed's indices
         for a in range(0, feed.size, step):
             ks = feed[a:a + step]
-            # a dense feed's indices are contiguous: a slice, cheaper than a fancy index
-            at = slice(a, a + ks.size) if members is None else ks - lo - 1
             for p in range(0, len(xs), width):
                 # held until the next block's terms exist: freed first, glibc trims the heap
                 vals = terms(ks, xs[p:p + width])
@@ -237,11 +238,17 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                 if clean:
                     t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
                                               GUARD, split, buf).reshape(block.shape[:2] + (-1,))
+                    at = slice(a, a + ks.size)
                     block[..., at] = t | block[..., at] if p else t
         if clean:
             if split:
                 block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)
-            counter.feed(block.reshape(-1, hi - lo))
+            block = block.reshape(rows, -1)
+            if members is None:
+                counter.feed(hi - lo, np.flatnonzero(block))
+            else:  # the flat places, row by row, of the members whose test is not the fill
+                at = np.arange(0, rows * (hi - lo), hi - lo)[:, None] + (feed - (lo + 1))
+                counter.feed(hi - lo, at[block != fill], fill)
         if counter.done:
             break
     _faults(xs, first_bad, cs if limits else None)

@@ -55,10 +55,23 @@ class LambdaSequence:
         return float(self.values(np.array([n]))[0])
 
 
+# The families work in place on one fresh array, so a bump-set build chunk
+# allocates nothing but its ladder values.
+def _ceil_sqrt(ns):
+    vals = np.array(ns, dtype=float)
+    return np.ceil(np.sqrt(vals, out=vals), out=vals)
+
+
+def _ceil_log2(ns):
+    vals = np.array(ns, dtype=float)
+    vals += 1.0
+    return np.ceil(np.log2(vals, out=vals), out=vals)
+
+
 _FAMILIES = {
     "identity": lambda ns: np.asarray(ns, dtype=float),
-    "sqrt": lambda ns: np.ceil(np.sqrt(np.asarray(ns, dtype=float))),
-    "log": lambda ns: np.ceil(np.log2(np.asarray(ns, dtype=float) + 1.0)),
+    "sqrt": _ceil_sqrt,
+    "log": _ceil_log2,
 }
 
 LAMBDA_IDS = tuple(_FAMILIES)
@@ -102,12 +115,23 @@ class IndexWindow:
         return self.hi - self.lo + 1
 
 
-def _window_lows(lam: LambdaSequence, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lambda values and window lower ends (clamped at 1) at the stages ``ns``."""
+def _window_lows(lam: LambdaSequence, ns: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """lambda values and window lower ends (clamped at 1) at the stages ``ns``.
+
+    The lows are written into ``out``, an int64 buffer of ns.size, if given.
+    A value that is not positive and finite raises DomainError: a NaN would
+    cast to an arbitrary low.
+    """
     lam_vals = np.asarray(lam.values(ns), dtype=float)
-    if np.min(lam_vals) <= 0:
-        raise DomainError("lambda values must be positive")
-    return lam_vals, np.maximum(1, ns - np.ceil(lam_vals).astype(np.int64) + 1)
+    if not (np.min(lam_vals) > 0 and np.max(lam_vals) < np.inf):
+        raise DomainError("lambda values must be positive and finite")
+    lows = np.ceil(lam_vals, out=np.empty(ns.shape, np.int64) if out is None else out,
+                   casting="unsafe")
+    np.subtract(ns, lows, out=lows)
+    lows += 1
+    if lows.min() < 1:  # a window wider than its stage; a min is the cheaper pass
+        np.maximum(lows, 1, out=lows)
+    return lam_vals, lows
 
 
 def window(lam: LambdaSequence, n: int) -> IndexWindow:
@@ -227,10 +251,16 @@ class WindowCounter:
     A row's count in the window [low, n] is its running count at n minus its
     running count at low - 1, so it keeps, per row, the running count at
     each of those boundaries and nothing as long as the horizon.  ``feed``
-    takes a (rows, m) block of the m indices after the ones fed so far and
-    counts all rows at once from the block's hit list.  ``kept[i]`` holds
-    what ``captures[i]`` asks for, ``cap`` indices per row, first or last
-    aligned with 0 where fewer were found.
+    takes the m indices after the ones fed so far as, per row, a fill value
+    and the indices whose test differs from it (the row's flips).  A running
+    count at a boundary is then the number of flips before it, or the width
+    minus that number, so a feed costs its flips and its boundaries, not m:
+    a dense block feeds its ``flatnonzero`` over a False fill, a bundled
+    family's block its members that differ from the base value's test.
+    ``kept[i]`` holds what ``captures[i]`` asks for, ``cap`` indices per
+    row, first or last aligned with 0 where fewer were found; a row's finds
+    are its flips, or when the fill is what the capture looks for, the
+    indices between them.
     """
 
     def __init__(self, rows: int, ns=(), lows=(), captures=()):
@@ -243,38 +273,53 @@ class WindowCounter:
         self.captures = tuple(captures)
         self.kept = [np.zeros((rows, c.cap), dtype=np.int64) for c in self.captures]
 
-    def feed(self, block: np.ndarray) -> None:
-        rows, m = block.shape
-        row_at = np.arange(rows)[:, None] * m  # flat offset of each row
-        hits = np.flatnonzero(block)
+    def feed(self, m: int, flips: np.ndarray, fill=False) -> None:
+        """Count the next m indices: row r tests ``fill[r]`` but at its flips.
+
+        ``flips`` lists, ascending, the flat positions r * m + offset where
+        row r's test is not its fill; ``fill`` is one truth value per row, or
+        one for all rows.
+        """
+        rows = len(self._total)
+        fill = np.broadcast_to(np.asarray(fill, dtype=bool).reshape(-1), (rows,))
+        row_at = np.arange(rows) * m  # flat offset of each row
         i, j = np.searchsorted(self._bounds, (self._fed, self._fed + m), side="right")
-        if hits.size:
-            offsets = np.concatenate(([0], self._bounds[i:j] - self._fed, [m]))
-            below = np.searchsorted(hits, row_at + offsets)
-            below -= below[:, :1]  # hits of the row before each offset
-            self._at_bounds[:, i:j] = self._total + below[:, 1:-1]
-            self._total += below[:, -1:]
-        else:
-            self._at_bounds[:, i:j] = self._total
-        misses = None
+        offsets = np.concatenate(([0], self._bounds[i:j] - self._fed, [m]))
+        below = np.searchsorted(flips, row_at[:, None] + offsets)
+        below -= below[:, :1]  # flips of the row before each offset
+        counts = np.where(fill[:, None], offsets - below, below)
+        self._at_bounds[:, i:j] = self._total + counts[:, 1:-1]
+        self._total += counts[:, -1:]
+        steps = None
         for n, c in enumerate(self.captures):
             start = max(0, c.lo - 1 - self._fed)
             if start >= m or not (c.last or (self.kept[n] == 0).any()):
                 continue
-            if c.misses and misses is None:
-                misses = np.flatnonzero(~block)
-            found = misses if c.misses else hits
-            if found.size == 0:
+            a, e = np.searchsorted(flips, row_at[:, None] + (start, m)).T
+            listed = fill == c.misses  # the row's finds are its flips, else the indices between
+            found = np.where(listed, e - a, m - start - (e - a))
+            if not found.any():
                 continue
-            a, e = np.searchsorted(found, row_at + (start, m)).T
-            first = np.maximum(a, e - c.cap) if c.last else a
             slot = np.arange(c.cap)
-            at = first[:, None] + slot
-            new = np.where(at < e[:, None],  # left-aligned, 0 past the row's finds
-                           found[np.minimum(at, found.size - 1)] - row_at + self._fed + 1, 0)
+            rank = (np.maximum(found - c.cap, 0)[:, None] if c.last else 0) + slot
+            if not listed.all():
+                # flips[g] - g counts the indices before flip g that are not flips,
+                # so a row's rank-th such index from its start lies past each flip
+                # whose count is at most the start's, row_at + start - a, plus the rank
+                if steps is None:
+                    steps = flips - np.arange(flips.size)  # ascending
+                past = np.searchsorted(steps, (row_at + start - a)[:, None] + rank, side="right")
+                at = start + rank + np.minimum(past, e[:, None]) - a[:, None]
+            if listed.any() and flips.size:
+                at_flip = flips[np.minimum(a[:, None] + rank, flips.size - 1)] - row_at[:, None]
+                at = at_flip if listed.all() else np.where(listed[:, None], at_flip, at)
+            new = np.where(rank < found[:, None], at + self._fed + 1, 0)  # left-aligned
+            if c.last and (found >= c.cap).all():  # the new replace all that was kept
+                self.kept[n] = new
+                continue
             both = np.concatenate([self.kept[n], new], axis=1)
             if c.last:  # kept is right-aligned: drop as many of its oldest as there are new
-                take = (e - first)[:, None] + slot
+                take = np.minimum(found, c.cap)[:, None] + slot
             else:  # kept is left-aligned: the new follow its filled slots
                 filled = np.count_nonzero(self.kept[n], axis=1)[:, None]
                 take = np.where(slot < filled, slot, c.cap + slot - filled)
@@ -335,8 +380,13 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     stages = _stages(lam, n_max, stride)
     counter = WindowCounter(1, stages[0], stages[2])
     for block in blocks:
-        counter.feed(block[None])
+        counter.feed(block.size, np.flatnonzero(block))
     return _trace(stages, counter.counts()[0])
+
+
+def _excess(violation) -> float:
+    """A violation clipped at 0 from below; a nan stays nan, so its report fails."""
+    return 0.0 if violation <= 0 else float(violation)
 
 
 def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:
@@ -345,7 +395,8 @@ def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:
     Reports: first-value (lambda_1 = 1), non-decreasing, slow-growth
     (lambda_{n+1} <= lambda_n + 1), index-bound (lambda_n <= n), and a
     divergence heuristic (lambda_{n_max} >= ln(n_max), a necessary sign of
-    an unbounded sequence at this horizon, not a proof).
+    an unbounded sequence at this horizon, not a proof).  A value that is
+    not finite fails the reports that read it, with violation nan or inf.
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
@@ -355,18 +406,19 @@ def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:
 
     reports.append(_report("first-value", abs(tab[0] - 1.0), (1,), tol))
 
-    steps = tab[1:] - tab[:-1]
+    with np.errstate(invalid="ignore"):  # inf - inf: a nan step, which fails its reports
+        steps = tab[1:] - tab[:-1]
     i = int(np.argmin(steps))
-    reports.append(_report("non-decreasing", max(0.0, float(-steps[i])), (i + 1,), tol))
+    reports.append(_report("non-decreasing", _excess(-steps[i]), (i + 1,), tol))
 
     j = int(np.argmax(steps))
-    reports.append(_report("slow-growth", max(0.0, float(steps[j] - 1.0)), (j + 1,), tol))
+    reports.append(_report("slow-growth", _excess(steps[j] - 1.0), (j + 1,), tol))
 
     over = tab - np.arange(1, n_max + 1)
     k = int(np.argmax(over))
-    reports.append(_report("index-bound", max(0.0, float(over[k])), (k + 1,), tol))
+    reports.append(_report("index-bound", _excess(over[k]), (k + 1,), tol))
 
-    shortfall = max(0.0, math.log(n_max) - float(tab[-1]))
+    shortfall = _excess(math.log(n_max) - tab[-1])
     reports.append(_report("divergence", shortfall, (n_max,), tol))
 
     return reports

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from configparser import ConfigParser
 from dataclasses import fields, replace
 from pathlib import Path
@@ -442,6 +443,21 @@ def test_density_rejects_inadmissible_table(tmp_path, capsys):
     assert run_cli("density", ini, "--out", out) == 3
     assert "slow-growth" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command, section, written", [
+    ("analyze", "[sequence]\nexample = paper-example-2\n", "verdict.json"),
+    ("density", "[density]\nset = evens\n", "trace.csv"),
+], ids=["analyze", "density"])
+def test_a_non_finite_table_exits_three(tmp_path, capsys, command, section, written):
+    ini = tmp_path / "nan.ini"
+    ini.write_text(f"[lambda]\ntable = 1, 2, nan, 4\n{section}[query]\nn_max = 1000\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no cast of the nan on the way
+        assert run_cli(command, ini, "--out", out) == 3
+    assert "non-decreasing" in capsys.readouterr().err
+    assert not (out / written).exists()
 
 
 def test_runtime_fault_exits_four(tmp_path, capsys):

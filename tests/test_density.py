@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifnlab import (DomainError, LAMBDA_IDS, density_trace, lambda_family,
+from ifnlab import (BumpIndexSet, DomainError, LAMBDA_IDS, density_trace, lambda_family,
                     lambda_from_table, validate, window)
+from ifnlab.density import _window_lows
 
 
 def brute_window_count(member_mask: np.ndarray, lam, n: int) -> int:
@@ -81,6 +82,13 @@ def test_decreasing_table_fails_validation():
     assert not {r.axiom: r for r in validate(lam, 50)}["non-decreasing"].passed
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_table_fails_validation(bad):
+    lam = lambda_from_table([1.0, 2.0, bad, 4.0])
+    failed = {r.axiom for r in validate(lam, 1000) if not r.passed}
+    assert "non-decreasing" in failed and "slow-growth" in failed
+
+
 lambda_increments = st.lists(st.integers(min_value=0, max_value=1),
                              min_size=30, max_size=120)
 
@@ -118,6 +126,23 @@ def test_identity_window_is_everything():
 def test_window_rejects_a_nonpositive_lambda():
     with pytest.raises(DomainError, match="positive"):
         window(lambda_from_table([0.0, 1.0]), 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_window_lows_reject_a_non_finite_lambda(bad):
+    lam = lambda_from_table([1.0, 2.0, bad, 4.0])
+    for ns in (np.arange(1, 5), np.array([3])):
+        with pytest.raises(DomainError, match="finite"):
+            _window_lows(lam, ns)
+    with pytest.raises(DomainError, match="finite"):
+        _window_lows(lam, np.arange(1, 5), np.empty(4, dtype=np.int64))
+    with pytest.raises(DomainError, match="finite"):
+        window(lam, 3)
+    assert window(lam, 2).lo == 1
+    bumps = BumpIndexSet(lam)
+    bumps.ensure(2)  # the bad stage lies past the horizon
+    with pytest.raises(DomainError, match="finite"):
+        bumps.ensure(3)
 
 
 # ------------------------------------------------------------ traces

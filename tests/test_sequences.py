@@ -16,6 +16,7 @@ from ifnlab import (BumpIndexSet, EXAMPLE_IDS, FunctionSequence, GridMismatchErr
                     build_example_uniform, build_reciprocal_shift, combine_linear,
                     lambda_family, lambda_from_table, window)
 from ifnlab.algebra import DomainError
+from ifnlab.sequences import _BUILD_CHUNK
 
 
 def budget_violations(lam, n_max: int) -> list[int]:
@@ -102,6 +103,28 @@ def test_bump_set_rejects_decreasing_ladders(values, what, split):
         bumps.ensure(len(values))
 
 
+@pytest.mark.parametrize("split", [False, True])
+def test_bump_set_rejects_a_budget_drop_while_ceil_lambda_holds(split):
+    # ceil(lambda) stays 5 from stage 4 to 5, so the window low holds, while
+    # sqrt(4 + 2**-50) rounds to 2: the budget falls from 3 to 2 at stage 5
+    values = [1.0, 2.0, 3.0, 4.5, math.nextafter(4.0, 5.0)]
+    assert math.ceil(values[3]) == math.ceil(values[4])
+    bumps = BumpIndexSet(lambda_from_table(values))
+    if split:
+        bumps.ensure(len(values) - 1)
+    with pytest.raises(DomainError, match="budget .* at stage 5"):
+        bumps.ensure(len(values))
+
+
+def test_bump_set_keeps_the_budget_of_a_lambda_just_past_a_square():
+    # sqrt(4 + 2**-50) rounds to 2, so the run of budget 2 reaches past lambda = 4
+    values = [1.0, 2.0, 3.0, 4.0, math.nextafter(4.0, 5.0), 5.0, 6.0]
+    lam = lambda_from_table(values)
+    bumps = BumpIndexSet(lam)
+    bumps.ensure(40)
+    assert np.array_equal(bumps.mask(40), reference_bump_mask(lam, 40))
+
+
 @pytest.mark.parametrize("past, what", [(1.0, "budget"), (400.0, "window low")])
 def test_bump_set_builds_ahead_only_within_the_admissible_stages(past, what):
     # admissible up to n_max, not at n_max + 1: building ahead in whole chunks
@@ -178,16 +201,19 @@ def test_bump_set_growth_holds_two_arrays_at_most():
     assert old + peak <= 1.5 * final + scratch, (old, peak, scratch, final)
 
 
-@pytest.mark.parametrize("freed", [0, 1 << 20])
-def test_bump_set_build_takes_few_page_faults(freed):
-    # scratch arrays at glibc's 128 KiB mmap threshold were mapped, trimmed
-    # and faulted in again every chunk, or not, by the process's allocation
-    # history; under it they come from the heap, whatever was freed before
+@pytest.mark.parametrize("freed, ladder", [(0, "identity"), (1 << 20, "identity"),
+                                           (_BUILD_CHUNK * 8, "identity"), (0, "sqrt")])
+def test_bump_set_build_takes_few_page_faults(freed, ladder):
+    # build scratch near glibc's mmap threshold was mapped, trimmed and
+    # faulted in again every chunk, or not, by the process's allocation
+    # history (a freed block raises the threshold); the set's own scratch is
+    # faulted in once, and a chunk's one fresh array, the ladder's values,
+    # comes from the heap after the first
     pytest.importorskip("resource")
     script = ("import resource; import numpy as np; "
               "from ifnlab import BumpIndexSet, lambda_family; "
               f"np.ones({freed}, dtype=np.uint8); "  # freed at once
-              "bumps = BumpIndexSet(lambda_family('identity')); "
+              f"bumps = BumpIndexSet(lambda_family({ladder!r})); "
               "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt; "
               "bumps.ensure(3_000_000); "
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")

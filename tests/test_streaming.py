@@ -35,7 +35,7 @@ def test_counter_matches_prefix_counts_and_direct_captures(seed):
     counter = WindowCounter(rows, ns, lows, captures)
     cuts = np.unique(np.concatenate([[0, n_max], rng.integers(0, n_max, 8)]))
     for a, b in zip(cuts[:-1], cuts[1:]):  # blocks of uneven sizes
-        counter.feed(masks[:, a:b])
+        counter.feed(b - a, np.flatnonzero(masks[:, a:b]))
     for row, mask in enumerate(masks):
         assert np.array_equal(counter.counts()[row], prefix_counts(mask, ns, lows))
         hits = np.flatnonzero(mask) + 1
@@ -44,6 +44,40 @@ def test_counter_matches_prefix_counts_and_direct_captures(seed):
                     misses[-3:]]
         for kept, want in zip(counter.kept, expected):
             assert np.array_equal(kept[row][kept[row] > 0], want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sparse_feeds_match_the_same_rows_fed_densely(seed):
+    # each row as a fill and the indices whose test differs from it, as a
+    # bundled family's feed gives it; a fill of True counts the rest as hits
+    rng = np.random.default_rng(seed)
+    n_max, rows = int(rng.integers(10, 3000)), int(rng.integers(1, 5))
+    masks = rng.random((rows, n_max)) < rng.choice([0.0, 0.01, 0.3, 0.9, 1.0], size=(rows, 1))
+    fill = rng.random(rows) < 0.5
+    ns, _, lows = _stages(lambda_family(rng.choice(["identity", "sqrt", "log"])), n_max,
+                          int(rng.integers(1, 50)))
+    lo = int(rng.integers(1, n_max + 1))
+    cap = int(rng.integers(1, 12))
+    captures = (Capture(cap, lo, last=True), Capture(cap, lo), Capture(cap, lo, misses=True),
+                Capture(cap, last=True, misses=True), Capture(cap))
+    dense, sparse = (WindowCounter(rows, ns, lows, captures) for _ in range(2))
+    cuts = np.unique(np.concatenate([[0, n_max], rng.integers(0, n_max, 8)]))
+    for a, b in zip(cuts[:-1], cuts[1:]):  # blocks of uneven sizes
+        block = masks[:, a:b]
+        dense.feed(b - a, np.flatnonzero(block))
+        sparse.feed(b - a, np.flatnonzero(block != fill[:, None]), fill)
+    assert np.array_equal(sparse.counts(), dense.counts())
+    assert np.array_equal(sparse.counts(), [prefix_counts(m, ns, lows) for m in masks])
+    for kept_sparse, kept_dense in zip(sparse.kept, dense.kept):
+        assert np.array_equal(kept_sparse, kept_dense)
+    for row, mask in enumerate(masks):
+        hits, misses = np.flatnonzero(mask) + 1, np.flatnonzero(~mask) + 1
+        expected = [hits[hits >= lo][-cap:], hits[hits >= lo][:cap], misses[misses >= lo][:cap],
+                    misses[-cap:], hits[:cap]]
+        for kept, want, c in zip(sparse.kept, expected, captures):
+            pad = np.zeros(cap - want.size, dtype=np.int64)  # last right-, first left-aligned
+            want = np.concatenate([pad, want] if c.last else [want, pad])
+            assert np.array_equal(kept[row], want)
 
 
 @pytest.mark.parametrize("ladder", ["identity", "sqrt", "log"])
