@@ -337,10 +337,15 @@ def _resolve_sequence(cfg: ExperimentConfig, lam: LambdaSequence, grid: np.ndarr
 
     def evaluate(ks, x):
         # One point as a number, so that a truth value of x works point by point.  The
-        # float ks dies before the copy: held, it makes glibc trim the heap every block.
-        x = np.asarray(x, dtype=float)
-        out = term(k=np.asarray(ks, dtype=float), x=x if x.ndim else float(x))
-        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(ks, x).shape).copy()
+        # answer is the expression's own array when it has the block's shape and owns its
+        # data, else a copy: it may broadcast, or be ks or x (say x on a one-index block).
+        # The float ks dies before any copy: held, it makes glibc trim the heap every block.
+        x, k = np.asarray(x, dtype=float), np.asarray(ks, dtype=float)
+        out = np.asarray(term(k=k, x=x if x.ndim else float(x)), dtype=float)
+        shape = np.broadcast(ks, x).shape
+        own = out.flags.owndata and out is not ks and out is not x
+        del k
+        return out if own and out.shape == shape else np.broadcast_to(out, shape).copy()
 
     fs = FunctionSequence(evaluate, grid, f"expression {cfg.expression!r}")
     limit = None

@@ -20,7 +20,10 @@ test: off the set every term is the base value, so the feed costs the
 members, not the indices.  The counter keeps the windowed counts at the
 trace stages and the few indices the verdict cites, so no array as long as
 the horizon is held.  A standard space tests a block by the largest norm
-over its points, once per index.
+over its points, once per index.  A union over points is exceptional where
+one point is, so a pass whose terms an earlier pass has checked reads each
+later block at one probe point first, and the whole grid only for the
+indices that point leaves open against some centre.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -30,7 +33,8 @@ first ANCHOR_POOL indices outside the group's set against the latest term
 f_{n_max}, the first alone and then the rest in one pass: at most three
 passes per group.  The pool pass stops at the block where its tenth anchor
 turns up; the anchor passes cover the whole horizon, so they meet any fault
-it stopped short of.  A group that does not converge gives witnesses (``_witnesses``):
+it stopped short of, and the first anchor's pass checks every term the
+rest's pass reads.  A group that does not converge gives witnesses (``_witnesses``):
 the last indices of its last set in the final window, kept by the sweep,
 each paired with the first point of the group where it is exceptional
 against the same centre.  ifn-classical instead asks every exceptional
@@ -169,7 +173,8 @@ def _faults(xs: np.ndarray, first_bad: np.ndarray, limits: np.ndarray | None = N
 
 
 def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
-           stages: tuple | None = None, captures=(), split: bool = False) -> WindowCounter:
+           stages: tuple | None = None, captures=(), split: bool = False,
+           checked: bool = False) -> WindowCounter:
     """The grid pass: per centre, the windowed counts of the union of the points' exceptional sets.
 
     One loop over feeds of ``span`` indices of k = 1..n_max, about
@@ -193,6 +198,13 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     ``base - centre``: every index off the set has the base term.  Only the
     members whose test differs from the fill go to the counter.  The feeds,
     and so the counts, captures and faults, are the dense sweep's.
+
+    ``checked`` says an earlier pass evaluated every term of the horizon and
+    found it finite.  A dense, unsplit pass over several points of a
+    standard space whose sequence broadcasts then tests its first block in
+    full, takes as probe the point where most of that block's columns peak
+    against the first centre, and tests every later block with ``_probed``:
+    the same tests, without the finiteness check.
     """
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
@@ -214,6 +226,9 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
     step = max(1, BLOCK_ELEMENTS // width)  # indices per block
+    # a checked dense grid pass of a standard space reads later blocks at one point first
+    probe = (-1 if checked and ifn.norm is not None and not split and members is None
+             and fs.broadcasts and len(xs) > 1 else None)
     ns, _, lows = stages or ((), None, ())
     rows = len(centres) * (3 if split else 1)
     counter = WindowCounter(rows, ns, lows, captures)
@@ -225,7 +240,10 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
         block = held[..., :feed.size]  # the tests of the feed's indices
         for a in range(0, feed.size, step):
-            ks = feed[a:a + step]
+            ks, at = feed[a:a + step], slice(a, a + step)
+            if probe is not None and probe >= 0:
+                block[:, 0, at] = _probed(terms, ifn, q, xs, cs, probe, ks, buf)
+                continue
             for p in range(0, len(xs), width):
                 # held until the next block's terms exist: freed first, glibc trims the heap
                 vals = terms(ks, xs[p:p + width])
@@ -238,8 +256,11 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                 if clean:
                     t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
                                               GUARD, split, buf).reshape(block.shape[:2] + (-1,))
-                    at = slice(a, a + ks.size)
                     block[..., at] = t | block[..., at] if p else t
+            if probe == -1:  # where most of the first block's columns peak against centre 0
+                diffs = np.subtract(vals, cs[0, :, None], out=buf[:vals.size].reshape(vals.shape))
+                peaks = ifn.norm(diffs).argmax(axis=0)
+                probe = int(np.bincount(peaks, minlength=len(xs)).argmax())
         if clean:
             if split:
                 block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)
@@ -253,6 +274,25 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
             break
     _faults(xs, first_bad, cs if limits else None)
     return counter
+
+
+def _probed(terms: Callable, ifn, q: ConvergenceQuery, xs, cs: np.ndarray, probe: int,
+            ks: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """A checked block's tests, (centres, indices), reading the grid only where the probe must.
+
+    The ``probe`` point's row decides the pairs it shows exceptional
+    (``clears_band``); a column decided for every centre is True throughout.
+    The other columns are evaluated across ``xs`` in one call, unchecked,
+    and ``exceptional_batch`` tests their open pairs exactly.
+    """
+    known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe], q.epsilon, q.time,
+                            GUARD)
+    out = np.ones(known.shape, dtype=bool)
+    open_ = ~known.all(axis=0)
+    if open_.any():
+        out[:, open_] = ifn.exceptional_batch(terms(ks[open_], xs), cs[:, :, None], q.epsilon,
+                                              q.time, GUARD, False, buf, known[:, open_])
+    return out
 
 
 def _groups(uniform: bool, grid: np.ndarray) -> list:
@@ -294,8 +334,10 @@ def _aggregate(point_verdicts: list[str]) -> str:
 def _search(union: Callable, pool: list, stages: tuple) -> tuple:
     """Try a group's candidate centres in pool order; stop at the first limit-zero trace.
 
-    ``union(batch, stages, captures)`` counts the group's exceptional sets
-    of a batch in one sweep: the first candidate, then the rest.  Returns
+    ``union(batch, stages, captures, checked=...)`` counts the group's
+    exceptional sets of a batch in one sweep: the first candidate, then the
+    rest, ``checked`` since the first candidate's sweep evaluated every term
+    and raised on any fault.  Returns
     the outcome, the last centre tried, its trace, and the last WITNESS_CAP
     indices of its set in the final window (all None for an empty pool).
     The outcome is converges at a limit-zero trace, else inconclusive when
@@ -304,10 +346,10 @@ def _search(union: Callable, pool: list, stages: tuple) -> tuple:
     """
     outcome, centre, trace, tail = "fails", None, None, None
     final_hits = Capture(WITNESS_CAP, int(stages[2][-1]), last=True)
-    for batch in (pool[:1], pool[1:]):
+    for checked, batch in ((False, pool[:1]), (True, pool[1:])):
         if not batch:
             continue
-        counter = union(batch, stages, (final_hits,))
+        counter = union(batch, stages, (final_hits,), checked=checked)
         for centre, counts, tail in zip(batch, counter.counts(), counter.kept[0]):
             trace = _trace(stages, counts)
             if trace.verdict == "limit-zero":

@@ -338,9 +338,9 @@ class WindowCounter:
 
 
 def _check_horizon(n_max, stride) -> None:
-    """Raise DomainError unless n_max >= 10 and stride, if given, >= 1 are integers."""
+    """Raise DomainError unless n_max >= 10 and stride, if given, >= 1 are integers (not bools)."""
     for name, value, low in (("n_max", n_max, 10), ("stride", 1 if stride is None else stride, 1)):
-        if not isinstance(value, (int, np.integer)) or value < low:
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
             raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

@@ -39,8 +39,9 @@ TIME_CONTINUITY_SLACK = 4.0
 # their boundary by a few 2**-53 units.
 RADIUS_SLACK = 2.0 ** -40
 
-# ``IFNorm.exceptional_batch``'s margin, relative to T_0 + a_n + radius, far above the
-# rounding of a length, and the radii it serves (there squares neither overflow nor underflow).
+# The margin of ``IFNorm.exceptional_batch``'s bound, relative to T_0 + a_n + radius, and of
+# ``clears_band``'s, relative to the band and the centre's norm: far above the rounding of a
+# length.  And the radii they serve (there squares neither overflow nor underflow).
 BOUND_MARGIN, BOUND_RADII = 2.0 ** -30, (2.0 ** -500, 2.0 ** 500)
 
 
@@ -146,11 +147,16 @@ class IFNorm:
         return self._by_norm(d, batch[0] if union else 1, epsilon, t, guard)[0].reshape(
             batch[1:] if union else batch)
 
+    @staticmethod
+    def _band(epsilon: float, t: float, guard: float) -> tuple:
+        """The radius of the norm test and the RADIUS_SLACK band around it."""
+        return (t * (epsilon - guard) / (1.0 - epsilon + guard),
+                RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2)
+
     def _by_norm(self, d: np.ndarray, points: int, epsilon: float, t: float, guard: float):
         """Per column of the flat vectors ``d`` as (points, columns): test, top, radius, slack."""
         r = self.norm(d).reshape(points, -1)
-        radius = t * (epsilon - guard) / (1.0 - epsilon + guard)
-        slack = RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2
+        radius, slack = self._band(epsilon, t, guard)
         top = r[0] if points == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
         out = top >= radius + slack
         near = (top >= radius - slack) ^ out
@@ -161,33 +167,58 @@ class IFNorm:
         return out, top, radius, slack
 
     def exceptional_batch(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
-                          guard: float, split: bool, buf: np.ndarray) -> np.ndarray:
+                          guard: float, split: bool, buf: np.ndarray,
+                          known: np.ndarray | None = None) -> np.ndarray:
         """Per centre, ``exceptional(vals - centre, epsilon, t, guard, split, union=True)``.
 
         ``vals`` is (points, indices, coordinates), ``centres`` (centres, points, 1,
-        coordinates), ``buf`` flat scratch for ``vals``.  Over SUBADDITIVE_NORMS on several
-        points, without ``split``, only the first centre is tested on the block: a later
-        one's top norm lies within T_0 -+ a_n (the first's, and that of their difference),
-        which decides an index outside the RADIUS_SLACK band widened by BOUND_MARGIN (or
-        by inf outside BOUND_RADII; inf and nan decide nothing).  The rest are gathered."""
+        coordinates), ``buf`` flat scratch for ``vals``.  ``known``, without ``split``, marks
+        (centre, index) pairs already found exceptional: they answer True untested.  Over
+        SUBADDITIVE_NORMS on several points, without ``split``, only the first centre is
+        tested on the block: a later one's top norm lies within T_0 -+ a_n (the first's, and
+        that of their difference), which decides an index outside the RADIUS_SLACK band
+        widened by BOUND_MARGIN (or by inf outside BOUND_RADII; inf and nan decide nothing).
+        The rest of the pairs, known ones aside, are gathered as many as ``buf`` holds at a
+        time, each less its centre from one point-major (points, centres, coordinates) copy."""
         (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
         if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
-            return np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t, guard,
-                                              split, union=True) for c in centres])
+            out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t, guard,
+                                             split, union=True) for c in centres])
+            return out if known is None else out | known
         first, top, radius, slack = self._by_norm(
             np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t, guard)
         shift = self.norm(centres[1:] - centres[0]).max(axis=(1, 2))[:, None]  # a_n
         margin = (BOUND_MARGIN * (top + shift + radius)
                   if BOUND_RADII[0] <= radius <= BOUND_RADII[1] else np.inf)
         out = np.vstack([first, top - shift - margin >= radius + slack])
+        if known is not None:
+            out |= known
         n, k = np.nonzero(~out[1:] & ~(top + shift + margin < radius - slack))
-        for a in range(0, n.size, m):  # a block's worth of pairs at a time
-            ns, ks = n[a:a + m], k[a:a + m]
+        later = np.ascontiguousarray(centres[1:, :, 0].swapaxes(0, 1))  # point-major
+        chunk = buf.size // (points * dim)  # pairs per gather
+        for a in range(0, n.size, chunk):
+            ns, ks = n[a:a + chunk], k[a:a + chunk]
             g = np.take(vals, ks, axis=1, mode="clip",  # "raise" would copy through a buffer
                         out=buf[:points * ks.size * dim].reshape(points, -1, dim))
-            g -= centres[1:, :, 0][ns].swapaxes(0, 1)
+            g -= later[:, ns]
             out[1 + ns, ks] = self._by_norm(g.reshape(-1, dim), points, epsilon, t, guard)[0]
         return out
+
+    def clears_band(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
+                    guard: float) -> np.ndarray:
+        """(centres, indices): whether each row of ``vals`` is exceptional against each centre.
+
+        ``vals`` (indices, coordinates) and ``centres`` (centres, coordinates) are taken at
+        one point.  True says norm(val - centre) reaches (radius + slack)(1 + BOUND_MARGIN)
+        plus BOUND_MARGIN times the centre's norm: past the RADIUS_SLACK band by more than
+        another evaluation of the same terms, a few ulps off, could move it, so any union
+        over points that holds the point holds the pair.  False decides nothing, and
+        nothing is decided for a radius outside BOUND_RADII."""
+        radius, slack = self._band(epsilon, t, guard)
+        bound = (radius + slack) * (1.0 + BOUND_MARGIN) + BOUND_MARGIN * self.norm(centres)
+        if not BOUND_RADII[0] <= radius <= BOUND_RADII[1]:
+            bound = np.full_like(bound, np.inf)
+        return self.norm(vals[None] - centres[:, None]) >= bound[:, None]
 
 
 def _check_time(t) -> None:

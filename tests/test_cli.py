@@ -191,6 +191,19 @@ def test_expression_terms_across_the_grid_match_each_point(expression, grid_form
     assert np.array_equal(fs.terms(ks, grid)[..., 0], by_point)
 
 
+@pytest.mark.parametrize("expression", ["x", "k", "1.0", "sin(k) * x", "x + 0 * k"])
+def test_expression_terms_are_arrays_of_their_own(expression):
+    # The expression's own array is answered as is; one that broadcasts, or
+    # that is ks or x itself (x on a one-index block), comes back as a copy.
+    grid = np.linspace(0.0, 1.0, 11)
+    evaluate = _resolve_sequence(ExperimentConfig(expression=expression), None, grid)[0].evaluate
+    for ks, x in ((np.array([[3]]), grid[:, None]), (np.arange(1.0, 6.0)[None, :], grid[:, None]),
+                  (np.arange(1.0, 6.0), grid[4]), (np.array([2.0]), grid), (2.0, grid[:1])):
+        out = evaluate(ks, x)
+        assert out.shape == np.broadcast(ks, x).shape and out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in (ks, x, grid))
+
+
 # ---------------------------------------------------------------- expressions
 def test_expression_evaluator_is_whitelisted():
     run = compile_expression("exp(-k) * (1.0 + x)", ("k", "x"))

@@ -14,8 +14,8 @@ from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP, _union
-from ifnlab.density import Capture, WindowCounter, _stages
-from ifnlab.space import RADIUS_SLACK, SUBADDITIVE_NORMS
+from ifnlab.density import BLOCK_ELEMENTS, Capture, WindowCounter, _stages
+from ifnlab.space import BOUND_MARGIN, RADIUS_SLACK, SUBADDITIVE_NORMS
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -252,6 +252,12 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
         got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, GUARD, False,
                                       np.empty(vals.size))
         assert np.array_equal(got, expect)
+        # known exceptional pairs skip the gather, which a larger buffer takes in fewer chunks
+        known = expect & (rng.random(expect.shape) < 0.5)
+        for size in (vals.size, 3 * vals.size + 1):
+            got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, GUARD, False,
+                                          np.empty(size), known)
+            assert np.array_equal(got, expect)
         n_max, lam = len(table), lambda_family("identity")
         stages = _stages(lam, n_max, None)
         captures = (Capture(WITNESS_CAP, int(stages[2][-1]), last=True),
@@ -263,6 +269,71 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
         reference.feed(expect.shape[1], np.flatnonzero(expect))
         assert np.array_equal(counter.counts(), reference.counts())
         assert all(np.array_equal(a, b) for a, b in zip(counter.kept, reference.kept))
+
+
+PROBE_CASES = ("dense", "placed", "planar", "sin-kx", "undecided")
+
+
+def probe_batch(case, rng, epsilon, t):
+    """(grid-form sequence, space, later anchors, n_max) for a checked pass of 3+ blocks."""
+    radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
+    slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
+    points = int(rng.integers(2, 25))
+    step = BLOCK_ELEMENTS // points
+    n_max = 2 * step + int(rng.integers(10, step))
+    space = standard_ifn(builtin_norm("euclidean" if case == "planar" else "abs"),
+                         tnorm("product"), tconorm("bounded-sum"))
+    anchors = np.sort(rng.choice(np.arange(1, n_max + 1), int(rng.integers(2, 10)), False))
+    amp, w = radius * rng.uniform(0.5, 10.0), rng.uniform(0.5, 3.0)
+    if case in ("dense", "planar", "sin-kx"):
+        def evaluate(ks, x):
+            k, x = np.asarray(ks, dtype=float), np.asarray(x, dtype=float)
+            if case == "dense":  # sin(k) * x, its peak at the grid's end
+                return amp * np.sin(k + w) * (x + 0.1)
+            if case == "sin-kx":  # its peak point moves with k
+                return amp * np.sin(k * x * w)
+            return amp * np.stack([np.sin(k) * x, np.cos(w * k) * x * x], axis=-1)
+
+        grid = np.linspace(0.0, 1.0, points)
+        return FunctionSequence(evaluate, grid, case), space, anchors.tolist(), n_max
+    table = radius * rng.uniform(-3.0, 3.0, (n_max, points, 1))
+    if case == "placed":  # each term at every point a band edge, or a probe bound, off a centre
+        bound = (radius + slack) * (1.0 + BOUND_MARGIN)
+        edges = np.array([radius, radius - slack, radius + slack, bound, 0.5 * radius])
+        past = bound * (1.0 + 2.0 ** -29) + np.array([0.0, 4 * bound * 2.0 ** -52])
+        edges = np.concatenate([edges, *(np.nextafter(edges, d) for d in (0.0, np.inf)), past])
+        offsets = rng.choice([-1.0, 1.0], (n_max, points)) * rng.choice(edges, (n_max, points))
+        placed = table[rng.choice(anchors, (n_max, points)) - 1, np.arange(points), 0] + offsets
+        placed[anchors - 1] = table[anchors - 1, :, 0]  # the centres stay as they were
+        table[..., 0] = placed
+    else:  # "undecided": the first block peaks at the probe point, where later terms are 0
+        probe = int(rng.integers(points))
+        table[:step, probe], table[step:, probe] = 10.0 * radius, 0.0
+        anchors = np.sort(rng.choice(np.arange(step + 1, n_max + 1), anchors.size, False))
+    return table_sequence(table), space, anchors.tolist(), n_max
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", PROBE_CASES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), epsilon=st.floats(0.01, 0.99), t=st.floats(0.01, 100.0))
+def test_probe_pass_equals_the_full_pass(case, seed, epsilon, t):
+    # A checked pass reads the grid only where one probe point leaves a
+    # (centre, index) pair open; its counts and captures must be the full pass's.
+    fs, space, anchors, n_max = probe_batch(case, np.random.default_rng(seed), epsilon, t)
+    lam, calls = lambda_family("identity"), []
+    q = ConvergenceQuery("uniform-lambda-cauchy", epsilon, t, lam, n_max)
+    stages = _stages(lam, n_max, None)
+    captures = (Capture(WITNESS_CAP, int(stages[2][-1]), last=True),
+                Capture(ANCHOR_POOL, misses=True))
+    full, probed = (_union(counted(fs, calls) if checked else fs, space, q, fs.domain_grid,
+                           anchors, stages, captures, checked=checked) for checked in (False, True))
+    assert np.array_equal(probed.counts(), full.counts())
+    assert all(np.array_equal(a, b) for a, b in zip(probed.kept, full.kept))
+    assert any(xs.size == 1 for _, xs in calls)  # the probe ran
+    if case == "undecided":  # and decided nothing: every index was read across the grid
+        read = np.concatenate([ks.ravel() for ks, xs in calls if xs.size > 1])
+        assert np.array_equal(np.unique(read), np.arange(1, n_max + 1))
 
 
 @pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
@@ -376,15 +447,24 @@ def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid
     # three sweeps.  The pool sweep stops at the block where its tenth
     # anchor turns up: a grid block of 65,536 // 11 indices ends before
     # n_max // 2, while a per-point block of 65,536 covers the horizon.
+    # Past its first block, the grid form's rest-of-pool sweep reads the grid
+    # only where its probe point leaves a pair open.
     n_max, lam, calls = 20_000, lambda_family("identity"), []
     fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
           if form == "grid" else sine_family(unit_grid))
     v = detect_cauchy(counted(fs, calls), std_space, query("uniform-lambda-cauchy", n_max, lam))
     assert v.verdict == "fails" and v.details["anchor"] is None
-    sweeps = 2 if form == "grid" else 3
-    assert sweeps_per_point(calls, unit_grid, n_max // 2) == [sweeps] * unit_grid.size
-    if form == "grid":
-        assert all(xs.size == unit_grid.size for _, xs in calls)
+    if form == "per-point":
+        assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
+        return
+    assert max(sweeps_per_point(calls, unit_grid, n_max // 2)) <= 2
+    # each sweep opens with a full block from k = 1: the pool's, the first anchor's, the rest's
+    starts = [i for i, (ks, _) in enumerate(calls) if ks.ravel()[0] == 1 and ks.size > 1]
+    assert len(starts) == 3 and calls[starts[2]][1].size == unit_grid.size
+    edge = calls[starts[2]][0].max()  # the rest's first block, tested in full, picks the probe
+    first, rest = (sum(np.count_nonzero(ks > edge) * xs.size for ks, xs in calls[a:b])
+                   for a, b in zip(starts[1:], starts[2:] + [len(calls)]))
+    assert rest <= 0.3 * first, (rest, first)
 
 
 # ---------------------------------------------------------------- grid form
@@ -698,10 +778,10 @@ def test_query_validates_parameters():
 
 
 @pytest.mark.parametrize("n_max, stride", [(1e4, None), (1000.0, None), (1000, 2.5),
-                                           (1000, 2.0)])
+                                           (1000, 2.0), (1000, True)])
 def test_horizon_and_stride_must_be_integers(std_space, unit_grid, n_max, stride):
-    # a float n_max made range() raise TypeError mid-detection, and stride 2.5
-    # traced stages past the horizon and out of order
+    # a float n_max made range() raise TypeError mid-detection, stride 2.5
+    # traced stages past the horizon and out of order, and stride True ran as 1
     lam = lambda_family("identity")
     with pytest.raises(DomainError, match="integer"):
         ConvergenceQuery("uniform-lambda-stat", EPS, T, lam, n_max, stride)
