@@ -72,6 +72,11 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
 
+# A checked grid pass stops reading blocks at its probe point once the probe decides
+# less than this share of a block's columns: below it, the probe and the open
+# columns' own grid call cost about what the decided columns save, or more.
+PROBE_SHARE = 0.5
+
 # ifn-classical tail certificate: converges when every exceptional index sits
 # in the first half of the horizon; fails when one lands in the final tenth
 # (persistent-tail evidence); anything between is inconclusive.
@@ -203,8 +208,10 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     found it finite.  A dense, unsplit pass over several points of a
     standard space whose sequence broadcasts then tests its first block in
     full, takes as probe the point where most of that block's columns peak
-    against the first centre, and tests every later block with ``_probed``:
-    the same tests, without the finiteness check.
+    against the first centre, and tests later blocks with ``_probed``: the
+    same tests, without the finiteness check.
+    Once the probe decides less than PROBE_SHARE of a block's columns, that
+    block and the rest are read whole, as without ``checked``.
     """
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
@@ -242,8 +249,11 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         for a in range(0, feed.size, step):
             ks, at = feed[a:a + step], slice(a, a + step)
             if probe is not None and probe >= 0:
-                block[:, 0, at] = _probed(terms, ifn, q, xs, cs, probe, ks, buf)
-                continue
+                tests = _probed(terms, ifn, q, xs, cs, probe, ks, buf)
+                if tests is not None:
+                    block[:, 0, at] = tests
+                    continue
+                probe = None  # it decided too little: this block and the rest are read whole
             for p in range(0, len(xs), width):
                 # held until the next block's terms exist: freed first, glibc trims the heap
                 vals = terms(ks, xs[p:p + width])
@@ -277,18 +287,21 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
 
 
 def _probed(terms: Callable, ifn, q: ConvergenceQuery, xs, cs: np.ndarray, probe: int,
-            ks: np.ndarray, buf: np.ndarray) -> np.ndarray:
+            ks: np.ndarray, buf: np.ndarray) -> np.ndarray | None:
     """A checked block's tests, (centres, indices), reading the grid only where the probe must.
 
     The ``probe`` point's row decides the pairs it shows exceptional
     (``clears_band``); a column decided for every centre is True throughout.
-    The other columns are evaluated across ``xs`` in one call, unchecked,
-    and ``exceptional_batch`` tests their open pairs exactly.
+    If fewer than PROBE_SHARE of the columns are, the answer is None.  Else
+    the other columns are evaluated across ``xs`` in one call, unchecked, and
+    ``exceptional_batch`` tests their open pairs exactly.
     """
     known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe], q.epsilon, q.time,
                             GUARD)
-    out = np.ones(known.shape, dtype=bool)
     open_ = ~known.all(axis=0)
+    if ks.size - np.count_nonzero(open_) < PROBE_SHARE * ks.size:
+        return None
+    out = np.ones(known.shape, dtype=bool)
     if open_.any():
         out[:, open_] = ifn.exceptional_batch(terms(ks[open_], xs), cs[:, :, None], q.epsilon,
                                               q.time, GUARD, False, buf, known[:, open_])

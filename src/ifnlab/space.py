@@ -179,7 +179,7 @@ class IFNorm:
         that of their difference), which decides an index outside the RADIUS_SLACK band
         widened by BOUND_MARGIN (or by inf outside BOUND_RADII; inf and nan decide nothing).
         The rest of the pairs, known ones aside, are gathered as many as ``buf`` holds at a
-        time, each less its centre from one point-major (points, centres, coordinates) copy."""
+        time."""
         (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
         if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
             out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t, guard,
@@ -194,13 +194,12 @@ class IFNorm:
         if known is not None:
             out |= known
         n, k = np.nonzero(~out[1:] & ~(top + shift + margin < radius - slack))
-        later = np.ascontiguousarray(centres[1:, :, 0].swapaxes(0, 1))  # point-major
         chunk = buf.size // (points * dim)  # pairs per gather
         for a in range(0, n.size, chunk):
             ns, ks = n[a:a + chunk], k[a:a + chunk]
             g = np.take(vals, ks, axis=1, mode="clip",  # "raise" would copy through a buffer
                         out=buf[:points * ks.size * dim].reshape(points, -1, dim))
-            g -= later[:, ns]
+            g -= centres[1:, :, 0][ns].swapaxes(0, 1)
             out[1 + ns, ks] = self._by_norm(g.reshape(-1, dim), points, epsilon, t, guard)[0]
         return out
 
@@ -211,9 +210,15 @@ class IFNorm:
         ``vals`` (indices, coordinates) and ``centres`` (centres, coordinates) are taken at
         one point.  True says norm(val - centre) reaches (radius + slack)(1 + BOUND_MARGIN)
         plus BOUND_MARGIN times the centre's norm: past the RADIUS_SLACK band by more than
-        another evaluation of the same terms, a few ulps off, could move it, so any union
-        over points that holds the point holds the pair.  False decides nothing, and
-        nothing is decided for a radius outside BOUND_RADII."""
+        another evaluation of the same terms could move it, so any union over points that
+        holds the point holds the pair.  False decides nothing, and nothing is decided for
+        a radius outside BOUND_RADII.
+
+        This assumes the ``vals`` of a one-point call differ from a grid call's by less
+        than BOUND_MARGIN times (the centre's norm + radius + slack).  An elementwise
+        formula differs by a few ulps of its terms at most, and a term near the bound is
+        about that large; nothing checks it for a sequence whose evaluation cancels badly
+        or depends on how many points it is given."""
         radius, slack = self._band(epsilon, t, guard)
         bound = (radius + slack) * (1.0 + BOUND_MARGIN) + BOUND_MARGIN * self.norm(centres)
         if not BOUND_RADII[0] <= radius <= BOUND_RADII[1]:

@@ -1,6 +1,7 @@
 """Convergence and Cauchy detection across all modes."""
 import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
                     tnorm, window)
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
-from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, WITNESS_CAP, _union
+from ifnlab import convergence
+from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, PROBE_SHARE, WITNESS_CAP, _union
 from ifnlab.density import BLOCK_ELEMENTS, Capture, WindowCounter, _stages
 from ifnlab.space import BOUND_MARGIN, RADIUS_SLACK, SUBADDITIVE_NORMS
 
@@ -271,7 +273,10 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
         assert all(np.array_equal(a, b) for a, b in zip(counter.kept, reference.kept))
 
 
-PROBE_CASES = ("dense", "placed", "planar", "sin-kx", "undecided")
+PROBE_CASES = ("dense", "placed", "planar", "sin-kx", "undecided", "nudged")
+# How far high a "nudged" table answers a one-point call, relative to its terms of
+# 256 radii: past the RADIUS_SLACK band, and a sixteenth of clears_band's margin.
+NUDGE = 2.0 ** -34
 
 
 def probe_batch(case, rng, epsilon, t):
@@ -306,34 +311,61 @@ def probe_batch(case, rng, epsilon, t):
         placed = table[rng.choice(anchors, (n_max, points)) - 1, np.arange(points), 0] + offsets
         placed[anchors - 1] = table[anchors - 1, :, 0]  # the centres stay as they were
         table[..., 0] = placed
-    else:  # "undecided": the first block peaks at the probe point, where later terms are 0
+    elif case == "undecided":  # the first block peaks at the probe point, where later terms are 0
         probe = int(rng.integers(points))
         table[:step, probe], table[step:, probe] = 10.0 * radius, 0.0
         anchors = np.sort(rng.choice(np.arange(step + 1, n_max + 1), anchors.size, False))
+    else:  # "nudged": every centre is 256 radii; a quarter of later terms sit under the
+        # radius at the probe point, where a one-point call lifts them past radius + slack
+        probe, big = int(rng.integers(points)), 256.0 * radius
+        table[...] = big + radius * rng.uniform(-0.5, 0.5, table.shape)
+        table[:step, probe] = big + 10.0 * radius
+        table[step:, probe, 0] = big + radius * np.where(
+            rng.random(n_max - step) < 0.25, 1.0 - 2.0 ** -28, 3.0)
+        anchors = np.sort(rng.choice(np.arange(step + 1, n_max + 1), anchors.size, False))
+        table[anchors - 1] = big
+        grid_form = table_sequence(table)
+
+        def nudged(ks, xs):
+            vals = grid_form.evaluate(ks, xs)
+            return vals * (1.0 + NUDGE) if np.size(xs) == 1 else vals
+
+        return (FunctionSequence(nudged, grid_form.domain_grid, case), space, anchors.tolist(),
+                n_max)
     return table_sequence(table), space, anchors.tolist(), n_max
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", PROBE_CASES)
+@pytest.mark.parametrize("share", [0.0, PROBE_SHARE], ids=["every-block", "cutoff"])
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), epsilon=st.floats(0.01, 0.99), t=st.floats(0.01, 100.0))
-def test_probe_pass_equals_the_full_pass(case, seed, epsilon, t):
+def test_probe_pass_equals_the_full_pass(case, share, seed, epsilon, t):
     # A checked pass reads the grid only where one probe point leaves a
     # (centre, index) pair open; its counts and captures must be the full pass's.
+    # With share 0 the probe reads every block after the first, however little it
+    # decides, so each case's decisions are put to the test.
     fs, space, anchors, n_max = probe_batch(case, np.random.default_rng(seed), epsilon, t)
     lam, calls = lambda_family("identity"), []
     q = ConvergenceQuery("uniform-lambda-cauchy", epsilon, t, lam, n_max)
     stages = _stages(lam, n_max, None)
     captures = (Capture(WITNESS_CAP, int(stages[2][-1]), last=True),
                 Capture(ANCHOR_POOL, misses=True))
-    full, probed = (_union(counted(fs, calls) if checked else fs, space, q, fs.domain_grid,
-                           anchors, stages, captures, checked=checked) for checked in (False, True))
+    with mock.patch.object(convergence, "PROBE_SHARE", share):
+        full, probed = (_union(counted(fs, calls) if checked else fs, space, q, fs.domain_grid,
+                               anchors, stages, captures, checked=checked)
+                        for checked in (False, True))
     assert np.array_equal(probed.counts(), full.counts())
     assert all(np.array_equal(a, b) for a, b in zip(probed.kept, full.kept))
-    assert any(xs.size == 1 for _, xs in calls)  # the probe ran
+    probes = sum(1 for _, xs in calls if xs.size == 1)
+    later_blocks = -(-n_max // (BLOCK_ELEMENTS // len(fs.domain_grid))) - 1
+    assert probes  # the probe ran
     if case == "undecided":  # and decided nothing: every index was read across the grid
         read = np.concatenate([ks.ravel() for ks, xs in calls if xs.size > 1])
         assert np.array_equal(np.unique(read), np.arange(1, n_max + 1))
+        assert probes == (1 if share else later_blocks)  # the cutoff stops it after one block
+    if case == "nudged":  # three quarters decided: the probe read every block after the first
+        assert probes == later_blocks
 
 
 @pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
