@@ -26,6 +26,20 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+def check_integer(name: str, value, low: int) -> None:
+    """Raise DomainError unless ``value`` is an int or numpy integer (not a bool), >= ``low``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
+        raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_level(epsilon, time, name: str = "epsilon") -> None:
+    """Raise DomainError unless ``epsilon`` lies in (0, 1) and ``time`` is positive and finite."""
+    if not 0.0 < epsilon < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1), got {epsilon}")
+    if not 0.0 < time < np.inf:
+        raise DomainError(f"time must be positive and finite, got {time}")
+
+
 def _check_unit(value, label: str):
     arr = np.asarray(value, dtype=float)
     if arr.size and not (np.all(arr >= 0.0) and np.all(arr <= 1.0)):

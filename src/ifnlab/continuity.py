@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError
+from .algebra import DomainError, check_level
 from .sequences import FunctionSequence
 from .space import IFNorm
 
@@ -35,10 +35,7 @@ class ContinuityQuery:
     domain: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.time < np.inf:
-            raise DomainError(f"time must be positive and finite, got {self.time}")
+        check_level(self.epsilon, self.time)
         if not self.delta_grid or any(not 0.0 < d < 1.0 for d in self.delta_grid):
             raise DomainError("delta_grid must be non-empty with values in (0, 1)")
         lo, hi = self.domain

@@ -22,8 +22,9 @@ trace stages and the few indices the verdict cites, so no array as long as
 the horizon is held.  A standard space tests a block by the largest norm
 over its points, once per index.  A union over points is exceptional where
 one point is, so a pass whose terms an earlier pass has checked reads each
-later block at one probe point first, and the whole grid only for the
-indices that point leaves open against some centre.
+block at one probe point first, the point where its centres differ most
+from the first, and the whole grid only for the indices that point leaves
+open against some centre.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -53,9 +54,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError
+from .algebra import DomainError, check_integer, check_level
 from .density import (BLOCK_ELEMENTS, Capture, DensityTrace, LambdaSequence, WindowCounter,
-                      _check_horizon, _stages, _trace, lambda_family)
+                      _stages, _trace, lambda_family)
 from .density import density_trace  # noqa: F401  (perfbench/child.py wraps it here)
 from .sequences import FunctionSequence
 
@@ -98,11 +99,9 @@ class ConvergenceQuery:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.time < np.inf:
-            raise DomainError(f"time must be positive and finite, got {self.time}")
-        _check_horizon(self.n_max, self.stride)
+        check_level(self.epsilon, self.time)
+        check_integer("n_max", self.n_max, 10)
+        check_integer("stride", 1 if self.stride is None else self.stride, 1)
 
 
 @dataclass
@@ -205,13 +204,13 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     and so the counts, captures and faults, are the dense sweep's.
 
     ``checked`` says an earlier pass evaluated every term of the horizon and
-    found it finite.  A dense, unsplit pass over several points of a
-    standard space whose sequence broadcasts then tests its first block in
-    full, takes as probe the point where most of that block's columns peak
-    against the first centre, and tests later blocks with ``_probed``: the
-    same tests, without the finiteness check.
-    Once the probe decides less than PROBE_SHARE of a block's columns, that
-    block and the rest are read whole, as without ``checked``.
+    found it finite (such a pass is never ``split``).  In a standard space,
+    a pass that reads several points at once (``width > 1``) then takes as
+    probe the point where the later centres differ most from the first, the
+    argmax over points of max_n norm(c_n - c_0), and tests every block with
+    ``_probed``: the same tests, without the finiteness check.  Once the
+    probe decides less than PROBE_SHARE of a block's columns, that block and
+    the rest are read whole, as without ``checked``.
     """
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
@@ -233,9 +232,9 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
     step = max(1, BLOCK_ELEMENTS // width)  # indices per block
-    # a checked dense grid pass of a standard space reads later blocks at one point first
-    probe = (-1 if checked and ifn.norm is not None and not split and members is None
-             and fs.broadcasts and len(xs) > 1 else None)
+    # a checked pass reads each block first where the later centres differ most from the first
+    probe = (int(ifn.norm(cs - cs[0]).max(axis=0).argmax())
+             if checked and ifn.norm is not None and width > 1 else None)
     ns, _, lows = stages or ((), None, ())
     rows = len(centres) * (3 if split else 1)
     counter = WindowCounter(rows, ns, lows, captures)
@@ -248,7 +247,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         block = held[..., :feed.size]  # the tests of the feed's indices
         for a in range(0, feed.size, step):
             ks, at = feed[a:a + step], slice(a, a + step)
-            if probe is not None and probe >= 0:
+            if probe is not None:
                 tests = _probed(terms, ifn, q, xs, cs, probe, ks, buf)
                 if tests is not None:
                     block[:, 0, at] = tests
@@ -267,10 +266,6 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
                                               GUARD, split, buf).reshape(block.shape[:2] + (-1,))
                     block[..., at] = t | block[..., at] if p else t
-            if probe == -1:  # where most of the first block's columns peak against centre 0
-                diffs = np.subtract(vals, cs[0, :, None], out=buf[:vals.size].reshape(vals.shape))
-                peaks = ifn.norm(diffs).argmax(axis=0)
-                probe = int(np.bincount(peaks, minlength=len(xs)).argmax())
         if clean:
             if split:
                 block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)
@@ -318,17 +313,13 @@ def _groups(uniform: bool, grid: np.ndarray) -> list:
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
                     epsilon: float, time: float) -> Callable[[int], bool]:
     """Predicate on indices: is k exceptional at x for (epsilon, time)?  Always by mu and nu."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0.0 < time < np.inf:
-        raise DomainError(f"time must be positive and finite, got {time}")
+    check_level(epsilon, time)
     xs = np.array([x], dtype=float)
     fx = _limits(f, xs)
     _faults(xs, [0], fx[None])
 
     def member(k: int) -> bool:
-        if k < 1:
-            raise DomainError(f"index must be >= 1, got {k}")
+        check_integer("index", k, 1)
         vals = fs.terms(np.array([k]), xs)
         _faults(xs, [0 if np.isfinite(vals).all() else k])
         return bool(ifn_target.exceptional(vals - fx, epsilon, time, GUARD, split=True).any())

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AxiomReport, DomainError, _report, vectorize_scalar
+from .algebra import AxiomReport, DomainError, _report, check_integer, vectorize_scalar
 
 # Verdict heuristic knobs.  The tail is the last fifth of the trace points
 # (``_tail_start``); the early reference point sits at the 20% horizon.
@@ -50,8 +50,7 @@ class LambdaSequence:
         return np.asarray(self.values(np.arange(1, n_max + 1)), dtype=float)
 
     def at(self, n: int) -> float:
-        if n < 1:
-            raise DomainError(f"stage must be >= 1, got {n}")
+        check_integer("stage", n, 1)
         return float(self.values(np.array([n]))[0])
 
 
@@ -136,8 +135,7 @@ def _window_lows(lam: LambdaSequence, ns: np.ndarray, out: np.ndarray | None = N
 
 def window(lam: LambdaSequence, n: int) -> IndexWindow:
     """Window at stage n; the lower end is clamped at 1."""
-    if n < 1:
-        raise DomainError(f"stage must be >= 1, got {n}")
+    check_integer("stage", n, 1)
     _, lows = _window_lows(lam, np.array([n], dtype=np.int64))
     return IndexWindow(n=n, lo=int(lows[0]), hi=n)
 
@@ -337,13 +335,6 @@ class WindowCounter:
         return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]
 
 
-def _check_horizon(n_max, stride) -> None:
-    """Raise DomainError unless n_max >= 10 and stride, if given, >= 1 are integers (not bools)."""
-    for name, value, low in (("n_max", n_max, 10), ("stride", 1 if stride is None else stride, 1)):
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < low:
-            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
 def _stages(lam: LambdaSequence, n_max: int, stride: int | None) -> tuple:
     """Trace stages stride, 2*stride, ... and n_max, with their lambda values and window lows."""
     if stride is None:
@@ -375,7 +366,8 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     ``WindowCounter`` in blocks of BLOCK_ELEMENTS indices, the counting path
     of the detectors, so no prefix count as long as the horizon is built.
     """
-    _check_horizon(n_max, stride)
+    check_integer("n_max", n_max, 10)
+    check_integer("stride", 1 if stride is None else stride, 1)
     blocks = _member_blocks(member, n_max)
     stages = _stages(lam, n_max, stride)
     counter = WindowCounter(1, stages[0], stages[2])

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import PROBE_ERRORS, DomainError, agrees, vectorize_scalar
+from .algebra import PROBE_ERRORS, DomainError, agrees, check_integer, vectorize_scalar
 from .density import BLOCK_ELEMENTS, LambdaSequence, _window_lows
 
 
@@ -232,8 +232,7 @@ class BumpIndexSet:
         self._last = (low[size - 1], lam[size - 1])
 
     def contains(self, k: int) -> bool:
-        if k < 1:
-            raise DomainError(f"index must be >= 1, got {k}")
+        check_integer("index", k, 1)
         return self.members_in(k, k).size == 1
 
     __contains__ = contains

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ifnlab import (MODES, ConvergenceQuery, FunctionSequence, build_example,
+from ifnlab import (MODES, BumpIndexSet, ConvergenceQuery, FunctionSequence, build_example,
                     build_reciprocal_shift, combine_linear, density_trace, detect,
                     detect_cauchy, exceptional_set, lambda_family,
                     lemma_equivalence_check, builtin_norm, standard_ifn, tconorm,
@@ -17,6 +17,7 @@ from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab import convergence
 from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, PROBE_SHARE, WITNESS_CAP, _union
 from ifnlab.density import BLOCK_ELEMENTS, Capture, WindowCounter, _stages
+from ifnlab.sequences import _bump_family
 from ifnlab.space import BOUND_MARGIN, RADIUS_SLACK, SUBADDITIVE_NORMS
 
 EPS, T = 0.1, 1.0
@@ -273,14 +274,16 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
         assert all(np.array_equal(a, b) for a, b in zip(counter.kept, reference.kept))
 
 
-PROBE_CASES = ("dense", "placed", "planar", "sin-kx", "undecided", "nudged")
+PROBE_CASES = ("dense", "placed", "planar", "sin-kx", "undecided", "nudged", "members",
+               "one-anchor")
 # How far high a "nudged" table answers a one-point call, relative to its terms of
 # 256 radii: past the RADIUS_SLACK band, and a sixteenth of clears_band's margin.
 NUDGE = 2.0 ** -34
 
 
 def probe_batch(case, rng, epsilon, t):
-    """(grid-form sequence, space, later anchors, n_max) for a checked pass of 3+ blocks."""
+    """(sequence, space, later anchors, n_max, probe point or None) for a checked pass of
+    3+ blocks.  The probe point is given where the case places it."""
     radius = t * (epsilon - GUARD) / (1.0 - epsilon + GUARD)
     slack = RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2
     points = int(rng.integers(2, 25))
@@ -290,18 +293,31 @@ def probe_batch(case, rng, epsilon, t):
                          tnorm("product"), tconorm("bounded-sum"))
     anchors = np.sort(rng.choice(np.arange(1, n_max + 1), int(rng.integers(2, 10)), False))
     amp, w = radius * rng.uniform(0.5, 10.0), rng.uniform(0.5, 3.0)
-    if case in ("dense", "planar", "sin-kx"):
+    grid = np.linspace(0.0, 1.0, points)
+    if case == "members":  # a bundled family, read on its bump set's members over the base
+        def base(xs):
+            return amp * np.cos(w * xs)
+
+        def bump(ks, xs):
+            return amp * np.sin(w * np.asarray(ks, dtype=float)) * (xs[:, None] + 0.1)
+
+        fs = _bump_family(BumpIndexSet(lambda_family("sqrt")), base, bump, grid, case)
+        return fs, space, anchors.tolist(), n_max, None
+    if case in ("dense", "planar", "sin-kx", "one-anchor"):
         def evaluate(ks, x):
             k, x = np.asarray(ks, dtype=float), np.asarray(x, dtype=float)
-            if case == "dense":  # sin(k) * x, its peak at the grid's end
+            if case in ("dense", "one-anchor"):  # sin(k) * x, its peak at the grid's end
                 return amp * np.sin(k + w) * (x + 0.1)
             if case == "sin-kx":  # its peak point moves with k
                 return amp * np.sin(k * x * w)
             return amp * np.stack([np.sin(k) * x, np.cos(w * k) * x * x], axis=-1)
 
-        grid = np.linspace(0.0, 1.0, points)
-        return FunctionSequence(evaluate, grid, case), space, anchors.tolist(), n_max
+        fs = FunctionSequence(evaluate, grid, case)
+        if case == "one-anchor":  # no spread to pick a point by: the probe is the first point
+            return fs, space, anchors[:1].tolist(), n_max, 0
+        return fs, space, anchors.tolist(), n_max, None
     table = radius * rng.uniform(-3.0, 3.0, (n_max, points, 1))
+    probe = int(rng.integers(points))
     if case == "placed":  # each term at every point a band edge, or a probe bound, off a centre
         bound = (radius + slack) * (1.0 + BOUND_MARGIN)
         edges = np.array([radius, radius - slack, radius + slack, bound, 0.5 * radius])
@@ -311,19 +327,20 @@ def probe_batch(case, rng, epsilon, t):
         placed = table[rng.choice(anchors, (n_max, points)) - 1, np.arange(points), 0] + offsets
         placed[anchors - 1] = table[anchors - 1, :, 0]  # the centres stay as they were
         table[..., 0] = placed
-    elif case == "undecided":  # the first block peaks at the probe point, where later terms are 0
-        probe = int(rng.integers(points))
-        table[:step, probe], table[step:, probe] = 10.0 * radius, 0.0
-        anchors = np.sort(rng.choice(np.arange(step + 1, n_max + 1), anchors.size, False))
-    else:  # "nudged": every centre is 256 radii; a quarter of later terms sit under the
-        # radius at the probe point, where a one-point call lifts them past radius + slack
-        probe, big = int(rng.integers(points)), 256.0 * radius
+        probe = None
+    elif case == "undecided":  # the centres differ only at the probe point, where every term
+        # lies within half a radius of each of them: the probe decides nothing
+        table[anchors - 1] = table[anchors[0] - 1]
+        table[:, probe] = radius * rng.uniform(-0.25, 0.25, (n_max, 1))
+    else:  # "nudged": every centre is 256 radii, but for a hair at the probe point, where a
+        # quarter of the terms sit under the radius and a one-point call lifts them past
+        # radius + slack
+        big = 256.0 * radius
         table[...] = big + radius * rng.uniform(-0.5, 0.5, table.shape)
-        table[:step, probe] = big + 10.0 * radius
-        table[step:, probe, 0] = big + radius * np.where(
-            rng.random(n_max - step) < 0.25, 1.0 - 2.0 ** -28, 3.0)
-        anchors = np.sort(rng.choice(np.arange(step + 1, n_max + 1), anchors.size, False))
+        table[:, probe, 0] = big + radius * np.where(rng.random(n_max) < 0.25,
+                                                     1.0 - 2.0 ** -28, 3.0)
         table[anchors - 1] = big
+        table[anchors - 1, probe, 0] += radius * 2.0 ** -40 * np.arange(anchors.size)
         grid_form = table_sequence(table)
 
         def nudged(ks, xs):
@@ -331,8 +348,21 @@ def probe_batch(case, rng, epsilon, t):
             return vals * (1.0 + NUDGE) if np.size(xs) == 1 else vals
 
         return (FunctionSequence(nudged, grid_form.domain_grid, case), space, anchors.tolist(),
-                n_max)
-    return table_sequence(table), space, anchors.tolist(), n_max
+                n_max, probe)
+    return table_sequence(table), space, anchors.tolist(), n_max, probe
+
+
+def counted_bumps(fs, calls):
+    """The bundled family fs with its ``bump`` branch recording (members, points) per call."""
+    bumps, base, bump = fs.evaluate.sparse
+
+    def record(ks, xs):
+        calls.append((np.array(ks), np.atleast_1d(np.array(xs, dtype=float))))
+        return bump(ks, xs)
+
+    copy = _bump_family(bumps, base, record, fs.domain_grid, fs.description)
+    calls.clear()
+    return copy
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -343,29 +373,32 @@ def probe_batch(case, rng, epsilon, t):
 def test_probe_pass_equals_the_full_pass(case, share, seed, epsilon, t):
     # A checked pass reads the grid only where one probe point leaves a
     # (centre, index) pair open; its counts and captures must be the full pass's.
-    # With share 0 the probe reads every block after the first, however little it
-    # decides, so each case's decisions are put to the test.
-    fs, space, anchors, n_max = probe_batch(case, np.random.default_rng(seed), epsilon, t)
+    # With share 0 the probe reads every block, however little it decides, so
+    # each case's decisions are put to the test.
+    fs, space, anchors, n_max, at = probe_batch(case, np.random.default_rng(seed), epsilon, t)
     lam, calls = lambda_family("identity"), []
     q = ConvergenceQuery("uniform-lambda-cauchy", epsilon, t, lam, n_max)
     stages = _stages(lam, n_max, None)
     captures = (Capture(WITNESS_CAP, int(stages[2][-1]), last=True),
                 Capture(ANCHOR_POOL, misses=True))
+    watch = counted_bumps if case == "members" else counted
     with mock.patch.object(convergence, "PROBE_SHARE", share):
-        full, probed = (_union(counted(fs, calls) if checked else fs, space, q, fs.domain_grid,
+        full, probed = (_union(watch(fs, calls) if checked else fs, space, q, fs.domain_grid,
                                anchors, stages, captures, checked=checked)
                         for checked in (False, True))
     assert np.array_equal(probed.counts(), full.counts())
     assert all(np.array_equal(a, b) for a, b in zip(probed.kept, full.kept))
-    probes = sum(1 for _, xs in calls if xs.size == 1)
-    later_blocks = -(-n_max // (BLOCK_ELEMENTS // len(fs.domain_grid))) - 1
+    probes = [xs for _, xs in calls if xs.size == 1]
+    blocks = -(-n_max // (BLOCK_ELEMENTS // len(fs.domain_grid)))
     assert probes  # the probe ran
+    if at is not None:  # at the point where the centres differ most from the first
+        assert all(xs[0] == fs.domain_grid[at] for xs in probes)
     if case == "undecided":  # and decided nothing: every index was read across the grid
         read = np.concatenate([ks.ravel() for ks, xs in calls if xs.size > 1])
         assert np.array_equal(np.unique(read), np.arange(1, n_max + 1))
-        assert probes == (1 if share else later_blocks)  # the cutoff stops it after one block
-    if case == "nudged":  # three quarters decided: the probe read every block after the first
-        assert probes == later_blocks
+        assert len(probes) == (1 if share else blocks)  # the cutoff stops it after one block
+    if case == "nudged":  # three quarters decided: the probe read every block
+        assert len(probes) == blocks
 
 
 @pytest.mark.parametrize("norm", [lambda v: abs(v[0]), lambda v: np.linalg.norm(v)],
@@ -479,8 +512,8 @@ def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid
     # three sweeps.  The pool sweep stops at the block where its tenth
     # anchor turns up: a grid block of 65,536 // 11 indices ends before
     # n_max // 2, while a per-point block of 65,536 covers the horizon.
-    # Past its first block, the grid form's rest-of-pool sweep reads the grid
-    # only where its probe point leaves a pair open.
+    # The grid form's rest-of-pool sweep reads each block at a probe point
+    # first, and the grid only where that point leaves a pair open.
     n_max, lam, calls = 20_000, lambda_family("identity"), []
     fs = (_resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, unit_grid)[0]
           if form == "grid" else sine_family(unit_grid))
@@ -490,12 +523,12 @@ def test_uniform_cauchy_sweeps_the_grid_at_most_three_times(std_space, unit_grid
         assert sweeps_per_point(calls, unit_grid, n_max // 2) == [3] * unit_grid.size
         return
     assert max(sweeps_per_point(calls, unit_grid, n_max // 2)) <= 2
-    # each sweep opens with a full block from k = 1: the pool's, the first anchor's, the rest's
-    starts = [i for i, (ks, _) in enumerate(calls) if ks.ravel()[0] == 1 and ks.size > 1]
-    assert len(starts) == 3 and calls[starts[2]][1].size == unit_grid.size
-    edge = calls[starts[2]][0].max()  # the rest's first block, tested in full, picks the probe
-    first, rest = (sum(np.count_nonzero(ks > edge) * xs.size for ks, xs in calls[a:b])
-                   for a, b in zip(starts[1:], starts[2:] + [len(calls)]))
+    # each sweep opens with a block from k = 1: the pool's and the first anchor's
+    # across the grid, the rest's at its probe point
+    starts = [i for i, (ks, _) in enumerate(calls) if ks.ravel()[0] == 1 and ks.size > 1][:3]
+    assert [calls[i][1].size for i in starts] == [unit_grid.size, unit_grid.size, 1]
+    first, rest = (sum(ks.size * xs.size for ks, xs in calls[a:b])
+                   for a, b in ((starts[1], starts[2]), (starts[2], len(calls))))
     assert rest <= 0.3 * first, (rest, first)
 
 
@@ -822,6 +855,20 @@ def test_horizon_and_stride_must_be_integers(std_space, unit_grid, n_max, stride
     fs, limit = build_reciprocal_shift(unit_grid)  # numpy integers are integers
     q = ConvergenceQuery("uniform-lambda-stat", EPS, T, lam, np.int64(1000), np.int32(7))
     assert detect(fs, limit, std_space, q).traces.ns[-2:].tolist() == [994, 1000]
+
+
+@pytest.mark.parametrize("k", [2.5, 3.0, True, np.float64(3.0), 0, np.int64(-1)])
+def test_indices_and_stages_must_be_integers(std_space, unit_grid, k):
+    # index 2.5 evaluated f_2.5, stage 2.5 gave a window ending at 2.5, and True ran as 1
+    lam = lambda_family("identity")
+    fs, limit = build_reciprocal_shift(unit_grid)
+    calls = (exceptional_set(fs, limit, std_space, 0.5, EPS, T), lambda n: window(lam, n),
+             lam.at, BumpIndexSet(lam).contains)
+    for call in calls:
+        with pytest.raises(DomainError, match="integer >= 1"):
+            call(k)
+        call(np.int32(3))  # numpy integers are integers
+    assert window(lam, np.int64(3)) == window(lam, 3) and lam.at(np.int64(3)) == 3.0
 
 
 @pytest.mark.parametrize("time", [np.nan, np.inf])
