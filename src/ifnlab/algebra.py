@@ -193,8 +193,7 @@ def certify(
     is only checked on request; the product t-norm fails it, which is the
     expected behaviour, not a bug.
     """
-    if grid_resolution < 2:
-        raise DomainError(f"grid_resolution must be >= 2, got {grid_resolution}")
+    check_integer("grid_resolution", grid_resolution, 2)
     grid = np.linspace(0.0, 1.0, grid_resolution)
     cell = grid[1] - grid[0]
     fn = op.fn

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError, check_level
+from .algebra import DomainError, check_integer, check_level
 from .sequences import FunctionSequence
 from .space import IFNorm
 
@@ -105,8 +105,7 @@ def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
 def check_equicontinuity(fs: FunctionSequence, ifn_domain: IFNorm, ifn_target: IFNorm,
                          q: ContinuityQuery, k_max: int = 100) -> ContinuityResult:
     """Search for one delta serving every term f_1 .. f_k_max at q.point."""
-    if k_max < 1:
-        raise DomainError(f"k_max must be >= 1, got {k_max}")
+    check_integer("k_max", k_max, 1)
     probes = _probe_points(q)
     ks = np.arange(1, k_max + 1)
     vals = fs.terms(ks, np.concatenate([[q.point], probes]))  # (points, k, coord)

@@ -7,11 +7,12 @@ level/time pair (epsilon, t), index k is *exceptional* when
 
 The centre is the candidate limit f, or an anchor term f_N in the Cauchy
 modes.  The space answers the test (``IFNorm.exceptional``), a standard one
-by its norm.  The grid is split into groups (``_groups``): each point alone
-in the pointwise modes, the whole grid in the uniform ones.  One grid pass
-(``_union``) is one loop over feeds of consecutive indices, each a row per
-centre of a batch (the union over the points of their exceptional sets) for
-a ``WindowCounter``.  A feed gives each row a fill, the test of every index
+by its norm; its GUARD band makes the exact boundary exceptional.  The grid
+is split into groups (``_groups``): each point alone in the pointwise
+modes, the whole grid in the uniform ones.  One grid pass (``_union``) is
+one loop over feeds of consecutive indices, each a row per centre of a
+batch (the union over the points of their exceptional sets) for a
+``WindowCounter``.  A feed gives each row a fill, the test of every index
 it does not evaluate, and the indices whose test differs from it; its
 indices are evaluated in blocks, across a group's points when the sequence
 broadcasts.  A dense feed takes every index over a False fill.  A bundled
@@ -23,8 +24,8 @@ the horizon is held.  A standard space tests a block by the largest norm
 over its points, once per index.  A union over points is exceptional where
 one point is, so a pass whose terms an earlier pass has checked reads each
 block at one probe point first, the point where its centres differ most
-from the first, and the whole grid only for the indices that point leaves
-open against some centre.
+from the first, and narrows the block to the indices that point leaves
+open against some centre: they take the grid call and test of any block.
 
 Every windowed mode judges each group with one search (``_search``): it
 tries the group's candidate centres in order and stops at the first whose
@@ -60,11 +61,6 @@ from .density import (BLOCK_ELEMENTS, Capture, DensityTrace, LambdaSequence, Win
 from .density import density_trace  # noqa: F401  (perfbench/child.py wraps it here)
 from .sequences import FunctionSequence
 
-# Guard band for the boundary comparisons: exact-boundary arithmetic
-# (gap == epsilon*t/(1-epsilon)) must classify as exceptional despite
-# floating-point rounding in mu/nu.
-GUARD = 1e-12
-
 STAT_MODES = ("pointwise-stat", "uniform-stat",
               "pointwise-lambda-stat", "uniform-lambda-stat")
 CAUCHY_MODES = ("pointwise-lambda-cauchy", "uniform-lambda-cauchy")
@@ -73,9 +69,9 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
 
-# A checked grid pass stops reading blocks at its probe point once the probe decides
-# less than this share of a block's columns: below it, the probe and the open
-# columns' own grid call cost about what the decided columns save, or more.
+# A checked grid pass narrows each block to the columns its probe point leaves open
+# until the probe decides less than this share of a block's columns; that block and
+# the rest are read whole.  Below it, the probe costs about what it saves, or more.
 PROBE_SHARE = 0.5
 
 # ifn-classical tail certificate: converges when every exceptional index sits
@@ -207,10 +203,13 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     found it finite (such a pass is never ``split``).  In a standard space,
     a pass that reads several points at once (``width > 1``) then takes as
     probe the point where the later centres differ most from the first, the
-    argmax over points of max_n norm(c_n - c_0), and tests every block with
-    ``_probed``: the same tests, without the finiteness check.  Once the
-    probe decides less than PROBE_SHARE of a block's columns, that block and
-    the rest are read whole, as without ``checked``.
+    argmax over points of max_n norm(c_n - c_0).  Each block is evaluated at
+    the probe first: ``clears_band`` decides the pairs it shows exceptional,
+    and a column decided for every centre is True.  The block then narrows to
+    its open columns, which take the same grid call, finiteness check and
+    ``exceptional_batch`` call as any block, the decided pairs ``known``.
+    Once the probe decides less than PROBE_SHARE of a block's columns, that
+    block and the rest are read whole, as without ``checked``.
     """
     limits = callable(centres[0])
     cs = (np.stack([_limits(f, xs) for f in centres]) if limits
@@ -225,8 +224,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         base_vals = base(xs).reshape(len(xs), 1, 1)
         if np.isfinite(base_vals).all():
             # each centre's tests of every index off the set
-            off = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time, GUARD,
-                                        split, np.empty(len(xs))).reshape(len(centres), -1)
+            off = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time,
+                                        np.empty(len(xs)), split=split).reshape(len(centres), -1)
             fill = np.concatenate([off, off.any(axis=1, keepdims=True)], axis=1) if split else off
             fill = fill.reshape(-1, 1)
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
@@ -246,13 +245,18 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
         block = held[..., :feed.size]  # the tests of the feed's indices
         for a in range(0, feed.size, step):
-            ks, at = feed[a:a + step], slice(a, a + step)
-            if probe is not None:
-                tests = _probed(terms, ifn, q, xs, cs, probe, ks, buf)
-                if tests is not None:
-                    block[:, 0, at] = tests
-                    continue
-                probe = None  # it decided too little: this block and the rest are read whole
+            ks, at, known = feed[a:a + step], slice(a, a + step), None
+            if probe is not None:  # narrow the block to the columns the probe leaves open
+                known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe],
+                                        q.epsilon, q.time)
+                open_ = ~known.all(axis=0)
+                if ks.size - np.count_nonzero(open_) < PROBE_SHARE * ks.size:
+                    probe = known = None  # it decided too little: this block and the rest whole
+                else:
+                    block[:, 0, at] = True
+                    ks, at, known = ks[open_], a + np.flatnonzero(open_), known[:, open_]
+                    if not ks.size:
+                        continue
             for p in range(0, len(xs), width):
                 # held until the next block's terms exist: freed first, glibc trims the heap
                 vals = terms(ks, xs[p:p + width])
@@ -264,7 +268,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     clean = False
                 if clean:
                     t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
-                                              GUARD, split, buf).reshape(block.shape[:2] + (-1,))
+                                              buf, split=split, known=known)
+                    t = t.reshape(block.shape[:2] + (-1,))
                     block[..., at] = t | block[..., at] if p else t
         if clean:
             if split:
@@ -279,28 +284,6 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
             break
     _faults(xs, first_bad, cs if limits else None)
     return counter
-
-
-def _probed(terms: Callable, ifn, q: ConvergenceQuery, xs, cs: np.ndarray, probe: int,
-            ks: np.ndarray, buf: np.ndarray) -> np.ndarray | None:
-    """A checked block's tests, (centres, indices), reading the grid only where the probe must.
-
-    The ``probe`` point's row decides the pairs it shows exceptional
-    (``clears_band``); a column decided for every centre is True throughout.
-    If fewer than PROBE_SHARE of the columns are, the answer is None.  Else
-    the other columns are evaluated across ``xs`` in one call, unchecked, and
-    ``exceptional_batch`` tests their open pairs exactly.
-    """
-    known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe], q.epsilon, q.time,
-                            GUARD)
-    open_ = ~known.all(axis=0)
-    if ks.size - np.count_nonzero(open_) < PROBE_SHARE * ks.size:
-        return None
-    out = np.ones(known.shape, dtype=bool)
-    if open_.any():
-        out[:, open_] = ifn.exceptional_batch(terms(ks[open_], xs), cs[:, :, None], q.epsilon,
-                                              q.time, GUARD, False, buf, known[:, open_])
-    return out
 
 
 def _groups(uniform: bool, grid: np.ndarray) -> list:
@@ -322,7 +305,7 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
         check_integer("index", k, 1)
         vals = fs.terms(np.array([k]), xs)
         _faults(xs, [0 if np.isfinite(vals).all() else k])
-        return bool(ifn_target.exceptional(vals - fx, epsilon, time, GUARD, split=True).any())
+        return bool(ifn_target.exceptional(vals - fx, epsilon, time, split=True).any())
 
     return member
 
@@ -377,7 +360,7 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
     ks = tail if callable(centre) else np.append(tail, centre)
     vals = fs.terms(ks, xs)  # finite: the sweep behind ``tail`` checked them
     c = _limits(centre, xs)[:, None] if callable(centre) else vals[:, -1:]
-    hits = ifn.exceptional(vals[:, :tail.size] - c, q.epsilon, q.time, GUARD)
+    hits = ifn.exceptional(vals[:, :tail.size] - c, q.epsilon, q.time)
     return [(int(k), float(xs[np.argmax(col)])) for k, col in zip(tail, hits.T) if col.any()]
 
 

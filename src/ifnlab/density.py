@@ -219,9 +219,9 @@ def _member_blocks(member, n_max: int):
     """``member`` on k = 1..n_max as boolean blocks of BLOCK_ELEMENTS indices, in order."""
     starts = range(0, n_max, BLOCK_ELEMENTS)
     if isinstance(member, np.ndarray):
-        arr = np.asarray(member, dtype=bool).ravel()
-        if arr.size < n_max:
-            raise DomainError(f"membership array has {arr.size} entries, need {n_max}")
+        arr = np.asarray(member, dtype=bool)
+        if arr.ndim != 1 or arr.size < n_max:
+            raise DomainError(f"need a 1-D membership array of {n_max}+ entries, got {arr.shape}")
         return (arr[lo:min(lo + BLOCK_ELEMENTS, n_max)] for lo in starts)
     adapted = vectorize_scalar(member, np.arange(1, 4))
     return (np.asarray(adapted(np.arange(lo + 1, min(lo + BLOCK_ELEMENTS, n_max) + 1)),
@@ -358,7 +358,7 @@ def _trace(stages: tuple, counts: np.ndarray) -> DensityTrace:
 def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = None) -> DensityTrace:
     """Trace the windowed density of an index set up to stage n_max.
 
-    ``member`` is a predicate on indices (or a precomputed boolean array for
+    ``member`` is a predicate on indices (or a precomputed 1-D boolean array for
     k = 1..n_max), probed at k = 1..3 with ``vectorize_scalar``: one that
     answers an index array is called on blocks, any other once per index.
     Ratios are recorded at stages stride, 2*stride, ...; the final stage
@@ -390,8 +390,7 @@ def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:
     an unbounded sequence at this horizon, not a proof).  A value that is
     not finite fails the reports that read it, with violation nan or inf.
     """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
+    check_integer("n_max", n_max, 2)
     tab = lam.table(n_max)
     tol = 1e-12
     reports = []

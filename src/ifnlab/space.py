@@ -34,6 +34,10 @@ SCALING_FACTORS = (-2.0, -0.5, 0.5, 3.0)
 # modulus <= 1/4; a jump in t makes the modulus blow up as the grid refines.
 TIME_CONTINUITY_SLACK = 4.0
 
+# Guard band of ``IFNorm.exceptional``'s boundary comparisons: a gap of exactly
+# epsilon*t/(1-epsilon) must be exceptional despite the rounding of mu and nu.
+GUARD = 1e-12
+
 # Band around the radius of ``IFNorm.exceptional``, in units of
 # t/(1-epsilon)**2, where the norm test defers to mu and nu: rounding moves
 # their boundary by a few 2**-53 units.
@@ -123,53 +127,54 @@ class IFNorm:
                 keep = False
             object.__setattr__(self, "norm", self.norm if keep else None)
 
-    def exceptional(self, d: np.ndarray, epsilon: float, t: float, guard: float = 0.0,
-                    split: bool = False, union: bool = False) -> np.ndarray:
-        """Whether mu(d, t) <= 1 - epsilon + guard or nu(d, t) >= epsilon - guard.
+    def exceptional(self, d: np.ndarray, epsilon: float, t: float, *, split: bool = False,
+                    union: bool = False) -> np.ndarray:
+        """Whether mu(d, t) <= 1 - epsilon + GUARD or nu(d, t) >= epsilon - GUARD.
 
         ``d`` holds vectors, coordinates last; the answer has its batch axes,
         or with ``union`` all but the first, ORed over it (the points of a
         block).  The functionals see one flat list of vectors.  ``split``
         stacks the mu test and the nu test, always from mu and nu.  Otherwise
         a space with a ``norm`` answers by it: for the standard construction
-        both tests say norm(d) >= t(epsilon - guard)/(1 - epsilon + guard),
+        both tests say norm(d) >= t(epsilon - GUARD)/(1 - epsilon + GUARD),
         and a union tests the largest norm along the first axis once.
         Rounding moves the mu/nu boundary off that radius by a few ulps, so
         columns whose norm falls within the RADIUS_SLACK band of it take mu
-        and nu on their points that reach the band.
+        and nu on their points that reach the band.  GUARD always applies,
+        so a difference exactly at the boundary is exceptional.
         """
         batch, d = d.shape[:-1], d.reshape(-1, d.shape[-1])
         if self.norm is None or split:
             mu, nu = self.mu(d, t).reshape(batch), self.nu(d, t).reshape(batch)
-            tests = np.stack([mu <= 1.0 - epsilon + guard, nu >= epsilon - guard])
+            tests = np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
             tests = tests.any(axis=1) if union else tests
             return tests if split else tests.any(axis=0)
-        return self._by_norm(d, batch[0] if union else 1, epsilon, t, guard)[0].reshape(
+        return self._by_norm(d, batch[0] if union else 1, epsilon, t)[0].reshape(
             batch[1:] if union else batch)
 
     @staticmethod
-    def _band(epsilon: float, t: float, guard: float) -> tuple:
+    def _band(epsilon: float, t: float) -> tuple:
         """The radius of the norm test and the RADIUS_SLACK band around it."""
-        return (t * (epsilon - guard) / (1.0 - epsilon + guard),
-                RADIUS_SLACK * t / (1.0 - epsilon + guard) ** 2)
+        return (t * (epsilon - GUARD) / (1.0 - epsilon + GUARD),
+                RADIUS_SLACK * t / (1.0 - epsilon + GUARD) ** 2)
 
-    def _by_norm(self, d: np.ndarray, points: int, epsilon: float, t: float, guard: float):
+    def _by_norm(self, d: np.ndarray, points: int, epsilon: float, t: float):
         """Per column of the flat vectors ``d`` as (points, columns): test, top, radius, slack."""
         r = self.norm(d).reshape(points, -1)
-        radius, slack = self._band(epsilon, t, guard)
+        radius, slack = self._band(epsilon, t)
         top = r[0] if points == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
         out = top >= radius + slack
         near = (top >= radius - slack) ^ out
         if near.any():
             i, j = np.nonzero((r >= radius - slack) & near)
-            hit = self.exceptional(d[i * r.shape[1] + j], epsilon, t, guard, split=True)
+            hit = self.exceptional(d[i * r.shape[1] + j], epsilon, t, split=True)
             out[j[hit.any(axis=0)]] = True
         return out, top, radius, slack
 
     def exceptional_batch(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
-                          guard: float, split: bool, buf: np.ndarray,
+                          buf: np.ndarray, *, split: bool = False,
                           known: np.ndarray | None = None) -> np.ndarray:
-        """Per centre, ``exceptional(vals - centre, epsilon, t, guard, split, union=True)``.
+        """Per centre, ``exceptional(vals - centre, epsilon, t, split=split, union=True)``.
 
         ``vals`` is (points, indices, coordinates), ``centres`` (centres, points, 1,
         coordinates), ``buf`` flat scratch for ``vals``.  ``known``, without ``split``, marks
@@ -185,11 +190,11 @@ class IFNorm:
         # the bound, pointwise Cauchy sin(k) * x at 3e5 x 101 took 5.7-6.4 s, not 2.7-3.6 s, in
         # process on a 2-core Xeon
         if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
-            out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t, guard,
-                                             split, union=True) for c in centres])
+            out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t,
+                                             split=split, union=True) for c in centres])
             return out if known is None else out | known
         first, top, radius, slack = self._by_norm(
-            np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t, guard)
+            np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t)
         shift = self.norm(centres[1:] - centres[0]).max(axis=(1, 2))[:, None]  # a_n
         margin = (BOUND_MARGIN * (top + shift + radius)
                   if BOUND_RADII[0] <= radius <= BOUND_RADII[1] else np.inf)
@@ -203,11 +208,11 @@ class IFNorm:
             g = np.take(vals, ks, axis=1, mode="clip",  # "raise" would copy through a buffer
                         out=buf[:points * ks.size * dim].reshape(points, -1, dim))
             g -= centres[1:, :, 0][ns].swapaxes(0, 1)
-            out[1 + ns, ks] = self._by_norm(g.reshape(-1, dim), points, epsilon, t, guard)[0]
+            out[1 + ns, ks] = self._by_norm(g.reshape(-1, dim), points, epsilon, t)[0]
         return out
 
-    def clears_band(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
-                    guard: float) -> np.ndarray:
+    def clears_band(self, vals: np.ndarray, centres: np.ndarray, epsilon: float,
+                    t: float) -> np.ndarray:
         """(centres, indices): whether each row of ``vals`` is exceptional against each centre.
 
         ``vals`` (indices, coordinates) and ``centres`` (centres, coordinates) are taken at
@@ -222,7 +227,7 @@ class IFNorm:
         formula differs by a few ulps of its terms at most, and a term near the bound is
         about that large; nothing checks it for a sequence whose evaluation cancels badly
         or depends on how many points it is given."""
-        radius, slack = self._band(epsilon, t, guard)
+        radius, slack = self._band(epsilon, t)
         bound = (radius + slack) * (1.0 + BOUND_MARGIN) + BOUND_MARGIN * self.norm(centres)
         if not BOUND_RADII[0] <= radius <= BOUND_RADII[1]:
             bound = np.full_like(bound, np.inf)

@@ -106,6 +106,14 @@ def test_certify_passes_for_all_builtins(name):
         assert r.passed, f"{name} failed {r.axiom}: worst {r.worst_violation}"
 
 
+@pytest.mark.parametrize("resolution", [2.5, True, np.float64(11.0), 1])
+def test_grid_resolution_must_be_an_integer(resolution):
+    # 2.5 raised TypeError from np.linspace, and True ran as 1
+    with pytest.raises(DomainError, match="grid_resolution must be an integer >= 2"):
+        certify(tnorm("min"), grid_resolution=resolution)
+    assert all(r.passed for r in certify(tnorm("min"), grid_resolution=np.int64(11)))
+
+
 def test_certify_report_fields_are_populated():
     reports = certify(tnorm("min"))
     by_name = {r.axiom: r for r in reports}

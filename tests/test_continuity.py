@@ -67,6 +67,16 @@ def test_single_term_of_blowup_family_is_continuous(std_space, unit_grid):
     assert res.holds
 
 
+@pytest.mark.parametrize("k_max", [2.5, True, np.float64(3.0), 0])
+def test_k_max_must_be_an_integer(std_space, unit_grid, k_max):
+    # k_max 2.5 evaluated f_1 .. f_3, and True ran as 1
+    fs = linear_blowup(unit_grid)
+    with pytest.raises(DomainError, match="k_max must be an integer >= 1"):
+        check_equicontinuity(fs, std_space, std_space, make_query(), k_max=k_max)
+    assert (check_equicontinuity(fs, std_space, std_space, make_query(), k_max=np.int64(3))
+            == check_equicontinuity(fs, std_space, std_space, make_query(), k_max=3))
+
+
 def test_limit_continuity_of_identity(std_space, unit_grid):
     _, limit = build_reciprocal_shift(unit_grid)
     res = check_limit_continuity(limit, std_space, std_space, make_query())

@@ -15,10 +15,10 @@ from ifnlab import (MODES, BumpIndexSet, ConvergenceQuery, FunctionSequence, bui
 from ifnlab.algebra import DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab import convergence
-from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, GUARD, PROBE_SHARE, WITNESS_CAP, _union
+from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, PROBE_SHARE, WITNESS_CAP, _union
 from ifnlab.density import BLOCK_ELEMENTS, Capture, WindowCounter, _stages
 from ifnlab.sequences import _bump_family
-from ifnlab.space import BOUND_MARGIN, RADIUS_SLACK, SUBADDITIVE_NORMS
+from ifnlab.space import BOUND_MARGIN, GUARD, RADIUS_SLACK, SUBADDITIVE_NORMS
 
 EPS, T = 0.1, 1.0
 # for the standard construction, "exceptional" unwinds to |f_k - f| >= eps*t/(1-eps)
@@ -94,7 +94,7 @@ def oracle(std_space, diffs, epsilon, t):
 def test_radius_calls_the_exact_boundary_exceptional(std_space, epsilon, t):
     gap = epsilon * t / (1.0 - epsilon)
     diffs = np.array([gap, -gap])
-    assert std_space.exceptional(diffs[:, None], epsilon, t, GUARD).all()
+    assert std_space.exceptional(diffs[:, None], epsilon, t).all()
     assert oracle(std_space, diffs, epsilon, t).all()
 
 
@@ -116,7 +116,7 @@ def test_radius_test_matches_mu_nu_near_the_radius(std_space, epsilon, t, scale,
         near += [below, centre, above]
     diffs = np.array(near + [radius * s for s in scale])
     diffs = np.concatenate([diffs, -diffs])
-    kernel = std_space.exceptional(diffs[:, None], epsilon, t, GUARD)
+    kernel = std_space.exceptional(diffs[:, None], epsilon, t)
     assert np.array_equal(kernel, oracle(std_space, diffs, epsilon, t))
 
 
@@ -145,11 +145,24 @@ def test_union_form_is_the_any_over_points(std_space, space_id, block, epsilon, 
     angles = rng.uniform(0.0, 2 * np.pi, size=lengths.shape)
     d = (lengths * np.sign(np.cos(angles)))[..., None] if dim == 1 else (
         lengths[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1))
-    by_mu_nu = space.exceptional(d, epsilon, t, GUARD, split=True)
-    assert np.array_equal(space.exceptional(d, epsilon, t, GUARD), by_mu_nu.any(axis=0))
+    by_mu_nu = space.exceptional(d, epsilon, t, split=True)
+    assert np.array_equal(space.exceptional(d, epsilon, t), by_mu_nu.any(axis=0))
     for split in (False, True):
-        expect = space.exceptional(d, epsilon, t, GUARD, split).any(axis=-2)
-        assert np.array_equal(space.exceptional(d, epsilon, t, GUARD, split, union=True), expect)
+        expect = space.exceptional(d, epsilon, t, split=split).any(axis=-2)
+        assert np.array_equal(space.exceptional(d, epsilon, t, split=split, union=True), expect)
+
+
+def test_the_space_owns_its_guard(std_space):
+    # A positional guard after (epsilon, t) is refused: read as split, exceptional
+    # answered the (2, 2) mu and nu rows for 2 differences.
+    d = np.array([[GAP], [0.5 * GAP]])
+    assert std_space.exceptional(d, EPS, T).tolist() == [True, False]  # GUARD applies
+    with pytest.raises(TypeError):
+        std_space.exceptional(d, EPS, T, GUARD)
+    with pytest.raises(TypeError):
+        std_space.exceptional_batch(d[None], d[None, None], EPS, T, GUARD, False, np.empty(2))
+    with pytest.raises(TypeError):
+        std_space.clears_band(d, d, EPS, T, GUARD)
 
 
 # ------------------------------------------- a batch of centres bounded by the first
@@ -248,18 +261,18 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
     for _ in range(12):
         space, table, centres, epsilon, t = bound_batch(case, rng)
         assert (space.norm in SUBADDITIVE_NORMS) == (case != "square")
-        expect = np.array([[space.exceptional(table[:, p] - c[p], epsilon, t, GUARD, split=True)
+        expect = np.array([[space.exceptional(table[:, p] - c[p], epsilon, t, split=True)
                             .any(axis=0) for p in range(table.shape[1])] for c in centres])
         expect = expect.any(axis=1)  # (centres, indices): ORed over mu, nu and the points
         vals = np.ascontiguousarray(table.swapaxes(0, 1))
-        got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, GUARD, False,
-                                      np.empty(vals.size))
+        got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, np.empty(vals.size),
+                                      split=False)
         assert np.array_equal(got, expect)
         # known exceptional pairs skip the gather, which a larger buffer takes in fewer chunks
         known = expect & (rng.random(expect.shape) < 0.5)
         for size in (vals.size, 3 * vals.size + 1):
-            got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, GUARD, False,
-                                          np.empty(size), known)
+            got = space.exceptional_batch(vals, centres[:, :, None], epsilon, t, np.empty(size),
+                                          split=False, known=known)
             assert np.array_equal(got, expect)
         n_max, lam = len(table), lambda_family("identity")
         stages = _stages(lam, n_max, None)

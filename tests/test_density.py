@@ -55,6 +55,14 @@ def test_table_extends_past_the_end():
     assert np.array_equal(lam.table(5), np.array([1.0, 2.0, 2.0, 3.0, 4.0]))
 
 
+@pytest.mark.parametrize("n_max", [2.5, np.float64(100.0), True, 1])
+def test_validate_horizon_must_be_an_integer(n_max):
+    # 2.5 and 100.0 ran
+    with pytest.raises(DomainError, match="n_max must be an integer >= 2"):
+        validate(lambda_family("identity"), n_max)
+    assert all(r.passed for r in validate(lambda_family("identity"), np.int64(100)))
+
+
 @pytest.mark.parametrize("name", LAMBDA_IDS)
 def test_builtin_families_validate(name):
     reports = validate(lambda_family(name), 5_000)
@@ -206,6 +214,12 @@ def test_all_and_none_are_settled():
     assert full.final_ratio == 1.0
     assert empty.verdict == "limit-zero"
     assert empty.final_ratio == 0.0
+
+
+def test_membership_array_must_be_one_dimensional():
+    # a (100, 100) array was raveled into 10,000 indices
+    with pytest.raises(DomainError, match="1-D"):
+        density_trace(np.ones((100, 100), dtype=bool), lambda_family("identity"), 5000)
 
 
 def test_verdict_is_stable_as_horizon_grows():
