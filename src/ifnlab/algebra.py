@@ -32,12 +32,25 @@ def check_integer(name: str, value, low: int) -> None:
         raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def check_choice(noun: str, value, ids: tuple) -> None:
+    """Raise DomainError, naming the ``noun``, unless ``value`` is a string in ``ids``."""
+    if not (isinstance(value, str) and value in ids):
+        raise DomainError(f"unknown {noun} {value!r}; choose from {ids}")
+
+
+def check_time(t) -> np.ndarray:
+    """The time ``t``, a number or an array, as floats; DomainError unless positive and finite."""
+    times = np.asarray(t, dtype=float)
+    if not np.all((0.0 < times) & (times < np.inf)):
+        raise DomainError(f"time must be positive and finite, got {t!r}")
+    return times
+
+
 def check_level(epsilon, time, name: str = "epsilon") -> None:
-    """Raise DomainError unless ``epsilon`` lies in (0, 1) and ``time`` is positive and finite."""
+    """Raise DomainError unless ``epsilon`` lies in (0, 1) and ``time`` passes ``check_time``."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"{name} must lie in (0, 1), got {epsilon}")
-    if not 0.0 < time < np.inf:
-        raise DomainError(f"time must be positive and finite, got {time}")
+    check_time(time)
 
 
 def _check_unit(value, label: str):
@@ -136,27 +149,20 @@ TCONORM_IDS = tuple(_TCONORM_FNS)
 
 def tnorm(name: str) -> UnitIntervalOp:
     """Look up a built-in t-norm: product, min, or lukasiewicz."""
-    try:
-        return UnitIntervalOp(name, "tnorm", _TNORM_FNS[name])
-    except KeyError:
-        raise DomainError(f"unknown t-norm {name!r}; choose from {TNORM_IDS}") from None
+    check_choice("t-norm", name, TNORM_IDS)
+    return UnitIntervalOp(name, "tnorm", _TNORM_FNS[name])
 
 
 def tconorm(name: str) -> UnitIntervalOp:
     """Look up a built-in t-conorm: prob-sum, max, or bounded-sum."""
-    try:
-        return UnitIntervalOp(name, "tconorm", _TCONORM_FNS[name])
-    except KeyError:
-        raise DomainError(f"unknown t-conorm {name!r}; choose from {TCONORM_IDS}") from None
+    check_choice("t-conorm", name, TCONORM_IDS)
+    return UnitIntervalOp(name, "tconorm", _TCONORM_FNS[name])
 
 
 def builtin_op(name: str) -> UnitIntervalOp:
     """Look up any built-in operation by id string."""
-    if name in _TNORM_FNS:
-        return tnorm(name)
-    if name in _TCONORM_FNS:
-        return tconorm(name)
-    raise DomainError(f"unknown operation {name!r}; choose from {TNORM_IDS + TCONORM_IDS}")
+    check_choice("operation", name, TNORM_IDS + TCONORM_IDS)
+    return tnorm(name) if name in _TNORM_FNS else tconorm(name)
 
 
 @dataclass(frozen=True)

@@ -71,12 +71,6 @@ def _probe_points(q: ContinuityQuery) -> np.ndarray:
     return np.array(pts)
 
 
-def _gap_ok(ifn_target: IFNorm, gaps: np.ndarray, q: ContinuityQuery) -> np.ndarray:
-    """Which gap vectors (coordinates on the last axis) lie in the target epsilon-ball."""
-    mu, nu = ifn_target.mu(gaps, q.time), ifn_target.nu(gaps, q.time)
-    return (mu > 1.0 - q.epsilon) & (nu < q.epsilon)
-
-
 def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
                     ifn_domain: IFNorm, q: ContinuityQuery) -> ContinuityResult:
     """Scan deltas large to small; certify the first that works.
@@ -85,11 +79,10 @@ def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
     epsilon-ball.  A delta only counts when its ball captures at least one
     probe; certifying from an empty ball would be vacuous.
     """
-    offsets = (q.point - probes)[:, None]
-    dom_mu, dom_nu = ifn_domain.mu(offsets, q.time), ifn_domain.nu(offsets, q.time)
+    deltas = sorted(q.delta_grid, reverse=True)
+    balls = ifn_domain.in_ball((q.point - probes)[:, None], np.array(deltas)[:, None], q.time)
     last_ball = None  # the smallest testable delta's ball, once every delta failed
-    for delta in sorted(q.delta_grid, reverse=True):
-        in_ball = (dom_mu > 1.0 - delta) & (dom_nu < delta)
+    for delta, in_ball in zip(deltas, balls):
         if not np.any(in_ball):
             continue
         if bool(np.all(gap_ok[:, in_ball])):
@@ -110,7 +103,7 @@ def check_equicontinuity(fs: FunctionSequence, ifn_domain: IFNorm, ifn_target: I
     ks = np.arange(1, k_max + 1)
     vals = fs.terms(ks, np.concatenate([[q.point], probes]))  # (points, k, coord)
     gaps = (vals[1:] - vals[0]).swapaxes(0, 1)  # (k, probe, coord)
-    return _modulus_search(_gap_ok(ifn_target, gaps, q), ks, probes, ifn_domain, q)
+    return _modulus_search(ifn_target.in_ball(gaps, q.epsilon, q.time), ks, probes, ifn_domain, q)
 
 
 def check_limit_continuity(f: Callable, ifn_domain: IFNorm, ifn_target: IFNorm,
@@ -119,8 +112,8 @@ def check_limit_continuity(f: Callable, ifn_domain: IFNorm, ifn_target: IFNorm,
     probes = _probe_points(q)
     at_center = np.asarray(f(q.point), dtype=float).reshape(-1)
     gaps = np.stack([np.asarray(f(p), dtype=float).reshape(-1) - at_center for p in probes])
-    return _modulus_search(_gap_ok(ifn_target, gaps, q)[None, :], np.array([0]), probes,
-                           ifn_domain, q)
+    return _modulus_search(ifn_target.in_ball(gaps, q.epsilon, q.time)[None, :], np.array([0]),
+                           probes, ifn_domain, q)
 
 
 def split_triangle_check(ifn_target: IFNorm, parts: list, time: float) -> tuple[bool, bool]:

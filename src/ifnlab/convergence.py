@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DomainError, check_integer, check_level
+from .algebra import DomainError, check_choice, check_integer, check_level
 from .density import (BLOCK_ELEMENTS, Capture, DensityTrace, LambdaSequence, WindowCounter,
                       _stages, _trace, lambda_family)
 from .density import density_trace  # noqa: F401  (perfbench/child.py wraps it here)
@@ -93,8 +93,7 @@ class ConvergenceQuery:
     stride: int | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DomainError(f"unknown mode {self.mode!r}; choose from {MODES}")
+        check_choice("mode", self.mode, MODES)
         check_level(self.epsilon, self.time)
         check_integer("n_max", self.n_max, 10)
         check_integer("stride", 1 if self.stride is None else self.stride, 1)
@@ -224,10 +223,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
         base_vals = base(xs).reshape(len(xs), 1, 1)
         if np.isfinite(base_vals).all():
             # each centre's tests of every index off the set
-            off = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time,
-                                        np.empty(len(xs)), split=split).reshape(len(centres), -1)
-            fill = np.concatenate([off, off.any(axis=1, keepdims=True)], axis=1) if split else off
-            fill = fill.reshape(-1, 1)
+            fill = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time,
+                                         np.empty(len(xs)), split=split).reshape(-1, 1)
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
     step = max(1, BLOCK_ELEMENTS // width)  # indices per block
@@ -235,11 +232,12 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
     probe = (int(ifn.norm(cs - cs[0]).max(axis=0).argmax())
              if checked and ifn.norm is not None and width > 1 else None)
     ns, _, lows = stages or ((), None, ())
-    rows = len(centres) * (3 if split else 1)
+    tests = 3 if split else 1  # rows per centre
+    rows = len(centres) * tests
     counter = WindowCounter(rows, ns, lows, captures)
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
     span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # indices per feed
-    held = np.empty((len(centres), 1 + split, span), dtype=bool)
+    held = np.empty((len(centres), tests, span), dtype=bool)
     for lo in range(0, q.n_max, span):
         hi = min(lo + span, q.n_max)
         feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
@@ -272,8 +270,6 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     t = t.reshape(block.shape[:2] + (-1,))
                     block[..., at] = t | block[..., at] if p else t
         if clean:
-            if split:
-                block = np.concatenate([block, block.any(axis=1, keepdims=True)], axis=1)
             block = block.reshape(rows, -1)
             if members is None:
                 counter.feed(hi - lo, np.flatnonzero(block))

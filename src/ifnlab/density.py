@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AxiomReport, DomainError, _report, check_integer, vectorize_scalar
+from .algebra import (AxiomReport, DomainError, _report, check_choice, check_integer,
+                      vectorize_scalar)
 
 # Verdict heuristic knobs.  The tail is the last fifth of the trace points
 # (``_tail_start``); the early reference point sits at the 20% horizon.
@@ -78,11 +79,8 @@ LAMBDA_IDS = tuple(_FAMILIES)
 
 def lambda_family(name: str) -> LambdaSequence:
     """Built-in window-length families: identity, sqrt (ceil), log (ceil of log2)."""
-    try:
-        values = _FAMILIES[name]
-    except KeyError:
-        raise DomainError(f"unknown lambda family {name!r}; choose from {LAMBDA_IDS}") from None
-    return LambdaSequence(name, values)
+    check_choice("lambda family", name, LAMBDA_IDS)
+    return LambdaSequence(name, _FAMILIES[name])
 
 
 def lambda_from_table(values, name: str = "table") -> LambdaSequence:
@@ -216,9 +214,9 @@ def _classify(ratios: np.ndarray, lam_vals: np.ndarray) -> tuple[str, float | No
 
 
 def _member_blocks(member, n_max: int):
-    """``member`` on k = 1..n_max as boolean blocks of BLOCK_ELEMENTS indices, in order."""
+    """``member`` (a predicate, else truth values) on k = 1..n_max as blocks of BLOCK_ELEMENTS."""
     starts = range(0, n_max, BLOCK_ELEMENTS)
-    if isinstance(member, np.ndarray):
+    if not callable(member):
         arr = np.asarray(member, dtype=bool)
         if arr.ndim != 1 or arr.size < n_max:
             raise DomainError(f"need a 1-D membership array of {n_max}+ entries, got {arr.shape}")
@@ -358,9 +356,10 @@ def _trace(stages: tuple, counts: np.ndarray) -> DensityTrace:
 def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = None) -> DensityTrace:
     """Trace the windowed density of an index set up to stage n_max.
 
-    ``member`` is a predicate on indices (or a precomputed 1-D boolean array for
-    k = 1..n_max), probed at k = 1..3 with ``vectorize_scalar``: one that
-    answers an index array is called on blocks, any other once per index.
+    ``member`` is a predicate on indices (or precomputed truth values, a 1-D
+    array or list, for k = 1..n_max), probed at k = 1..3 with
+    ``vectorize_scalar``: one that answers an index array is called on
+    blocks, any other once per index.
     Ratios are recorded at stages stride, 2*stride, ...; the final stage
     n_max is always included.  The set is streamed through a
     ``WindowCounter`` in blocks of BLOCK_ELEMENTS indices, the counting path

@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import PROBE_ERRORS, DomainError, agrees, check_integer, vectorize_scalar
+from .algebra import (PROBE_ERRORS, DomainError, agrees, check_choice, check_integer,
+                      vectorize_scalar)
 from .density import BLOCK_ELEMENTS, LambdaSequence, _window_lows
 
 
@@ -250,19 +251,12 @@ class BumpIndexSet:
         return members[np.searchsorted(members, lo):np.searchsorted(members, hi, "right")]
 
     def _hits(self, ks: np.ndarray) -> np.ndarray:
-        """Positions in the 1-D index array ``ks`` of the set's members.
-
-        A block of consecutive ascending indices reads ``members_in`` over it;
-        other indices are looked up one by one.
-        """
+        """Positions in the 1-D index array ``ks`` of the set's members (one searchsorted)."""
         if ks.size == 0:
             return np.zeros(0, dtype=np.int64)
-        lo, hi = int(np.min(ks)), int(np.max(ks))
-        if lo < 1:
+        if np.min(ks) < 1:
             raise DomainError("indices must be >= 1")
-        if ks.size == hi - lo + 1 and (ks[1:] > ks[:-1]).all():
-            return self.members_in(lo, hi) - lo
-        self.ensure(hi)
+        self.ensure(int(np.max(ks)))
         members = self._members[: self._count]
         at = np.minimum(np.searchsorted(members, ks), members.size - 1)
         return np.flatnonzero(members[at] == ks)
@@ -400,8 +394,6 @@ EXAMPLE_IDS = tuple(_EXAMPLES)
 
 def build_example(example_id: str, lam: LambdaSequence, grid):
     """Resolve a bundled example id to (sequence, limit, preferred mode)."""
-    try:
-        build, mode = _EXAMPLES[example_id]
-    except KeyError:
-        raise DomainError(f"unknown example {example_id!r}; choose from {EXAMPLE_IDS}") from None
+    check_choice("example", example_id, EXAMPLE_IDS)
+    build, mode = _EXAMPLES[example_id]
     return (*build(lam, grid), mode)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algebra import (PROBE_ERRORS, AxiomReport, DomainError, UnitIntervalOp, _report, agrees,
-                      check_level, vectorize_scalar)
+                      check_choice, check_level, check_time, vectorize_scalar)
 
 # Probe times for the t -> infinity / t -> 0 limit axioms.
 LIMIT_T_LARGE = 1e9
@@ -79,10 +79,8 @@ SUBADDITIVE_NORMS = (abs_norm, euclidean_norm)  # taken to obey the triangle ine
 
 
 def builtin_norm(name: str) -> Callable:
-    try:
-        return _NORMS[name]
-    except KeyError:
-        raise DomainError(f"unknown norm {name!r}; choose from {NORM_IDS}") from None
+    check_choice("norm", name, NORM_IDS)
+    return _NORMS[name]
 
 
 @dataclass(frozen=True)
@@ -126,6 +124,11 @@ class IFNorm:
             except PROBE_ERRORS:
                 keep = False
             object.__setattr__(self, "norm", self.norm if keep else None)
+
+    def in_ball(self, d, radius, t) -> np.ndarray:
+        """Whether the vectors ``d`` (coordinates last) lie in the open ball B(0, radius, t):
+        mu(d, t) > 1 - radius and nu(d, t) < radius, ``radius`` broadcasting against the batch."""
+        return (self.mu(d, t) > 1.0 - radius) & (self.nu(d, t) < radius)
 
     def exceptional(self, d: np.ndarray, epsilon: float, t: float, *, split: bool = False,
                     union: bool = False) -> np.ndarray:
@@ -184,7 +187,7 @@ class IFNorm:
         that of their difference), which decides an index outside the RADIUS_SLACK band
         widened by BOUND_MARGIN (or by inf outside BOUND_RADII; inf and nan decide nothing).
         The rest of the pairs, known ones aside, are gathered as many as ``buf`` holds at a
-        time."""
+        time.  With ``split`` each centre answers three rows: mu, nu and their union."""
         (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
         # on one point the gather of open pairs costs more than each centre's direct test: with
         # the bound, pointwise Cauchy sin(k) * x at 3e5 x 101 took 5.7-6.4 s, not 2.7-3.6 s, in
@@ -192,6 +195,8 @@ class IFNorm:
         if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
             out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t,
                                              split=split, union=True) for c in centres])
+            if split:  # and the row "mu or nu"
+                return np.concatenate([out, out.any(axis=1, keepdims=True)], axis=1)
             return out if known is None else out | known
         first, top, radius, slack = self._by_norm(
             np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t)
@@ -234,12 +239,6 @@ class IFNorm:
         return self.norm(vals[None] - centres[:, None]) >= bound[:, None]
 
 
-def _check_time(t) -> None:
-    times = np.asarray(t, dtype=float)
-    if not np.all((0.0 < times) & (times < np.inf)):
-        raise DomainError(f"time must be positive and finite, got {t!r}")
-
-
 def standard_ifn(norm: Callable, tnorm: UnitIntervalOp, tconorm: UnitIntervalOp) -> IFNorm:
     """The standard construction mu = t / (t + |x|), nu = |x| / (t + |x|).
 
@@ -247,16 +246,16 @@ def standard_ifn(norm: Callable, tnorm: UnitIntervalOp, tconorm: UnitIntervalOp)
     functionals broadcast over batches of vectors and over array times.
     """
 
+    def lengths(x, t) -> tuple:  # the times are checked first
+        t = check_time(t)
+        return norm(np.atleast_1d(np.asarray(x, dtype=float))), t
+
     def mu(x, t):
-        _check_time(t)
-        r = norm(np.atleast_1d(np.asarray(x, dtype=float)))
-        t = np.asarray(t, dtype=float)
+        r, t = lengths(x, t)
         return t / (t + r)
 
     def nu(x, t):
-        _check_time(t)
-        r = norm(np.atleast_1d(np.asarray(x, dtype=float)))
-        t = np.asarray(t, dtype=float)
+        r, t = lengths(x, t)
         return r / (t + r)
 
     return IFNorm(mu=mu, nu=nu, tnorm=tnorm, tconorm=tconorm, norm=norm)
@@ -282,9 +281,7 @@ class OpenBall:
 def ball_contains(ball: OpenBall, ifn: IFNorm, y) -> bool:
     """Strict membership test for ``y`` in ``ball`` under ``ifn``."""
     diff = ball.center - as_vector(y, dim=ball.center.shape[0])
-    mu = float(ifn.mu(diff, ball.time))
-    nu = float(ifn.nu(diff, ball.time))
-    return mu > 1.0 - ball.radius and nu < ball.radius
+    return bool(ifn.in_ball(diff, ball.radius, ball.time))
 
 
 def default_samples(dim: int, count: int = 50, seed: int = 20240) -> list[np.ndarray]:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ifnlab import (DomainError, TCONORM_IDS, TNORM_IDS, builtin_op, certify,
-                    tconorm, tnorm)
+from ifnlab import (EXAMPLE_IDS, LAMBDA_IDS, MODES, NORM_IDS, ConvergenceQuery, DomainError,
+                    TCONORM_IDS, TNORM_IDS, build_example, builtin_norm, builtin_op, certify,
+                    lambda_family, standard_ifn, tconorm, tnorm)
+from ifnlab.algebra import check_level, check_time
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -163,3 +165,48 @@ def test_certify_catches_broken_identity():
     rep = {r.axiom: r for r in certify(bad)}["identity"]
     assert not rep.passed
     assert rep.worst_violation == pytest.approx(0.05, abs=1e-12)
+
+
+# ---------------------------------------------------------------- built-in names and times
+# Every lookup of a built-in by id, as a call on the id, with its noun and ids.
+LOOKUPS = {
+    "t-norm": (tnorm, TNORM_IDS),
+    "t-conorm": (tconorm, TCONORM_IDS),
+    "operation": (builtin_op, TNORM_IDS + TCONORM_IDS),
+    "norm": (builtin_norm, NORM_IDS),
+    "lambda family": (lambda_family, LAMBDA_IDS),
+    "example": (lambda name: build_example(name, lambda_family("identity"), [0.0, 1.0]),
+                EXAMPLE_IDS),
+    "mode": (lambda name: ConvergenceQuery(mode=name, epsilon=0.1, time=1.0,
+                                           lam=lambda_family("identity"), n_max=100), MODES),
+}
+
+
+@pytest.mark.parametrize("noun", LOOKUPS)
+@pytest.mark.parametrize("value", ["nope", None, ["product"], np.array(["min", "max"])])
+def test_every_lookup_names_an_unknown_id_alike(noun, value):
+    # a list raised TypeError (unhashable) from a dict lookup, and a mode array
+    # raised ValueError from the truth value of its comparison with each mode
+    lookup, ids = LOOKUPS[noun]
+    with pytest.raises(DomainError) as err:
+        lookup(value)
+    assert str(err.value) == f"unknown {noun} {value!r}; choose from {ids}"
+
+
+@pytest.mark.parametrize("t", [0, -1.5, 0.0, float("nan"), float("inf"), -float("inf")])
+def test_one_time_check_says_the_same_for_a_number(t):
+    space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
+    message = f"time must be positive and finite, got {t!r}"
+    for check in (check_time, lambda t: check_level(0.5, t), lambda t: space.mu(1.0, t),
+                  lambda t: space.nu(1.0, t)):
+        with pytest.raises(DomainError) as err:
+            check(t)
+        assert str(err.value) == message
+
+
+def test_check_time_reads_arrays_as_floats():
+    assert check_time(2).dtype == float and float(check_time(2)) == 2.0
+    assert check_time([0.5, 3]).tolist() == [0.5, 3.0]
+    for bad in ([1.0, 0.0], np.array([[1.0], [np.nan]])):
+        with pytest.raises(DomainError, match="positive and finite"):
+            check_time(bad)

@@ -151,6 +151,8 @@ def test_named_density_sets_match_the_reference(name):
     ("[sequence]\nexample = paper-example-1\nexpression = x\n", "not both"),
     ("[sequence]\nexample = paper-example-9\n", "unknown example"),
     ("[density]\nset = primes\n", "unknown set"),
+    ("[query\n", "cannot parse config"),
+    (f"[sequence]\nexpression = 1{'0' * 400} * x\n", "integer constant too large"),
     # ConfigParser copies [DEFAULT] keys into every section, unchecked
     ("[DEFAULT]\nbogus = 1\n", r"unknown section \[DEFAULT\]"),
     ("[DEFAULT]\nn_max = 500\n[query]\n", r"unknown section \[DEFAULT\]"),
@@ -553,3 +555,17 @@ def test_unknown_example_and_subcommand_exit_three(tmp_path):
 
 def test_nonsense_flag_value_exits_three(tmp_path):
     assert run_cli("reproduce", "example-1", "--n-max", "many") == 3
+
+
+@pytest.mark.parametrize("command, text, fragment", [
+    ("analyze", "[query\n", "cannot parse config"),
+    ("analyze", "[query]\nn_max = 100\n", "sequence: need an example id or an expression"),
+    ("density", "[query]\nn_max = 100\n", "density: need a set name or an expression"),
+])
+def test_config_errors_exit_three(tmp_path, capsys, command, text, fragment):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    assert run_cli(command, ini, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and fragment in err
+    assert not (tmp_path / "o").exists()

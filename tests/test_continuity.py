@@ -142,3 +142,13 @@ def test_split_triangle_rejects_bad_parts(std_space):
         split_triangle_check(std_space, (0.1, 0.2), 1.0)
     with pytest.raises(DomainError):
         split_triangle_check(std_space, (0.1, 0.2, 0.3), 0.0)
+
+
+def test_a_delta_grid_that_captures_no_probe_is_exhausted(std_space):
+    # the one delta's ball holds |y - 0.5| < 2**-20 / (1 - 2**-20); the one probe pair sits at 0.25
+    fs, _ = build_reciprocal_shift(np.linspace(0.0, 1.0, 11))
+    q = ContinuityQuery(point=0.5, epsilon=0.3, time=1.0, delta_grid=(2 ** -20,),
+                        probe_radii=(0.25,))
+    assert check_equicontinuity(fs, std_space, std_space, q) == ContinuityResult(
+        holds=False, delta=None, witness=None, exhausted=True)
+    assert check_limit_continuity(lambda x: x, std_space, std_space, q).exhausted

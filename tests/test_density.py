@@ -204,6 +204,9 @@ def test_membership_predicate_and_array_agree():
     t1 = density_trace(arr, lam, 300, stride=30)
     t2 = density_trace(lambda k: k % 3 == 0, lam, 300, stride=30)
     assert np.array_equal(t1.counts, t2.counts)
+    # a list was taken for a predicate: np.vectorize raised a TypeError
+    t3 = density_trace(arr.tolist(), lam, 300, stride=30)
+    assert np.array_equal(t1.counts, t3.counts) and np.array_equal(t1.ratios, t3.ratios)
 
 
 def test_all_and_none_are_settled():
@@ -220,6 +223,9 @@ def test_membership_array_must_be_one_dimensional():
     # a (100, 100) array was raveled into 10,000 indices
     with pytest.raises(DomainError, match="1-D"):
         density_trace(np.ones((100, 100), dtype=bool), lambda_family("identity"), 5000)
+    for short in ([True] * 99, [[True] * 100], 5):  # too few entries, or not 1-D, as a list too
+        with pytest.raises(DomainError, match="1-D membership array of 100"):
+            density_trace(short, lambda_family("identity"), 100)
 
 
 def test_verdict_is_stable_as_horizon_grows():
@@ -279,3 +285,8 @@ def test_rejects_tiny_horizon():
     lam = lambda_family("identity")
     with pytest.raises(DomainError):
         density_trace(np.ones(5, dtype=bool), lam, 5)
+
+
+def test_lambda_table_must_be_non_empty():
+    with pytest.raises(DomainError, match="non-empty"):
+        lambda_from_table([])

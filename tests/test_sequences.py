@@ -158,6 +158,19 @@ def test_bump_mask_matches_contains():
     assert np.array_equal(mask[ks], np.array([bumps.contains(int(k)) for k in ks]))
 
 
+def test_bump_hits_find_the_members_in_any_index_order():
+    # a bundled family's evaluate looks up its indices' members, in blocks or in any order
+    bumps = BumpIndexSet(lambda_family("sqrt"))
+    mask = BumpIndexSet(lambda_family("sqrt")).mask(5_000)
+    rng = np.random.default_rng(25)
+    for ks in (np.arange(1, 5_001), np.arange(1_200, 1_300), np.arange(5_000, 0, -1),
+               np.arange(3, 5_001, 7), rng.integers(1, 5_001, 2_000), np.array([4, 4, 1, 4])):
+        assert bumps._hits(ks).tolist() == np.flatnonzero(mask[ks]).tolist()
+    assert bumps._hits(np.zeros(0, dtype=np.int64)).size == 0
+    with pytest.raises(DomainError, match=">= 1"):
+        bumps._hits(np.array([3, 0]))
+
+
 def test_bump_mask_grown_in_steps_matches_one_build():
     # the detectors sweep k in blocks, so the mask cache grows by many small steps
     lam = lambda_family("sqrt")

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from ifnlab import (DomainError, IFNorm, OpenBall, abs_norm, ball_contains,
                     builtin_norm, certify_ifn, default_samples, default_times,
                     euclidean_norm, standard_ifn, tconorm, tnorm)
+from ifnlab.space import BOUND_RADII
 
 AXIOM_NAMES = {
     "mu-nu-sum-bound", "mu-positive", "mu-zero-characterization", "mu-scaling",
@@ -152,3 +153,53 @@ def test_ball_rejects_bad_parameters():
     for time in (0.0, np.nan, np.inf):
         with pytest.raises(DomainError):
             OpenBall(center=np.array([0.0]), radius=0.5, time=time)
+
+
+def test_in_ball_tests_every_radius_against_one_batch(std_space):
+    # on the line at time t, |d| < r t / (1 - r); d sits on the boundary of r = 0.25
+    d = np.array([[0.0], [-0.2], [1.0 / 3.0], [5.0]])
+    radii = np.array([0.1, 0.25, 0.5, 0.9])
+    inside = std_space.in_ball(d, radii[:, None], 1.0)
+    assert inside.shape == (4, 4)
+    expect = np.abs(d[:, 0])[None, :] < radii[:, None] / (1.0 - radii[:, None])
+    expect[1, 2] = False  # the boundary is outside: mu = 1 - r exactly
+    assert inside.tolist() == expect.tolist()
+    for r, row in zip(radii, inside):
+        ball = OpenBall(center=np.array([0.0]), radius=r, time=1.0)
+        assert row.tolist() == [ball_contains(ball, std_space, -v) for v in d]
+
+
+def test_a_norm_that_raises_on_the_probe_is_dropped(std_space):
+    def norm(v):
+        raise ValueError("no length for this vector")
+
+    space = IFNorm(std_space.mu, std_space.nu, std_space.tnorm, std_space.tconorm, norm=norm)
+    assert space.norm is None
+    gap = 0.1 / 0.9  # the radius at epsilon 0.1, t 1: exceptional by GUARD
+    d = np.array([[gap], [-gap], [0.5 * gap], [0.0], [3.0]])
+    assert space.exceptional(d, 0.1, 1.0).tolist() == [True, True, False, False, True]
+    assert space.exceptional(d, 0.1, 1.0).tolist() == std_space.exceptional(d, 0.1, 1.0).tolist()
+
+
+@pytest.mark.parametrize("epsilon, t", [(1e-160, 1.0), (0.5, 1e300)])
+def test_clears_band_decides_nothing_outside_the_bound_radii(std_space, epsilon, t):
+    radius = t * epsilon / (1.0 - epsilon)
+    assert not BOUND_RADII[0] <= radius <= BOUND_RADII[1]
+    vals = np.array([[0.0], [4.0 * radius], [1e5 * radius]])
+    centres = np.zeros((2, 1))
+    assert not std_space.clears_band(vals, centres, epsilon, t).any()
+    # the same gaps in units of the radius, at radius 1, are decided
+    decided = std_space.clears_band(vals / radius, centres, 0.5, 1.0)
+    assert decided.tolist() == [[False, True, True]] * 2
+
+
+def test_a_split_batch_answers_mu_nu_and_their_union(std_space):
+    # rows per centre: mu, nu and "mu or nu", each the union over the points
+    vals = np.array([[[0.0], [0.05], [0.2]], [[0.2], [0.0], [0.0]]])  # (points, indices, 1)
+    centres = np.array([[[0.0]], [[0.1]]])[:, :, None].repeat(2, axis=1)  # (centres, points, 1, 1)
+    out = std_space.exceptional_batch(vals, centres, 0.1, 1.0, np.empty(vals.size), split=True)
+    assert out.shape == (2, 3, 3)
+    for c, rows in zip(centres, out):
+        mu_nu = std_space.exceptional(vals - c, 0.1, 1.0, split=True, union=True)
+        assert rows.tolist() == [*mu_nu.tolist(), (mu_nu[0] | mu_nu[1]).tolist()]
+        assert rows[2].tolist() == std_space.exceptional(vals - c, 0.1, 1.0, union=True).tolist()
