@@ -46,10 +46,16 @@ def check_time(t) -> np.ndarray:
     return times
 
 
+# The smallest level: ``IFNorm.exceptional`` widens its boundary by ``space.GUARD``
+# (1e-12), so a level at or below GUARD would call a zero difference exceptional.
+LEVEL_MIN = 1e-10
+
+
 def check_level(epsilon, time, name: str = "epsilon") -> None:
-    """Raise DomainError unless ``epsilon`` lies in (0, 1) and ``time`` passes ``check_time``."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"{name} must lie in (0, 1), got {epsilon}")
+    """Raise DomainError unless ``epsilon`` lies in [LEVEL_MIN, 1) and ``time`` passes
+    ``check_time``."""
+    if not LEVEL_MIN <= epsilon < 1.0:
+        raise DomainError(f"{name} must lie in [{LEVEL_MIN!r}, 1), got {epsilon}")
     check_time(time)
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (DomainError, TCONORM_IDS, TNORM_IDS, certify, tconorm, tnorm)
+from .algebra import (LEVEL_MIN, DomainError, TCONORM_IDS, TNORM_IDS, certify, tconorm, tnorm)
 from .convergence import (CAUCHY_MODES, MODES, ConvergenceQuery, ConvergenceVerdict,
                           detect, detect_cauchy)
 from .density import (LAMBDA_IDS, LambdaSequence, density_trace, lambda_family,
@@ -137,7 +137,8 @@ class ExperimentConfig:
         for ok, message in (
             (self.dimension >= 1, f"space.dimension must be >= 1, got {self.dimension}"),
             (self.norm != "abs" or self.dimension == 1, "space.norm abs requires dimension 1"),
-            (0.0 < self.epsilon < 1.0, f"query.epsilon outside (0, 1): {self.epsilon}"),
+            (LEVEL_MIN <= self.epsilon < 1.0,
+             f"query.epsilon outside [{LEVEL_MIN!r}, 1): {self.epsilon}"),
             (0.0 < self.time < np.inf, f"query.time must be positive and finite: {self.time}"),
             (self.n_max >= 10, f"query.n_max must be >= 10: {self.n_max}"),
             (self.stride is None or self.stride >= 1, f"query.stride must be >= 1: {self.stride}"),

@@ -7,42 +7,35 @@ level/time pair (epsilon, t), index k is *exceptional* when
 
 The centre is the candidate limit f, or an anchor term f_N in the Cauchy
 modes.  The space answers the test (``IFNorm.exceptional``), a standard one
-by its norm; its GUARD band makes the exact boundary exceptional.  The grid
-is split into groups (``_groups``): each point alone in the pointwise
-modes, the whole grid in the uniform ones.  One grid pass (``_union``) is
-one loop over feeds of consecutive indices, each a row per centre of a
-batch (the union over the points of their exceptional sets) for a
-``WindowCounter``.  A feed gives each row a fill, the test of every index
-it does not evaluate, and the indices whose test differs from it; its
-indices are evaluated in blocks, across a group's points when the sequence
-broadcasts.  A dense feed takes every index over a False fill.  A bundled
-family's feed takes only its bump set's members, over the base value's
-test: off the set every term is the base value, so the feed costs the
-members, not the indices.  The counter keeps the windowed counts at the
-trace stages and the few indices the verdict cites, so no array as long as
-the horizon is held.  A standard space tests a block by the largest norm
-over its points, once per index.  A union over points is exceptional where
-one point is, so a pass whose terms an earlier pass has checked reads each
-block at one probe point first, the point where its centres differ most
-from the first, and narrows the block to the indices that point leaves
-open against some centre: they take the grid call and test of any block.
+by its norm; its GUARD band makes the exact boundary exceptional.  One grid
+pass (``_union``) marks, per grid point, the indices where f_k(x) is
+exceptional against each centre of a batch, and keeps a row per (point,
+centre) in the pointwise modes and ifn-classical, or per centre the union
+over the points in the uniform ones.  It is one loop over feeds of
+consecutive indices for a ``WindowCounter``, which keeps the windowed counts
+at the trace stages and the few indices the verdict cites, so nothing as
+long as the horizon is held.  A feed gives each row a fill, the test of
+every index it does not evaluate, and the indices whose test differs from
+it: a dense feed takes every index over a False fill, a bundled family's
+feed only its bump set's members over the base value's test.  A union over
+points is exceptional where one point is, so a uniform pass whose terms an
+earlier pass checked reads each block at one probe point first and
+evaluates the grid only where it leaves a pair open.
 
-Every windowed mode judges each group with one search (``_search``): it
-tries the group's candidate centres in order and stops at the first whose
-set has vanishing windowed density.  The stat modes have one candidate, the
-limit (the plain stat modes use lambda_n = n).  The Cauchy modes try the
-first ANCHOR_POOL indices outside the group's set against the latest term
-f_{n_max}, the first alone and then the rest in one pass: at most three
-passes per group.  The pool pass stops at the block where its tenth anchor
-turns up; the anchor passes cover the whole horizon, so they meet any fault
-it stopped short of, and the first anchor's pass checks every term the
-rest's pass reads.  A group that does not converge gives witnesses (``_witnesses``):
-the last indices of its last set in the final window, kept by the sweep,
-each paired with the first point of the group where it is exceptional
-against the same centre.  ifn-classical instead asks every exceptional
-index of each point to sit early in the horizon (a tail certificate); the
-sweep keeps each point's last exceptional index and its first ones past
-the dirty cut.
+Every windowed mode judges each group, a point or the whole grid, with one
+search (``_search``): it tries the group's candidate centres in order and
+stops at the first whose set has vanishing windowed density.  The stat modes
+have one candidate, the limit (the plain stat modes use lambda_n = n).  The
+Cauchy modes try the first ANCHOR_POOL indices outside the group's set
+against f_{n_max}: one pool pass, one pass of every group's first anchor,
+and one of the rest for the groups still open.  The pool pass stops at the
+block where every pool is full; the first anchor's pass covers the whole
+horizon, so it meets any fault the pool pass stopped short of and checks
+every term the rest's pass reads.  A group that does not converge gives as
+witnesses the last indices of its last set in the final window, each with
+the first point of the group where it is exceptional (``_witnesses``).
+ifn-classical instead asks every exceptional index of each point to sit
+early in the horizon (a tail certificate).
 
 Verdicts are three-valued: converges, fails, or inconclusive.  A trace whose
 tail has not settled is reported as inconclusive, never coerced to fails.
@@ -50,7 +43,6 @@ tail has not settled is reported as inconclusive, never coerced to fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -68,6 +60,10 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
+
+# The running counts one sweep of ``_search`` holds, rows times two stage bounds (2 MB):
+# a table of groups whose rows hold more is swept in batches of groups.
+COUNTER_BOUNDS = 4 * BLOCK_ELEMENTS
 
 # A checked grid pass narrows each block to the columns its probe point leaves open
 # until the probe decides less than this share of a block's columns; that block and
@@ -103,13 +99,14 @@ class ConvergenceQuery:
 class ConvergenceVerdict:
     """Outcome of a detection run plus the evidence it rests on.
 
-    ``traces`` is a point -> DensityTrace mapping for pointwise modes, a
-    single shared trace for uniform modes, and None for ifn-classical.
-    ``witnesses`` holds up to WITNESS_CAP (k, x) pairs, taken in grid order
-    from the groups that do not converge: the last indices of a group's last
-    exceptional set in the final window, each with the first point of the
-    group where k is exceptional against that set's centre (ifn-classical:
-    the first indices past the dirty cut of each failing point).
+    ``traces`` is a point -> DensityTrace mapping for pointwise modes (each a
+    row of the one grid pass), a single shared trace for uniform modes, and
+    None for ifn-classical.  ``witnesses`` holds up to WITNESS_CAP (k, x)
+    pairs, in grid order from the groups that do not converge: the last
+    indices of a group's last exceptional set in the final window, each with
+    the first point of the group where k is exceptional against that set's
+    centre, in a pointwise mode the point itself (ifn-classical: the first
+    indices past the dirty cut of each failing point).
     """
 
     mode: str
@@ -171,91 +168,93 @@ def _faults(xs: np.ndarray, first_bad: np.ndarray, limits: np.ndarray | None = N
             raise ValueError(f"limit value not finite at x={float(x)!r}")
 
 
-def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
+def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres,
            stages: tuple | None = None, captures=(), split: bool = False,
            checked: bool = False) -> WindowCounter:
-    """The grid pass: per centre, the windowed counts of the union of the points' exceptional sets.
+    """The grid pass: windowed counts per (point, centre, test) row, a uniform mode's one
+    point the union over ``xs``; the tests are mu, nu and their union with ``split``.
 
-    One loop over feeds of ``span`` indices of k = 1..n_max, about
-    BLOCK_ELEMENTS tests each: a row per centre (rows mu, nu and their union
-    with ``split``), fed to a ``WindowCounter`` at the trace ``stages`` with
-    the ``captures``.  Without stages every block is a feed, and the sweep
-    stops once the counter is ``done`` (say, a full anchor pool); faults past
-    that go unchecked.  Each feed takes its indices and evaluates them in
-    blocks of ``step`` indices, one ``terms`` call per chunk of ``width``
-    points: all of ``xs`` when the sequence ``broadcasts``, else one, so a
-    ``per_point`` call answers BLOCK_ELEMENTS indices.  Blocks are
-    point-major, (points, indices, coordinates); ``exceptional_batch`` tests
-    one against the batch, bounding later centres by the first.  The first
-    point chunk writes its tests into the feed's rows, later ones OR into
-    them.  Faults come in point-by-point order.
+    ``centres`` is a row of limits (callables) or anchor indices for every point, or a
+    table of anchor rows, one per point.  One loop over feeds of k = 1..n_max, each about
+    BLOCK_ELEMENTS tests, rows times indices (without ``stages`` each block is a feed and
+    the sweep stops once the counter is ``done``, say at full pools; faults past that go
+    unchecked).  A feed is evaluated in blocks of ``step`` indices, a ``terms`` call per
+    chunk of ``width`` points: all of ``xs`` when the sequence ``broadcasts``, else one.
+    ``exceptional_batch`` tests a block against the centres, ORed over its points in a
+    uniform pass, whose chunks OR into one row per centre.  A pointwise chunk is a band of
+    rows counted on its own, so a sequence read point by point holds one point's rows,
+    and a pointwise block holds about BLOCK_ELEMENTS tests too.  Faults come in point
+    order.  A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``, with
+    finite base values and centres, feeds its members, BLOCK_ELEMENTS indices' worth or
+    ``span`` of them: each row's fill is its centre's test of ``base - centre``, and only
+    the members whose test differs go to the counter.  Counts, captures and faults are
+    the dense sweep's.
 
-    A dense feed takes every index and counts its hits over a False fill.
-    A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``, with
-    finite base values and centres, takes the feed's members of the bump
-    set, a searchsorted slice, and fills each row with its centre's test of
-    ``base - centre``: every index off the set has the base term.  Only the
-    members whose test differs from the fill go to the counter.  The feeds,
-    and so the counts, captures and faults, are the dense sweep's.
-
-    ``checked`` says an earlier pass evaluated every term of the horizon and
-    found it finite (such a pass is never ``split``).  In a standard space,
-    a pass that reads several points at once (``width > 1``) then takes as
-    probe the point where the later centres differ most from the first, the
-    argmax over points of max_n norm(c_n - c_0).  Each block is evaluated at
-    the probe first: ``clears_band`` decides the pairs it shows exceptional,
-    and a column decided for every centre is True.  The block then narrows to
-    its open columns, which take the same grid call, finiteness check and
-    ``exceptional_batch`` call as any block, the decided pairs ``known``.
-    Once the probe decides less than PROBE_SHARE of a block's columns, that
-    block and the rest are read whole, as without ``checked``.
+    ``checked`` says an earlier pass evaluated and found finite every term of the horizon
+    (such a pass is never ``split``).  A uniform pass over a standard space that reads
+    several points at once then evaluates each block first at the probe, the argmax over
+    points of max_n norm(c_n - c_0): ``clears_band`` decides the pairs it shows
+    exceptional, a column decided for every centre is True, and the block narrows to its
+    open columns, the decided pairs ``known``.  Once the probe decides less than
+    PROBE_SHARE of a block, that block and the rest are read whole.
     """
-    limits = callable(centres[0])
-    cs = (np.stack([_limits(f, xs) for f in centres]) if limits
-          else fs.terms(np.array(centres), xs).swapaxes(0, 1))  # (centres, points, coordinates)
+    pointwise = not q.mode.startswith("uniform")
+    table = np.array(centres, dtype=object)
+    table = np.broadcast_to(table if table.ndim == 2 else table[None], (len(xs), table.shape[-1]))
+    limits = callable(table[0, 0])
+    if limits:  # (centres, points, coordinates); a limit is every point's
+        cs = np.stack([_limits(f, xs) for f in table[0]])
+    else:
+        ids, at = np.unique(table.astype(np.int64), return_inverse=True)
+        cs = fs.terms(ids, xs)[np.arange(len(xs))[:, None], at.reshape(table.shape)].swapaxes(0, 1)
     clean = bool(np.isfinite(cs).all())  # an anchor's fault is a term's, met in its block
     first_bad = np.zeros(len(xs), dtype=np.int64)  # per point: first non-finite index, or 0
     terms, width = fs.terms, len(xs) if fs.broadcasts else 1
-    members, fill = None, False  # dense feeds: every index, over an all-False fill
+    members, fill, tests = None, False, 3 if split else 1  # dense: every index, a False fill
     sparse = getattr(fs.evaluate, "sparse", None)
     if sparse is not None and clean:
         bumps, base, bump = sparse
         base_vals = base(xs).reshape(len(xs), 1, 1)
         if np.isfinite(base_vals).all():
-            # each centre's tests of every index off the set
-            fill = ifn.exceptional_batch(base_vals, cs[:, :, None], q.epsilon, q.time,
-                                         np.empty(len(xs)), split=split).reshape(-1, 1)
+            # each row's test of every index off the set, as (points, centres, tests)
+            fill = ifn.exceptional_batch(
+                base_vals, cs[:, :, None], q.epsilon, q.time, np.empty(len(xs)), split=split,
+                union=not pointwise).reshape(len(table.T), tests, -1).transpose(2, 0, 1)
             terms, width = (lambda ks, x: bump(ks, x)[..., None]), len(xs)
             members = bumps.members_in
-    step = max(1, BLOCK_ELEMENTS // width)  # indices per block
-    # a checked pass reads each block first where the later centres differ most from the first
+    rows = len(table.T) * tests * (width if pointwise else 1)  # a chunk's rows
+    step = max(1, BLOCK_ELEMENTS // (rows if pointwise else width))  # indices per block
+    # a checked uniform pass reads each block first where the later centres differ most
     probe = (int(ifn.norm(cs - cs[0]).max(axis=0).argmax())
-             if checked and ifn.norm is not None and width > 1 else None)
+             if checked and ifn.norm is not None and width > 1 and not pointwise else None)
     ns, _, lows = stages or ((), None, ())
-    tests = 3 if split else 1  # rows per centre
-    rows = len(centres) * tests
-    counter = WindowCounter(rows, ns, lows, captures)
+    chunks = len(xs) // width if pointwise else 1  # bands of rows, each counted on its own
+    counter = WindowCounter(rows * chunks, ns, lows, captures)
+    counters = counter.bands(chunks)
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
-    span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # indices per feed
-    held = np.empty((len(centres), tests, span), dtype=bool)
-    for lo in range(0, q.n_max, span):
-        hi = min(lo + span, q.n_max)
+    span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # tests per feed
+    held = np.empty((rows // (len(table.T) * tests), len(table.T), tests, span), dtype=bool)
+    lo = 0
+    while lo < q.n_max:  # a sparse feed: BLOCK_ELEMENTS indices, or its first span members
+        hi = min(lo + (span if members is None else BLOCK_ELEMENTS), q.n_max)
         feed = np.arange(lo + 1, hi + 1) if members is None else members(lo + 1, hi)
+        if feed.size > span:
+            hi, feed = int(feed[span]) - 1, feed[:span]
         block = held[..., :feed.size]  # the tests of the feed's indices
-        for a in range(0, feed.size, step):
-            ks, at, known = feed[a:a + step], slice(a, a + step), None
-            if probe is not None:  # narrow the block to the columns the probe leaves open
-                known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe],
-                                        q.epsilon, q.time)
-                open_ = ~known.all(axis=0)
-                if ks.size - np.count_nonzero(open_) < PROBE_SHARE * ks.size:
-                    probe = known = None  # it decided too little: this block and the rest whole
-                else:
-                    block[:, 0, at] = True
-                    ks, at, known = ks[open_], a + np.flatnonzero(open_), known[:, open_]
-                    if not ks.size:
-                        continue
-            for p in range(0, len(xs), width):
+        for p in range(0, len(xs), width):
+            for a in range(0, feed.size, step):
+                ks, at, known = feed[a:a + step], slice(a, a + step), None
+                if probe is not None:  # narrow the block to the columns the probe leaves open
+                    known = ifn.clears_band(terms(ks, xs[probe:probe + 1])[0], cs[:, probe],
+                                            q.epsilon, q.time)
+                    open_ = ~known.all(axis=0)
+                    if ks.size - np.count_nonzero(open_) < PROBE_SHARE * ks.size:
+                        probe = known = None  # it decided too little: this block and the rest whole
+                    else:
+                        block[..., at] = True
+                        ks, at, known = ks[open_], a + np.flatnonzero(open_), known[:, open_]
+                        if not ks.size:
+                            continue
                 # held until the next block's terms exist: freed first, glibc trims the heap
                 vals = terms(ks, xs[p:p + width])
                 if not np.isfinite(vals).all():
@@ -266,27 +265,22 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres: list,
                     clean = False
                 if clean:
                     t = ifn.exceptional_batch(vals, cs[:, p:p + width, None], q.epsilon, q.time,
-                                              buf, split=split, known=known)
-                    t = t.reshape(block.shape[:2] + (-1,))
-                    block[..., at] = t | block[..., at] if p else t
-        if clean:
-            block = block.reshape(rows, -1)
-            if members is None:
-                counter.feed(hi - lo, np.flatnonzero(block))
-            else:  # the flat places, row by row, of the members whose test is not the fill
-                at = np.arange(0, rows * (hi - lo), hi - lo)[:, None] + (feed - (lo + 1))
-                counter.feed(hi - lo, at[block != fill], fill)
-        if counter.done:
+                                              buf, split=split, union=not pointwise, known=known)
+                    t = t.reshape(block.shape[1:3] + (-1, t.shape[-1])).transpose(2, 0, 1, 3)
+                    block[..., at] = t | block[..., at] if p and not pointwise else t
+            if clean and (pointwise or p + width == len(xs)):
+                band, flat = counters[p // width if pointwise else 0], block.reshape(rows, -1)
+                if members is None:
+                    band.feed(hi - lo, np.flatnonzero(flat))
+                else:  # the flat places, row by row, of the members whose test is not the fill
+                    own = fill[p:p + width] if pointwise else fill
+                    at = np.arange(0, rows * (hi - lo), hi - lo)[:, None] + (feed - (lo + 1))
+                    band.feed(hi - lo, at[flat != own.reshape(-1, 1)], own.reshape(-1))
+        if all(c.done for c in counters):
             break
+        lo = hi
     _faults(xs, first_bad, cs if limits else None)
-    return counter
-
-
-def _groups(uniform: bool, grid: np.ndarray) -> list:
-    """(key, points) pairs: the whole grid keyed None, or each point keyed by itself."""
-    if uniform:
-        return [(None, grid)]
-    return [(float(x), grid[i:i + 1]) for i, x in enumerate(grid)]
+    return counter.join(counters)
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
@@ -306,40 +300,45 @@ def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
     return member
 
 
-def _aggregate(point_verdicts: list[str]) -> str:
-    if all(v == "converges" for v in point_verdicts):
-        return "converges"
-    if any(v == "fails" for v in point_verdicts):
-        return "fails"
-    return "inconclusive"
+def _aggregate(verdicts: list[str]) -> str:
+    return ("converges" if all(v == "converges" for v in verdicts)
+            else "fails" if "fails" in verdicts else "inconclusive")
 
 
-def _search(union: Callable, pool: list, stages: tuple) -> tuple:
-    """Try a group's candidate centres in pool order; stop at the first limit-zero trace.
+def _search(union: Callable, pool: list, stages: tuple) -> list:
+    """Try each group's candidate centres in pool order; stop at its first limit-zero trace.
 
-    ``union(batch, stages, captures, checked=...)`` counts the group's
-    exceptional sets of a batch in one sweep: the first candidate, then the
-    rest, ``checked`` since the first candidate's sweep evaluated every term
-    and raised on any fault.  Returns
-    the outcome, the last centre tried, its trace, and the last WITNESS_CAP
-    indices of its set in the final window (all None for an empty pool).
-    The outcome is converges at a limit-zero trace, else inconclusive when
-    some trace was, else fails: limit-one or a settled positive value says
-    the density is clearly not zero.
+    ``pool`` holds a row of candidates per group, possibly empty.  ``union(groups, table,
+    stages, captures, checked=...)`` counts a table of centres, a row per group, in one
+    sweep: the first candidates, then the rest of the open groups (``checked``: the first
+    sweep raised on any fault), in batches of COUNTER_BOUNDS; a short row repeats its last
+    centre.  Per group: the outcome, the last centre tried, its trace and the last
+    WITNESS_CAP indices of its set in the final window (None for an empty pool).  The
+    outcome is converges at a limit-zero trace, else inconclusive when some trace was,
+    else fails: limit-one or a settled positive value says the density is not zero.
     """
-    outcome, centre, trace, tail = "fails", None, None, None
+    found = [["fails", None, None, None] for _ in pool]
     final_hits = Capture(WITNESS_CAP, int(stages[2][-1]), last=True)
-    for checked, batch in ((False, pool[:1]), (True, pool[1:])):
-        if not batch:
-            continue
-        counter = union(batch, stages, (final_hits,), checked=checked)
-        for centre, counts, tail in zip(batch, counter.counts(), counter.kept[0]):
-            trace = _trace(stages, counts)
-            if trace.verdict == "limit-zero":
-                return "converges", centre, trace, tail
-            if trace.verdict == "inconclusive":
-                outcome = "inconclusive"
-    return outcome, centre, trace, tail
+    for checked, part in ((False, slice(0, 1)), (True, slice(1, None))):
+        open_ = [g for g, row in enumerate(pool) if row[part] and found[g][0] != "converges"]
+        size = max([len(pool[g][part]) for g in open_], default=1)
+        batch = max(1, COUNTER_BOUNDS // (size * 2 * len(stages[0])))  # groups per sweep
+        for at in range(0, len(open_), batch):
+            groups = open_[at:at + batch]
+            table = [pool[g][part] + pool[g][part][-1:] * (size - len(pool[g][part]))
+                     for g in groups]
+            counter = union(groups, table, stages, (final_hits,), checked=checked)
+            counts = counter.counts().reshape(len(groups), size, -1)
+            tails = counter.kept[0].reshape(len(groups), size, -1)
+            for g, group_counts, group_tails in zip(groups, counts, tails):
+                for centre, c, tail in zip(pool[g][part], group_counts, group_tails):
+                    trace = _trace(stages, c.copy())  # a row, not a view of the whole pass
+                    outcome = {"limit-zero": "converges",
+                               "inconclusive": "inconclusive"}.get(trace.verdict, found[g][0])
+                    found[g] = [outcome, centre, trace, tail]
+                    if outcome == "converges":
+                        break
+    return found
 
 
 def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
@@ -362,25 +361,29 @@ def _witnesses(fs: FunctionSequence, ifn, q: ConvergenceQuery, centre, xs,
 
 def _detect_windowed(fs: FunctionSequence, ifn, q: ConvergenceQuery, lam: LambdaSequence,
                      candidates: Callable) -> ConvergenceVerdict:
-    """Judge every group with ``_search`` over ``candidates(union)``; gather witnesses."""
-    uniform = q.mode.startswith("uniform")
-    outcomes, traces, anchors, witnesses = [], {}, {}, []
+    """Judge every group with ``_search`` over ``candidates(union, groups)``; gather witnesses."""
+    uniform, grid = q.mode.startswith("uniform"), fs.domain_grid
+    keys = [None] if uniform else [float(x) for x in grid]
     stages = _stages(lam, q.n_max, q.stride)
-    for key, xs in _groups(uniform, fs.domain_grid):
-        union = partial(_union, fs, ifn, q, xs)
-        outcome, centre, trace, tail = _search(union, candidates(union), stages)
-        outcomes.append(outcome)
+
+    def union(groups, *args, **kwargs):
+        return _union(fs, ifn, q, grid if uniform else grid[groups], *args, **kwargs)
+
+    found = _search(union, candidates(union, list(range(len(keys)))), stages)
+    traces, anchors, witnesses = {}, {}, []
+    for key, (outcome, centre, trace, tail) in zip(keys, found):
         anchors[key] = centre if outcome == "converges" else None
         if trace is not None:
             traces[key] = trace
-            if outcome != "converges" and len(witnesses) < WITNESS_CAP:
-                witnesses += _witnesses(fs, ifn, q, centre, xs, tail,
-                                        WITNESS_CAP - len(witnesses))
+            cap = WITNESS_CAP - len(witnesses)
+            if outcome != "converges" and cap > 0:  # a point's own tail is its witnesses
+                witnesses += (_witnesses(fs, ifn, q, centre, grid, tail, cap) if uniform
+                              else [(int(k), key) for k in tail[tail > 0][-cap:]])
     if uniform:  # the output shape: one shared trace and one anchor
         traces, anchors = traces.get(None), anchors[None]
     details = {"anchor" if uniform else "anchors": anchors} if q.mode in CAUCHY_MODES else {}
-    return ConvergenceVerdict(q.mode, _aggregate(outcomes), traces, witnesses, q.epsilon,
-                              q.time, lam.name, q.n_max, details)
+    return ConvergenceVerdict(q.mode, _aggregate([o for o, *_ in found]), traces, witnesses,
+                              q.epsilon, q.time, lam.name, q.n_max, details)
 
 
 def detect(fs: FunctionSequence, f: Callable, ifn_target,
@@ -397,7 +400,7 @@ def detect(fs: FunctionSequence, f: Callable, ifn_target,
     if q.mode == "ifn-classical":
         return _detect_classical(fs, f, ifn_target, q)
     lam = lambda_family("identity") if q.mode in ("pointwise-stat", "uniform-stat") else q.lam
-    return _detect_windowed(fs, ifn_target, q, lam, lambda union: [f])
+    return _detect_windowed(fs, ifn_target, q, lam, lambda union, groups: [[f] for _ in groups])
 
 
 def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
@@ -406,19 +409,14 @@ def _detect_classical(fs: FunctionSequence, f: Callable, ifn,
     dirty_cut = int(q.n_max * CLASSICAL_DIRTY_FRACTION)
     point_verdicts, witnesses, last_exceptional = [], [], {}
     captures = (Capture(1, last=True), Capture(WITNESS_CAP, dirty_cut + 1))
-    for key, xs in _groups(False, fs.domain_grid):
-        last, tail = (kept[0] for kept in _union(fs, ifn, q, xs, [f], captures=captures).kept)
-        k_last = int(last[-1])
+    lasts, tails = _union(fs, ifn, q, fs.domain_grid, [f], captures=captures).kept
+    for x, last, tail in zip(fs.domain_grid, lasts, tails):
+        key, k_last = float(x), int(last[-1])
         last_exceptional[key] = k_last
-        if k_last <= clean_cut:
-            point_verdicts.append("converges")
-        elif k_last > dirty_cut:
-            point_verdicts.append("fails")
-            if len(witnesses) < WITNESS_CAP:
-                tail = tail[tail > 0][: WITNESS_CAP - len(witnesses)]
-                witnesses.extend((int(k), key) for k in tail)
-        else:
-            point_verdicts.append("inconclusive")
+        point_verdicts.append("converges" if k_last <= clean_cut else
+                              "fails" if k_last > dirty_cut else "inconclusive")
+        if point_verdicts[-1] == "fails":
+            witnesses += [(int(k), key) for k in tail[tail > 0][:WITNESS_CAP - len(witnesses)]]
     return ConvergenceVerdict(q.mode, _aggregate(point_verdicts), None, witnesses,
                               q.epsilon, q.time, "unused", q.n_max,
                               details={"last_exceptional": last_exceptional})
@@ -436,9 +434,9 @@ def detect_cauchy(fs: FunctionSequence, ifn_target, q: ConvergenceQuery) -> Conv
     """
     if q.mode not in CAUCHY_MODES:
         raise DomainError(f"mode {q.mode!r} is not a Cauchy mode")
-    def pool(union) -> list:
-        kept = union([q.n_max], captures=(Capture(ANCHOR_POOL, misses=True),)).kept[0][0]
-        return kept[kept > 0].tolist()
+    def pool(union, groups) -> list:
+        kept = union(groups, [q.n_max], captures=(Capture(ANCHOR_POOL, misses=True),)).kept[0]
+        return [row[row > 0].tolist() for row in kept]
 
     return _detect_windowed(fs, ifn_target, q, q.lam, pool)
 
@@ -482,8 +480,8 @@ def lemma_equivalence_check(fs: FunctionSequence, f: Callable, ifn_target,
         return None if a is None or b is None else a and b
 
     rows = []  # one row of the five statement values per group
-    for _, xs in _groups(q.mode == "uniform-lambda-stat", fs.domain_grid):
-        c_mu, c_nu, joint = _union(fs, ifn_target, q, xs, [f], stages, split=True).counts()
+    counts = _union(fs, ifn_target, q, fs.domain_grid, [f], stages, split=True).counts()
+    for c_mu, c_nu, joint in counts.reshape(-1, 3, counts.shape[-1]):
         separate = conj(density(c_mu, "limit-zero"), density(c_nu, "limit-zero"))
         rows.append((density(joint, "limit-zero"), separate, density(width - joint, "limit-one"),
                      conj(density(width - c_mu, "limit-one"), density(width - c_nu, "limit-one")),

@@ -10,6 +10,7 @@ per stage (hence lambda_n <= n), and tend to infinity.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -331,6 +332,21 @@ class WindowCounter:
     def counts(self) -> np.ndarray:
         """Per row, the count in each window [low, n] of the stages."""
         return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]
+
+    def bands(self, count: int) -> list:
+        """The rows as ``count`` equal bands, each a counter fed on its own indices that
+        counts into this counter's rows; ``join`` takes back their captures."""
+        size, bands = len(self._total) // count, [copy.copy(self) for _ in range(count)]
+        for b, band in enumerate(bands):
+            rows = slice(b * size, (b + 1) * size)
+            band._at_bounds, band._total = self._at_bounds[rows], self._total[rows]
+            band.kept = [kept[rows] for kept in self.kept]
+        return bands
+
+    def join(self, bands: list) -> WindowCounter:
+        """This counter, with the captures of its ``bands``."""
+        self.kept = [np.concatenate(kept) for kept in zip(*(band.kept for band in bands))]
+        return self
 
 
 def _stages(lam: LambdaSequence, n_max: int, stride: int | None) -> tuple:

@@ -175,26 +175,33 @@ class IFNorm:
         return out, top, radius, slack
 
     def exceptional_batch(self, vals: np.ndarray, centres: np.ndarray, epsilon: float, t: float,
-                          buf: np.ndarray, *, split: bool = False,
+                          buf: np.ndarray, *, split: bool = False, union: bool = True,
                           known: np.ndarray | None = None) -> np.ndarray:
-        """Per centre, ``exceptional(vals - centre, epsilon, t, split=split, union=True)``.
+        """Per centre, ``exceptional(vals - centre, epsilon, t, split=split, union=union)``.
 
         ``vals`` is (points, indices, coordinates), ``centres`` (centres, points, 1,
-        coordinates), ``buf`` flat scratch for ``vals``.  ``known``, without ``split``, marks
-        (centre, index) pairs already found exceptional: they answer True untested.  Over
-        SUBADDITIVE_NORMS on several points, without ``split``, only the first centre is
-        tested on the block: a later one's top norm lies within T_0 -+ a_n (the first's, and
-        that of their difference), which decides an index outside the RADIUS_SLACK band
-        widened by BOUND_MARGIN (or by inf outside BOUND_RADII; inf and nan decide nothing).
-        The rest of the pairs, known ones aside, are gathered as many as ``buf`` holds at a
-        time.  With ``split`` each centre answers three rows: mu, nu and their union."""
+        coordinates), ``buf`` flat scratch for ``vals``.  Without ``union`` each point answers
+        on its own, as (centres, points, indices).  ``known``, with ``union`` and without
+        ``split``, marks (centre, index) pairs already found exceptional: they answer True
+        untested.  Over SUBADDITIVE_NORMS on several points, with ``union`` and without
+        ``split``, only the first centre is tested on the block: a later one's top norm lies
+        within T_0 -+ a_n (the first's, and that of their difference), which decides an index
+        outside the RADIUS_SLACK band widened by BOUND_MARGIN (or by inf outside BOUND_RADII;
+        inf and nan decide nothing).  The rest of the pairs, known ones aside, are gathered as
+        many as ``buf`` holds at a time.  With ``split`` each centre answers three rows: mu,
+        nu and their union."""
         (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
         # on one point the gather of open pairs costs more than each centre's direct test: with
         # the bound, pointwise Cauchy sin(k) * x at 3e5 x 101 took 5.7-6.4 s, not 2.7-3.6 s, in
         # process on a 2-core Xeon
-        if split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2:
+        direct = split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2
+        if not union:  # every centre in one call: vals - centre for all of them is a block
+            out = self.exceptional(vals[None] - centres, epsilon, t, split=split)
+            out = np.moveaxis(out, 0, 1) if split else out  # (centres, mu and nu, ...)
+        elif direct:
             out = np.stack([self.exceptional(np.subtract(vals, c, out=diffs), epsilon, t,
                                              split=split, union=True) for c in centres])
+        if direct or not union:
             if split:  # and the row "mu or nu"
                 return np.concatenate([out, out.any(axis=1, keepdims=True)], axis=1)
             return out if known is None else out | known

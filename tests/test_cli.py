@@ -162,6 +162,18 @@ def test_bad_configs_are_rejected(text, fragment):
         from_ini(text)
 
 
+@pytest.mark.parametrize("epsilon", ["1e-13", "1e-300", "0.0"])
+def test_an_epsilon_below_the_floor_exits_3_naming_the_key(tmp_path, capsys, epsilon):
+    # at or below GUARD the exceptional test would call a zero difference exceptional
+    ini = tmp_path / "eps.ini"
+    ini.write_text(f"[sequence]\nexpression = x / k\nlimit = 0 * x\n[query]\nepsilon = {epsilon}\n"
+                   "n_max = 1000\ngrid_points = 3\n")
+    assert run_cli("analyze", ini, "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "query.epsilon" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("bounds", ["grid_low = -0.5", "grid_high = 1.5"])
 @pytest.mark.parametrize("example", ["paper-example-1", "paper-example-2"])
 def test_bundled_examples_reject_a_grid_outside_the_unit_interval(tmp_path, capsys, bounds,

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ifnlab import (MODES, BumpIndexSet, ConvergenceQuery, FunctionSequence, build_example,
-                    build_reciprocal_shift, combine_linear, density_trace, detect,
+                    build_constant_family, build_reciprocal_shift, combine_linear,
+                    density_trace, detect,
                     detect_cauchy, exceptional_set, lambda_family,
                     lemma_equivalence_check, builtin_norm, standard_ifn, tconorm,
                     tnorm, window)
-from ifnlab.algebra import DomainError
+from ifnlab.algebra import LEVEL_MIN, DomainError
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab import convergence
 from ifnlab.convergence import ANCHOR_POOL, CAUCHY_MODES, PROBE_SHARE, WITNESS_CAP, _union
@@ -118,6 +119,34 @@ def test_radius_test_matches_mu_nu_near_the_radius(std_space, epsilon, t, scale,
     diffs = np.concatenate([diffs, -diffs])
     kernel = std_space.exceptional(diffs[:, None], epsilon, t)
     assert np.array_equal(kernel, oracle(std_space, diffs, epsilon, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_eps=st.floats(-300.0, 0.0), log_t=st.floats(-300.0, 300.0),
+       value=st.floats(-1e6, 1e6))
+def test_a_zero_difference_is_never_exceptional(std_space, log_eps, log_t, value):
+    # GUARD widens the boundary by 1e-12, so a level at or below it would make mu = 1
+    # exceptional: the query takes epsilon >= LEVEL_MIN only
+    epsilon, t, lam = 10.0 ** log_eps, 10.0 ** log_t, lambda_family("identity")
+    try:
+        queries = [ConvergenceQuery(mode, epsilon, t, lam, 1_000) for mode in
+                   ("uniform-lambda-stat", "ifn-classical", "uniform-lambda-cauchy")]
+    except DomainError:
+        assert not LEVEL_MIN <= epsilon < 1.0
+        return
+    zeros = np.zeros((3, 4, 1))
+    assert not std_space.exceptional(zeros, epsilon, t).any()
+    assert not std_space.exceptional(zeros, epsilon, t, split=True).any()
+    for union, split in itertools.product((True, False), (True, False)):
+        assert not std_space.exceptional_batch(zeros, np.zeros((2, 3, 1, 1)), epsilon, t,
+                                               np.empty(zeros.size), split=split,
+                                               union=union).any()
+    assert not std_space.clears_band(zeros[0], np.zeros((2, 1)), epsilon, t).any()
+    fs, limit = build_constant_family(np.linspace(0.0, 1.0, 11), value)
+    for q in queries:
+        v = detect_cauchy(fs, std_space, q) if q.mode in CAUCHY_MODES else detect(fs, limit,
+                                                                               std_space, q)
+        assert v.verdict == "converges", q.mode
 
 
 @pytest.mark.parametrize("epsilon, t", [(0.1, 1.0), (0.9, 0.25)])
@@ -474,6 +503,106 @@ def test_faults_come_in_point_by_point_order(std_space, grid_form, grid, mode, l
     assert str(info.value) == fault
 
 
+# ---------------------------------------------------------------- the row pass
+POINTWISE = ("pointwise-stat", "pointwise-lambda-stat", "pointwise-lambda-cauchy", "ifn-classical")
+
+
+def run_mode(fs, limit, space, q):
+    return detect_cauchy(fs, space, q) if q.mode in CAUCHY_MODES else detect(fs, limit, space, q)
+
+
+def at_point(fs, i):
+    """fs on its i-th grid point alone."""
+    return dataclasses.replace(fs, domain_grid=fs.domain_grid[i:i + 1])
+
+
+def outlier_at_one_point(grid, n_max):
+    """x / k but f_{n_max} = 5 at x = 0.5: that point's pool against it holds n_max alone."""
+    def evaluate(ks, x):
+        k, x = np.asarray(ks, dtype=float), np.asarray(x, dtype=float)
+        return x / k + 5.0 * ((k == n_max) & (x == 0.5))
+
+    return FunctionSequence(evaluate, grid, "outlier at one point")
+
+
+def row_families(grid, lam, n_max):
+    """(name, sequence, limit): the examples, a dense formula read over the grid and point by
+    point, and the outlier family."""
+    sine = _resolve_sequence(ExperimentConfig(expression="sin(k) * x"), lam, grid)[0]
+    zero = lambda x: 0.0  # noqa: E731
+    return [*((e, *build_example(e, lam, grid)[:2]) for e in ("paper-example-1",
+                                                                  "paper-example-2")),
+            ("sin(k) * x", sine, zero),
+            ("per-point", dataclasses.replace(sine, evaluate=lambda k, x: sine.evaluate(
+                k, float(x))), zero),
+            ("outlier", outlier_at_one_point(grid, n_max), zero)]
+
+
+@pytest.mark.parametrize("ladder", ["identity", "sqrt"])
+def test_the_row_pass_answers_each_point_as_its_one_point_grid(std_space, unit_grid, ladder):
+    # One pass keeps a row per (point, centre); each point's anchors, traces, witnesses and
+    # last exceptional index must be those of the same call on that point alone.
+    lam, n_max = lambda_family(ladder), 20_000
+    for name, fs, limit in row_families(unit_grid, lam, n_max):
+        for mode in POINTWISE:
+            q = query(mode, n_max, lam)
+            v = run_mode(fs, limit, std_space, q)
+            singles = [run_mode(at_point(fs, i), limit, std_space, q)
+                       for i in range(unit_grid.size)]
+            assert v.verdict == convergence._aggregate([s.verdict for s in singles]), name
+            assert v.witnesses == [w for s in singles for w in s.witnesses][:WITNESS_CAP]
+            details = {}
+            for s in singles:
+                for key, per_point in s.details.items():
+                    details.setdefault(key, {}).update(per_point)
+            assert v.details == details, (name, mode)
+            if mode != "ifn-classical":
+                assert same_traces(v, dataclasses.replace(v, traces={
+                    x: t for s in singles for x, t in s.traces.items()})), (name, mode)
+        q = query("pointwise-lambda-stat", n_max, lam)
+        stages = _stages(lam, n_max, None)
+        counts = [_union(s, std_space, q, s.domain_grid, [limit], stages, split=True).counts()
+                  for s in [fs] + [at_point(fs, i) for i in range(unit_grid.size)]]
+        assert np.array_equal(counts[0], np.concatenate(counts[1:])), name
+        if all(lemma_equivalence_check(at_point(fs, i), limit, std_space, q)
+               for i in range(unit_grid.size)):
+            assert lemma_equivalence_check(fs, limit, std_space, q), name
+
+
+def test_a_point_whose_reference_is_an_outlier_has_a_short_pool(std_space, unit_grid):
+    n_max = 20_000
+    fs = outlier_at_one_point(unit_grid, n_max)
+    v = detect_cauchy(fs, std_space, query("pointwise-lambda-cauchy", n_max))
+    # every other point converges at its first anchor; x = 0.5 has only n_max to try,
+    # and against it every earlier index is exceptional
+    anchors = v.details["anchors"]
+    assert all((n is None) == (x == 0.5) for x, n in anchors.items()), anchors
+    assert v.traces[0.5].verdict != "limit-zero" and v.verdict == "fails"
+    assert v.witnesses == [(k, 0.5) for k in range(n_max - WITNESS_CAP, n_max)]
+
+
+@pytest.mark.parametrize("mode", POINTWISE)
+@pytest.mark.parametrize("grid_form", [True, False], ids=["grid-form", "per-point"])
+def test_faults_at_two_points_name_the_first_in_grid_order(std_space, mode, grid_form):
+    grid = np.linspace(0.0, 1.0, 5)
+    starts = {0.25: 700, 0.75: 300}
+
+    def evaluate(ks, x):
+        x = np.asarray(x, dtype=float)
+        start = np.select([x == p for p in starts], list(starts.values()), np.inf)
+        return np.where(np.asarray(ks) >= start, np.nan, 0.0)
+
+    fs = FunctionSequence(evaluate if grid_form else lambda k, x: evaluate(k, float(x)),
+                          grid, "two faults")
+    assert fs.broadcasts == grid_form
+    q = query(mode, 2_000)
+    with pytest.raises(ValueError) as first:
+        run_mode(at_point(fs, 1), lambda x: 0.0, std_space, q)
+    with pytest.raises(ValueError) as info:
+        run_mode(fs, lambda x: 0.0, std_space, q)
+    assert str(info.value) == str(first.value) == "sequence value not finite at (k=700, x=0.25)"
+
+
 # ---------------------------------------------------------------- sweep counts
 def counted(fs, calls):
     """fs with its ``evaluate`` recording (indices, points) per call."""
@@ -501,7 +630,10 @@ def test_pointwise_cauchy_sweeps_each_point_at_most_three_times(std_space, unit_
     # a point whose first candidate converges (x = 1, where every term is 2) stops at two
     expected = [3 if v.details["anchors"][x] is None else 2 for x in unit_grid]
     assert 2 in expected and 3 in expected
-    assert sweeps_per_point(calls, unit_grid, n_max // 2) == expected
+    # index 1,000 lies past every anchor, in the first block of every sweep; the pool
+    # sweep, which reads all points at once, stops at its first block of 65,536 // 11
+    assert sweeps_per_point(calls, unit_grid, 1_000) == expected
+    assert sweeps_per_point(calls, unit_grid, n_max // 2) == [e - 1 for e in expected]
     for x in unit_grid:  # three sweeps, the anchors, and the witness pass
         terms = sum(ks.size for ks, xs in calls if x in xs)
         assert terms <= 3 * n_max + 2 * ANCHOR_POOL + WITNESS_CAP + 2, x

@@ -9,6 +9,7 @@ from ifnlab import (ConvergenceQuery, FunctionSequence, MODES, build_example, de
                     builtin_norm, tconorm, tnorm)
 from ifnlab.convergence import (ANCHOR_POOL, CAUCHY_MODES, CLASSICAL_DIRTY_FRACTION,
                                 WITNESS_CAP)
+from ifnlab.cli import ExperimentConfig, _resolve_sequence
 from ifnlab.density import BLOCK_ELEMENTS, Capture, WindowCounter, _stages
 
 B = BLOCK_ELEMENTS
@@ -164,16 +165,26 @@ def test_streamed_evidence_at_block_edges(std_space, ladder, n_max, mode):
 
 # ------------------------------------------------------------- bounded memory
 def _runs(n_max: int) -> dict:
-    lam, grid = lambda_family("identity"), np.linspace(0.0, 1.0, 11)
+    lam = lambda_family("identity")
     space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
 
-    def query(mode):
-        return ConvergenceQuery(mode, 0.1, 1.0, lam, n_max)
+    def query(mode, stride=None):
+        return ConvergenceQuery(mode, 0.1, 1.0, lam, n_max, stride)
 
-    def example(i):
-        return build_example(f"paper-example-{i}", lam, grid)[:2]
+    def example(i, points=11):
+        return build_example(f"paper-example-{i}", lam, np.linspace(0.0, 1.0, points))[:2]
 
+    # read point by point: a truth value of x does not broadcast
+    per_point = _resolve_sequence(ExperimentConfig(expression="x / k if x < 2 else x"), lam,
+                                  np.linspace(0.0, 1.0, 101))[0]
     return {
+        # ten stages, so that the pass and not its 101 traces sets the peak
+        "per-point-pointwise": lambda: detect(per_point, lambda x: 0.0, space,
+                                              query("pointwise-lambda-stat", n_max // 10)),
+        "per-point-uniform": lambda: detect(per_point, lambda x: 0.0, space,
+                                            query("uniform-lambda-stat", n_max // 10)),
+        "pointwise-lambda-cauchy-101": lambda: detect_cauchy(example(1, 101)[0], space,
+                                                             query("pointwise-lambda-cauchy")),
         "uniform-lambda-stat": lambda: detect(*example(2), space, query("uniform-lambda-stat")),
         "pointwise-lambda-cauchy": lambda: detect_cauchy(example(1)[0], space,
                                                          query("pointwise-lambda-cauchy")),
@@ -195,3 +206,18 @@ def test_peak_memory_does_not_grow_with_the_horizon(run):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.2 * peaks[0], peaks
+
+
+def test_a_pointwise_pass_holds_about_what_its_uniform_twin_holds():
+    # A pointwise pass keeps a row per point, so it must size its feeds by rows times
+    # indices: a sequence read point by point holds one point's rows at a time.
+    peaks = []
+    for run in ("per-point-pointwise", "per-point-uniform"):
+        job = _runs(100_000)[run]
+        tracemalloc.start()
+        try:
+            job()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.5 * peaks[1], peaks
