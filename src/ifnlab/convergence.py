@@ -12,9 +12,9 @@ pass (``_union``) marks, per grid point, the indices where f_k(x) is
 exceptional against each centre of a batch, and keeps a row per (point,
 centre) in the pointwise modes and ifn-classical, or per centre the union
 over the points in the uniform ones.  It is one loop over feeds of
-consecutive indices for a ``WindowCounter``, which keeps the windowed counts
-at the trace stages and the few indices the verdict cites, so nothing as
-long as the horizon is held.  A feed gives each row a fill, the test of
+consecutive indices for a ``WindowCounter``, which keeps one windowed count
+per row and trace stage and the few indices the verdict cites, so nothing
+as long as the horizon is held.  A feed gives each row a fill, the test of
 every index it does not evaluate, and the indices whose test differs from
 it: a dense feed takes every index over a False fill, a bundled family's
 feed only its bump set's members over the base value's test.  A union over
@@ -28,7 +28,8 @@ stops at the first whose set has vanishing windowed density.  The stat modes
 have one candidate, the limit (the plain stat modes use lambda_n = n).  The
 Cauchy modes try the first ANCHOR_POOL indices outside the group's set
 against f_{n_max}: one pool pass, one pass of every group's first anchor,
-and one of the rest for the groups still open.  The pool pass stops at the
+and one of the rest for the groups still open, so three passes whatever the
+number of groups.  The pool pass stops at the
 block where every pool is full; the first anchor's pass covers the whole
 horizon, so it meets any fault the pool pass stopped short of and checks
 every term the rest's pass reads.  A group that does not converge gives as
@@ -60,10 +61,6 @@ MODES = ("ifn-classical",) + STAT_MODES + CAUCHY_MODES
 
 WITNESS_CAP = 10
 ANCHOR_POOL = 10
-
-# The running counts one sweep of ``_search`` holds, rows times two stage bounds (2 MB):
-# a table of groups whose rows hold more is swept in batches of groups.
-COUNTER_BOUNDS = 4 * BLOCK_ELEMENTS
 
 # A checked grid pass narrows each block to the columns its probe point leaves open
 # until the probe decides less than this share of a block's columns; that block and
@@ -181,8 +178,8 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres,
     unchecked).  A feed is evaluated in blocks of ``step`` indices, a ``terms`` call per
     chunk of ``width`` points: all of ``xs`` when the sequence ``broadcasts``, else one.
     ``exceptional_batch`` tests a block against the centres, ORed over its points in a
-    uniform pass, whose chunks OR into one row per centre.  A pointwise chunk is a band of
-    rows counted on its own, so a sequence read point by point holds one point's rows,
+    uniform pass, whose chunks OR into one row per centre.  A pointwise chunk feeds its own
+    band of the counter's rows, so a sequence read point by point holds one point's rows,
     and a pointwise block holds about BLOCK_ELEMENTS tests too.  Faults come in point
     order.  A bundled family's ``evaluate.sparse`` form ``(bumps, base, bump)``, with
     finite base values and centres, feeds its members, BLOCK_ELEMENTS indices' worth or
@@ -228,9 +225,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres,
     probe = (int(ifn.norm(cs - cs[0]).max(axis=0).argmax())
              if checked and ifn.norm is not None and width > 1 and not pointwise else None)
     ns, _, lows = stages or ((), None, ())
-    chunks = len(xs) // width if pointwise else 1  # bands of rows, each counted on its own
-    counter = WindowCounter(rows * chunks, ns, lows, captures)
-    counters = counter.bands(chunks)
+    counter = WindowCounter(rows * (len(xs) // width if pointwise else 1), ns, lows, captures)
     buf = np.empty(step * width * cs.shape[-1])  # every block's differences from a centre
     span = step * (max(1, BLOCK_ELEMENTS // (step * rows)) if len(ns) else 1)  # tests per feed
     held = np.empty((rows // (len(table.T) * tests), len(table.T), tests, span), dtype=bool)
@@ -269,18 +264,20 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres,
                     t = t.reshape(block.shape[1:3] + (-1, t.shape[-1])).transpose(2, 0, 1, 3)
                     block[..., at] = t | block[..., at] if p and not pointwise else t
             if clean and (pointwise or p + width == len(xs)):
-                band, flat = counters[p // width if pointwise else 0], block.reshape(rows, -1)
+                first = p // width * rows if pointwise else 0  # a pointwise chunk's own rows
+                band, flat = slice(first, first + rows), block.reshape(rows, -1)
                 if members is None:
-                    band.feed(hi - lo, np.flatnonzero(flat))
+                    counter.feed(lo, hi - lo, np.flatnonzero(flat), rows=band)
                 else:  # the flat places, row by row, of the members whose test is not the fill
                     own = fill[p:p + width] if pointwise else fill
                     at = np.arange(0, rows * (hi - lo), hi - lo)[:, None] + (feed - (lo + 1))
-                    band.feed(hi - lo, at[flat != own.reshape(-1, 1)], own.reshape(-1))
-        if all(c.done for c in counters):
+                    counter.feed(lo, hi - lo, at[flat != own.reshape(-1, 1)], own.reshape(-1),
+                                 rows=band)
+        if counter.done:
             break
         lo = hi
     _faults(xs, first_bad, cs if limits else None)
-    return counter.join(counters)
+    return counter
 
 
 def exceptional_set(fs: FunctionSequence, f: Callable, ifn_target, x,
@@ -310,34 +307,33 @@ def _search(union: Callable, pool: list, stages: tuple) -> list:
 
     ``pool`` holds a row of candidates per group, possibly empty.  ``union(groups, table,
     stages, captures, checked=...)`` counts a table of centres, a row per group, in one
-    sweep: the first candidates, then the rest of the open groups (``checked``: the first
-    sweep raised on any fault), in batches of COUNTER_BOUNDS; a short row repeats its last
-    centre.  Per group: the outcome, the last centre tried, its trace and the last
-    WITNESS_CAP indices of its set in the final window (None for an empty pool).  The
-    outcome is converges at a limit-zero trace, else inconclusive when some trace was,
-    else fails: limit-one or a settled positive value says the density is not zero.
+    sweep: one sweep of every group's first candidate, then one of the rest of the open
+    groups' (``checked``: the first sweep raised on any fault); a short row repeats its
+    last centre.  A sweep's counter holds one count per (group, centre) and stage.  Per
+    group: the outcome, the last centre tried, its trace and the last WITNESS_CAP indices
+    of its set in the final window (None for an empty pool).  The outcome is converges at
+    a limit-zero trace, else inconclusive when some trace was, else fails: limit-one or a
+    settled positive value says the density is not zero.
     """
     found = [["fails", None, None, None] for _ in pool]
     final_hits = Capture(WITNESS_CAP, int(stages[2][-1]), last=True)
     for checked, part in ((False, slice(0, 1)), (True, slice(1, None))):
-        open_ = [g for g, row in enumerate(pool) if row[part] and found[g][0] != "converges"]
-        size = max([len(pool[g][part]) for g in open_], default=1)
-        batch = max(1, COUNTER_BOUNDS // (size * 2 * len(stages[0])))  # groups per sweep
-        for at in range(0, len(open_), batch):
-            groups = open_[at:at + batch]
-            table = [pool[g][part] + pool[g][part][-1:] * (size - len(pool[g][part]))
-                     for g in groups]
-            counter = union(groups, table, stages, (final_hits,), checked=checked)
-            counts = counter.counts().reshape(len(groups), size, -1)
-            tails = counter.kept[0].reshape(len(groups), size, -1)
-            for g, group_counts, group_tails in zip(groups, counts, tails):
-                for centre, c, tail in zip(pool[g][part], group_counts, group_tails):
-                    trace = _trace(stages, c.copy())  # a row, not a view of the whole pass
-                    outcome = {"limit-zero": "converges",
-                               "inconclusive": "inconclusive"}.get(trace.verdict, found[g][0])
-                    found[g] = [outcome, centre, trace, tail]
-                    if outcome == "converges":
-                        break
+        groups = [g for g, row in enumerate(pool) if row[part] and found[g][0] != "converges"]
+        if not groups:
+            continue
+        size = max(len(pool[g][part]) for g in groups)
+        table = [pool[g][part] + pool[g][part][-1:] * (size - len(pool[g][part])) for g in groups]
+        counter = union(groups, table, stages, (final_hits,), checked=checked)
+        counts = counter.counts().reshape(len(groups), size, -1)
+        tails = counter.kept[0].reshape(len(groups), size, -1)
+        for g, group_counts, group_tails in zip(groups, counts, tails):
+            for centre, c, tail in zip(pool[g][part], group_counts, group_tails):
+                trace = _trace(stages, c.copy())  # a row, not a view of the whole pass
+                outcome = {"limit-zero": "converges",
+                           "inconclusive": "inconclusive"}.get(trace.verdict, found[g][0])
+                found[g] = [outcome, centre, trace, tail]
+                if outcome == "converges":
+                    break
     return found
 
 

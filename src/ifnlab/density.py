@@ -10,7 +10,6 @@ per stage (hence lambda_n <= n), and tend to infinity.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -242,55 +241,71 @@ class Capture:
 
 
 class WindowCounter:
-    """Windowed counts of boolean rows fed in ascending blocks of indices.
+    """Windowed counts of boolean rows fed in blocks of consecutive indices.
 
-    It is built for the trace stages ``ns`` and their window lows ``lows``.
-    A row's count in the window [low, n] is its running count at n minus its
-    running count at low - 1, so it keeps, per row, the running count at
-    each of those boundaries and nothing as long as the horizon.  ``feed``
-    takes the m indices after the ones fed so far as, per row, a fill value
-    and the indices whose test differs from it (the row's flips).  A running
-    count at a boundary is then the number of flips before it, or the width
-    minus that number, so a feed costs its flips and its boundaries, not m:
-    a dense block feeds its ``flatnonzero`` over a False fill, a bundled
-    family's block its members that differ from the base value's test.
-    ``kept[i]`` holds what ``captures[i]`` asks for, ``cap`` indices per
-    row, first or last aligned with 0 where fewer were found; a row's finds
-    are its flips, or when the fill is what the capture looks for, the
-    indices between them.
+    It is built for the trace stages ``ns``, ascending, and their window lows
+    ``lows``, and it holds what the windowed density reads: one count per
+    row and stage, the number of the row's indices in the window [low, n].
+    That count is the running count at n minus the running count at
+    low - 1, so a feed adds the running count at each stage end in its span
+    and subtracts it at each window start there; the starts are sorted once,
+    with their stages, since lows need not rise with n.  The counts are
+    int32 while the last stage is below 2^31 (a window count is at most n),
+    else int64.  ``feed`` takes the m indices after ``lo`` for a band of
+    ``rows``, so a sequence read point by point feeds its own rows, as, per
+    row, a fill value and the indices whose test differs from it (the row's
+    flips).  A running count is then the number of flips before it, or the
+    width minus that number, so a feed costs its flips and the stages in its
+    span, not m: a dense block feeds its ``flatnonzero`` over a False fill,
+    a bundled family's block its members that differ from the base value's
+    test.  ``kept[i]`` holds what ``captures[i]`` asks for, ``cap`` indices
+    per row, first or last aligned with 0 where fewer were found; a row's
+    finds are its flips, or when the fill is what the capture looks for,
+    the indices between them.
     """
 
     def __init__(self, rows: int, ns=(), lows=(), captures=()):
-        ns, lows = np.asarray(ns, dtype=np.int64), np.asarray(lows, dtype=np.int64)
-        self._bounds, at = np.unique(np.concatenate([ns, lows - 1]), return_inverse=True)
-        self._hi, self._lo = at[:ns.size], at[ns.size:]
-        self._at_bounds = np.zeros((rows, self._bounds.size), dtype=np.int64)
-        self._total = np.zeros((rows, 1), dtype=np.int64)
-        self._fed = 0
+        self._ns = np.asarray(ns, dtype=np.int64)
+        starts = np.asarray(lows, dtype=np.int64) - 1
+        self._order = np.argsort(starts, kind="stable")  # the stages in start order
+        self._starts = starts[self._order]
+        wide = self._ns.size and self._ns[-1] >= 2**31
+        # stage-major, so that a feed adds to whole stages of contiguous rows
+        self._counts = np.zeros((self._ns.size, rows), dtype=np.int64 if wide else np.int32)
+        self._total = np.zeros(rows, dtype=np.int64)  # each row's running count
         self.captures = tuple(captures)
         self.kept = [np.zeros((rows, c.cap), dtype=np.int64) for c in self.captures]
 
-    def feed(self, m: int, flips: np.ndarray, fill=False) -> None:
-        """Count the next m indices: row r tests ``fill[r]`` but at its flips.
+    def feed(self, lo: int, m: int, flips: np.ndarray, fill=False, rows=slice(None)) -> None:
+        """Count the indices lo + 1 .. lo + m of the band ``rows``: row r tests ``fill[r]``
+        but at its flips.
 
-        ``flips`` lists, ascending, the flat positions r * m + offset where
-        row r's test is not its fill; ``fill`` is one truth value per row, or
-        one for all rows.
+        ``rows`` is a slice of the counter's rows.  ``flips`` lists, ascending,
+        the flat positions r * m + offset where the band's row r tests not its
+        fill; ``fill`` is one truth value per row of the band, or one for all
+        of them.  A band is fed its indices in order, each once.
         """
-        rows = len(self._total)
-        fill = np.broadcast_to(np.asarray(fill, dtype=bool).reshape(-1), (rows,))
-        row_at = np.arange(rows) * m  # flat offset of each row
-        i, j = np.searchsorted(self._bounds, (self._fed, self._fed + m), side="right")
-        offsets = np.concatenate(([0], self._bounds[i:j] - self._fed, [m]))
-        below = np.searchsorted(flips, row_at[:, None] + offsets)
-        below -= below[:, :1]  # flips of the row before each offset
-        counts = np.where(fill[:, None], offsets - below, below)
-        self._at_bounds[:, i:j] = self._total + counts[:, 1:-1]
-        self._total += counts[:, -1:]
+        counts, total = self._counts[:, rows], self._total[rows]
+        fill = np.broadcast_to(np.asarray(fill, dtype=bool).reshape(-1), (len(total),))
+        edges = np.arange(len(total) + 1) * m  # flat offset of each row, then of the end
+        row_at = edges[:-1]
+        i, j = np.searchsorted(self._ns, (lo, lo + m), side="right")
+        u, v = np.searchsorted(self._starts, (lo, lo + m), side="right")
+        bounds = np.concatenate(([lo], self._ns[i:j], self._starts[u:v], [lo + m])) - lo
+        # the flips before each row's start and stage bounds, queried row by row;
+        # a row ends where the next one starts
+        before = np.searchsorted(flips, edges[:, None] + bounds[:-1])
+        below = np.concatenate((before[:-1, 1:], before[1:, :1]), axis=1).T - before[:-1, 0]
+        running = np.where(fill, bounds[1:, None] - below, below)
+        running += total
+        counts[i:j] += running[:j - i]
+        if u < v:  # no window starts in most feeds: every identity window starts at 0
+            counts[self._order[u:v]] -= running[j - i:-1]
+        total[:] = running[-1]
         steps = None
         for n, c in enumerate(self.captures):
-            start = max(0, c.lo - 1 - self._fed)
-            if start >= m or not (c.last or (self.kept[n] == 0).any()):
+            kept, start = self.kept[n][rows], max(0, c.lo - 1 - lo)
+            if start >= m or not (c.last or (kept == 0).any()):
                 continue
             a, e = np.searchsorted(flips, row_at[:, None] + (start, m)).T
             listed = fill == c.misses  # the row's finds are its flips, else the indices between
@@ -310,43 +325,27 @@ class WindowCounter:
             if listed.any() and flips.size:
                 at_flip = flips[np.minimum(a[:, None] + rank, flips.size - 1)] - row_at[:, None]
                 at = at_flip if listed.all() else np.where(listed[:, None], at_flip, at)
-            new = np.where(rank < found[:, None], at + self._fed + 1, 0)  # left-aligned
+            new = np.where(rank < found[:, None], at + lo + 1, 0)  # left-aligned
             if c.last and (found >= c.cap).all():  # the new replace all that was kept
-                self.kept[n] = new
+                kept[:] = new
                 continue
-            both = np.concatenate([self.kept[n], new], axis=1)
+            both = np.concatenate([kept, new], axis=1)
             if c.last:  # kept is right-aligned: drop as many of its oldest as there are new
                 take = np.minimum(found, c.cap)[:, None] + slot
             else:  # kept is left-aligned: the new follow its filled slots
-                filled = np.count_nonzero(self.kept[n], axis=1)[:, None]
+                filled = np.count_nonzero(kept, axis=1)[:, None]
                 take = np.where(slot < filled, slot, c.cap + slot - filled)
-            self.kept[n] = np.take_along_axis(both, take, axis=1)
-        self._fed += m
+            kept[:] = np.take_along_axis(both, take, axis=1)
 
     @property
     def done(self) -> bool:
         """Whether more blocks change nothing: no stages, and full first-``cap`` captures."""
-        return (self._bounds.size == 0
+        return (self._ns.size == 0
                 and all(not c.last and k.all() for c, k in zip(self.captures, self.kept)))
 
     def counts(self) -> np.ndarray:
         """Per row, the count in each window [low, n] of the stages."""
-        return self._at_bounds[:, self._hi] - self._at_bounds[:, self._lo]
-
-    def bands(self, count: int) -> list:
-        """The rows as ``count`` equal bands, each a counter fed on its own indices that
-        counts into this counter's rows; ``join`` takes back their captures."""
-        size, bands = len(self._total) // count, [copy.copy(self) for _ in range(count)]
-        for b, band in enumerate(bands):
-            rows = slice(b * size, (b + 1) * size)
-            band._at_bounds, band._total = self._at_bounds[rows], self._total[rows]
-            band.kept = [kept[rows] for kept in self.kept]
-        return bands
-
-    def join(self, bands: list) -> WindowCounter:
-        """This counter, with the captures of its ``bands``."""
-        self.kept = [np.concatenate(kept) for kept in zip(*(band.kept for band in bands))]
-        return self
+        return self._counts.T
 
 
 def _stages(lam: LambdaSequence, n_max: int, stride: int | None) -> tuple:
@@ -386,8 +385,8 @@ def density_trace(member, lam: LambdaSequence, n_max: int, stride: int | None = 
     blocks = _member_blocks(member, n_max)
     stages = _stages(lam, n_max, stride)
     counter = WindowCounter(1, stages[0], stages[2])
-    for block in blocks:
-        counter.feed(block.size, np.flatnonzero(block))
+    for b, block in enumerate(blocks):
+        counter.feed(b * BLOCK_ELEMENTS, block.size, np.flatnonzero(block))
     return _trace(stages, counter.counts()[0])
 
 

@@ -311,7 +311,7 @@ def test_a_batch_of_centres_matches_mu_and_nu(case):
         counter = _union(table_sequence(table), space, q, np.arange(table.shape[1], dtype=float),
                          [lambda x, c=c: c[int(x)] for c in centres], stages, captures)
         reference = WindowCounter(len(centres), stages[0], stages[2], captures)
-        reference.feed(expect.shape[1], np.flatnonzero(expect))
+        reference.feed(0, expect.shape[1], np.flatnonzero(expect))
         assert np.array_equal(counter.counts(), reference.counts())
         assert all(np.array_equal(a, b) for a, b in zip(counter.kept, reference.kept))
 

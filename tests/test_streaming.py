@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ifnlab import (ConvergenceQuery, FunctionSequence, MODES, build_example, density_trace,
-                    detect, detect_cauchy, lambda_family, lemma_equivalence_check, standard_ifn,
-                    builtin_norm, tconorm, tnorm)
+                    detect, detect_cauchy, lambda_family, lambda_from_table,
+                    lemma_equivalence_check, standard_ifn, builtin_norm, tconorm, tnorm)
+from ifnlab import convergence
 from ifnlab.convergence import (ANCHOR_POOL, CAUCHY_MODES, CLASSICAL_DIRTY_FRACTION,
                                 WITNESS_CAP)
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
@@ -23,20 +24,26 @@ def prefix_counts(mask: np.ndarray, ns: np.ndarray, lows: np.ndarray) -> np.ndar
 
 
 # ------------------------------------------------------------ the counter alone
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*range(6), "falling-lows"])
 def test_counter_matches_prefix_counts_and_direct_captures(seed):
-    rng = np.random.default_rng(seed)
+    falling = seed == "falling-lows"
+    rng = np.random.default_rng(6 if falling else seed)
     n_max, rows = int(rng.integers(10, 3000)), int(rng.integers(1, 5))
     masks = rng.random((rows, n_max)) < rng.choice([0.0, 0.01, 0.3, 0.9, 1.0])
-    ns, _, lows = _stages(lambda_family(rng.choice(["identity", "sqrt", "log"])), n_max,
-                          int(rng.integers(1, 50)))
+    if falling:  # lambda_n anywhere in [1, n], past the admissibility check the CLI makes
+        lam = lambda_from_table(rng.integers(1, np.arange(2, n_max + 2)))
+    else:
+        lam = lambda_family(rng.choice(["identity", "sqrt", "log"]))
+    ns, _, lows = _stages(lam, n_max, int(rng.integers(1, 50)))
+    if falling:  # the window starts are not in stage order
+        assert (np.diff(lows) < 0).any()
     lo = int(rng.integers(1, n_max + 1))
     captures = (Capture(7, lo, last=True), Capture(5, lo), Capture(4, lo, misses=True),
                 Capture(3, last=True, misses=True))
     counter = WindowCounter(rows, ns, lows, captures)
     cuts = np.unique(np.concatenate([[0, n_max], rng.integers(0, n_max, 8)]))
     for a, b in zip(cuts[:-1], cuts[1:]):  # blocks of uneven sizes
-        counter.feed(b - a, np.flatnonzero(masks[:, a:b]))
+        counter.feed(a, b - a, np.flatnonzero(masks[:, a:b]))
     for row, mask in enumerate(masks):
         assert np.array_equal(counter.counts()[row], prefix_counts(mask, ns, lows))
         hits = np.flatnonzero(mask) + 1
@@ -45,6 +52,44 @@ def test_counter_matches_prefix_counts_and_direct_captures(seed):
                     misses[-3:]]
         for kept, want in zip(counter.kept, expected):
             assert np.array_equal(kept[row][kept[row] > 0], want)
+
+
+def test_counts_are_int32_below_a_last_stage_of_2_to_the_31(tmp_path, monkeypatch):
+    assert WindowCounter(1, [2**31 - 1], [1]).counts().dtype == np.int32
+    assert WindowCounter(1, [2**31], [1]).counts().dtype == np.int64
+    lam = lambda_family("sqrt")
+    fs, limit = build_example("paper-example-1", lam, GRID)[:2]
+    space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
+    q = ConvergenceQuery("uniform-lambda-stat", 0.1, 1.0, lam, 20_000)
+
+    def traces(name):
+        density_trace(lambda k: k % 7 == 0, lam, 20_000).to_csv(tmp_path / f"{name}-density.csv")
+        detect(fs, limit, space, q).traces.to_csv(tmp_path / f"{name}-detect.csv")
+        return [(tmp_path / f"{name}-{run}.csv").read_bytes() for run in ("density", "detect")]
+
+    narrow = traces("int32")
+    counts = WindowCounter.counts
+    monkeypatch.setattr(WindowCounter, "counts", lambda self: counts(self).astype(np.int64))
+    assert traces("int64") == narrow
+
+
+def test_a_pointwise_cauchy_run_makes_three_passes(monkeypatch):
+    # the pool, every point's first anchor, and the rest of the open points' pools:
+    # here one rest pass of over 50 points × 9 anchors × 1,000 stages
+    calls = []
+
+    def union(*args, **kwargs):
+        calls.append(kwargs.get("checked"))
+        return union_once(*args, **kwargs)
+
+    union_once = convergence._union
+    monkeypatch.setattr(convergence, "_union", union)
+    lam = lambda_family("sqrt")
+    space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
+    fs = build_example("paper-example-1", lam, np.linspace(0.0, 1.0, 101))[0]
+    v = detect_cauchy(fs, space, ConvergenceQuery("pointwise-lambda-cauchy", 0.1, 1.0, lam, 20_000))
+    assert calls == [None, False, True]
+    assert sum(a is None for a in v.details["anchors"].values()) > 50
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -65,8 +110,8 @@ def test_sparse_feeds_match_the_same_rows_fed_densely(seed):
     cuts = np.unique(np.concatenate([[0, n_max], rng.integers(0, n_max, 8)]))
     for a, b in zip(cuts[:-1], cuts[1:]):  # blocks of uneven sizes
         block = masks[:, a:b]
-        dense.feed(b - a, np.flatnonzero(block))
-        sparse.feed(b - a, np.flatnonzero(block != fill[:, None]), fill)
+        dense.feed(a, b - a, np.flatnonzero(block))
+        sparse.feed(a, b - a, np.flatnonzero(block != fill[:, None]), fill)
     assert np.array_equal(sparse.counts(), dense.counts())
     assert np.array_equal(sparse.counts(), [prefix_counts(m, ns, lows) for m in masks])
     for kept_sparse, kept_dense in zip(sparse.kept, dense.kept):
