@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import DomainError, check_integer, check_level
 from .sequences import FunctionSequence
-from .space import IFNorm
+from .space import IFNorm, as_vector
 
 DELTA_GRID = tuple(0.5 ** j for j in range(1, 21))        # 0.5 .. 2^-20
 PROBE_RADII = tuple(0.5 ** j for j in range(1, 23))       # 0.5 .. 2^-22
@@ -61,14 +61,12 @@ class ContinuityResult:
 
 def _probe_points(q: ContinuityQuery) -> np.ndarray:
     lo, hi = q.domain
-    pts = []
-    for r in q.probe_radii:
-        for p in (q.point - r, q.point + r):
-            if lo <= p <= hi and p != q.point:
-                pts.append(p)
-    if not pts:
+    radii = np.asarray(q.probe_radii, dtype=float)
+    pts = np.stack([q.point - radii, q.point + radii], axis=-1).ravel()
+    pts = pts[(lo <= pts) & (pts <= hi) & (pts != q.point)]
+    if not pts.size:
         raise DomainError("no probe points fall inside the domain")
-    return np.array(pts)
+    return pts
 
 
 def _modulus_search(gap_ok: np.ndarray, ks: np.ndarray, probes: np.ndarray,
@@ -127,16 +125,15 @@ def split_triangle_check(ifn_target: IFNorm, parts: list, time: float) -> tuple[
     The nu side aggregates with the t-conorm: combining non-membership
     degrees with the t-norm instead would not even bound nu(s, t) for the
     standard construction, so the conorm is the only consistent reading.
+    The three gaps must be finite vectors of one dimension (``DomainError``).
     """
     if len(parts) != 3:
         raise DomainError("expected exactly three gap vectors")
-    a, b, c = (np.asarray(p, dtype=float).reshape(-1) for p in parts)
-    s = a + b + c
-    third = time / 3.0
-    mu_abc = [float(ifn_target.mu(g, third)) for g in (a, b, c)]
-    nu_abc = [float(ifn_target.nu(g, third)) for g in (a, b, c)]
+    dim = as_vector(parts[0]).shape[0]
+    a, b, c = (as_vector(p, dim) for p in parts)
+    gaps, times = np.stack([a, b, c, a + b + c]), np.array([time / 3.0] * 3 + [time])
+    (*mu_abc, mu_s), (*nu_abc, nu_s) = (ifn_target._eval(name, gaps, times).tolist()
+                                        for name in ("mu", "nu"))
     mu_chain = ifn_target.tnorm(ifn_target.tnorm(mu_abc[0], mu_abc[1]), mu_abc[2])
     nu_chain = ifn_target.tconorm(ifn_target.tconorm(nu_abc[0], nu_abc[1]), nu_abc[2])
-    mu_ok = float(ifn_target.mu(s, time)) >= float(mu_chain) - 1e-12
-    nu_ok = float(ifn_target.nu(s, time)) <= float(nu_chain) + 1e-12
-    return mu_ok, nu_ok
+    return mu_s >= float(mu_chain) - 1e-12, nu_s <= float(nu_chain) + 1e-12

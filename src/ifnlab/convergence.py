@@ -222,7 +222,7 @@ def _union(fs: FunctionSequence, ifn, q: ConvergenceQuery, xs, centres,
     rows = len(table.T) * tests * (width if pointwise else 1)  # a chunk's rows
     step = max(1, BLOCK_ELEMENTS // (rows if pointwise else width))  # indices per block
     # a checked uniform pass reads each block first where the later centres differ most
-    probe = (int(ifn.norm(cs - cs[0]).max(axis=0).argmax())
+    probe = (int(ifn._eval("norm", cs - cs[0]).max(axis=0).argmax())
              if checked and ifn.norm is not None and width > 1 and not pointwise else None)
     ns, _, lows = stages or ((), None, ())
     counter = WindowCounter(rows * (len(xs) // width if pointwise else 1), ns, lows, captures)

@@ -87,12 +87,13 @@ def builtin_norm(name: str) -> Callable:
 class IFNorm:
     """Membership/non-membership functionals with their aggregation ops.
 
-    ``mu(x, t)`` and ``nu(x, t)`` map a batch of vectors (coordinates on the
-    last axis of ``x``) and times broadcasting against the batch axes to
-    degrees in [0, 1], as the built-in functionals do.  A callable taking one
-    vector and one float time is accepted too: construction probes each
-    functional once and, if it does not broadcast, stores its
-    ``vectorize_scalar`` form instead.
+    ``mu(x, t)`` and ``nu(x, t)`` map an (n, d) list of vectors ``x`` and a
+    time ``t``, a number or one value per vector, to n degrees in [0, 1];
+    ``norm(x)`` maps the list to n lengths.  That is the one form the library
+    calls them in (``_eval`` lays any batch out so) and the one form
+    construction probes.  A callable taking one vector and one float time is
+    accepted too: if a functional does not answer the probe list as its
+    elements, construction stores its ``vectorize_scalar`` form instead.
 
     ``norm``, when set, says that mu and nu are the standard construction
     over it: mu = t/(t + norm(x)) and nu = norm(x)/(t + norm(x)).  It is
@@ -125,35 +126,43 @@ class IFNorm:
                 keep = False
             object.__setattr__(self, "norm", self.norm if keep else None)
 
+    def _eval(self, name: str, x, t=None) -> np.ndarray:
+        """``mu``, ``nu`` (at the times ``t``) or ``norm`` of the vectors ``x``, coordinates last,
+        shaped as the batch of ``x`` and ``t`` broadcast together: one positional call on the
+        batch as an (n, d) list, with ``t`` a number or one value per vector."""
+        x = np.asarray(x, dtype=float)
+        if t is not None and np.ndim(t):
+            batch = np.broadcast_shapes(x.shape[:-1], np.shape(t))
+            x, t = np.broadcast_to(x, batch + x.shape[-1:]), np.broadcast_to(t, batch).ravel()
+        args = (x.reshape(-1, x.shape[-1]),) + (() if t is None else (t,))
+        return np.asarray(getattr(self, name)(*args)).reshape(x.shape[:-1])
+
     def in_ball(self, d, radius, t) -> np.ndarray:
         """Whether the vectors ``d`` (coordinates last) lie in the open ball B(0, radius, t):
         mu(d, t) > 1 - radius and nu(d, t) < radius, ``radius`` broadcasting against the batch."""
-        return (self.mu(d, t) > 1.0 - radius) & (self.nu(d, t) < radius)
+        return (self._eval("mu", d, t) > 1.0 - radius) & (self._eval("nu", d, t) < radius)
 
     def exceptional(self, d: np.ndarray, epsilon: float, t: float, *, split: bool = False,
                     union: bool = False) -> np.ndarray:
         """Whether mu(d, t) <= 1 - epsilon + GUARD or nu(d, t) >= epsilon - GUARD.
 
-        ``d`` holds vectors, coordinates last; the answer has its batch axes,
-        or with ``union`` all but the first, ORed over it (the points of a
-        block).  The functionals see one flat list of vectors.  ``split``
-        stacks the mu test and the nu test, always from mu and nu.  Otherwise
-        a space with a ``norm`` answers by it: for the standard construction
-        both tests say norm(d) >= t(epsilon - GUARD)/(1 - epsilon + GUARD),
-        and a union tests the largest norm along the first axis once.
-        Rounding moves the mu/nu boundary off that radius by a few ulps, so
-        columns whose norm falls within the RADIUS_SLACK band of it take mu
-        and nu on their points that reach the band.  GUARD always applies,
-        so a difference exactly at the boundary is exceptional.
+        ``d`` holds vectors, coordinates last; the answer has its batch axes, or with ``union``
+        all but the first, ORed over it (the points of a block).  ``split`` stacks the mu test
+        and the nu test, always from mu and nu.  Otherwise a space with a ``norm`` answers by
+        it: for the standard construction both tests say norm(d) >= t(epsilon - GUARD)/(1 -
+        epsilon + GUARD), and a union tests the largest norm along the first axis once.
+        Rounding moves the mu/nu boundary off that radius by a few ulps, so columns whose norm
+        falls within the RADIUS_SLACK band of it take mu and nu on their points that reach the
+        band.  GUARD always applies, so a difference exactly at the boundary is exceptional.
         """
-        batch, d = d.shape[:-1], d.reshape(-1, d.shape[-1])
         if self.norm is None or split:
-            mu, nu = self.mu(d, t).reshape(batch), self.nu(d, t).reshape(batch)
-            tests = np.stack([mu <= 1.0 - epsilon + GUARD, nu >= epsilon - GUARD])
+            tests = np.stack([self._eval("mu", d, t) <= 1.0 - epsilon + GUARD,
+                              self._eval("nu", d, t) >= epsilon - GUARD])
             tests = tests.any(axis=1) if union else tests
             return tests if split else tests.any(axis=0)
-        return self._by_norm(d, batch[0] if union else 1, epsilon, t)[0].reshape(
-            batch[1:] if union else batch)
+        batch = d.shape[:-1]
+        return self._by_norm(d.reshape(-1, d.shape[-1]), batch[0] if union else 1, epsilon,
+                             t)[0].reshape(batch[1:] if union else batch)
 
     @staticmethod
     def _band(epsilon: float, t: float) -> tuple:
@@ -163,7 +172,7 @@ class IFNorm:
 
     def _by_norm(self, d: np.ndarray, points: int, epsilon: float, t: float):
         """Per column of the flat vectors ``d`` as (points, columns): test, top, radius, slack."""
-        r = self.norm(d).reshape(points, -1)
+        r = self._eval("norm", d).reshape(points, -1)
         radius, slack = self._band(epsilon, t)
         top = r[0] if points == 1 else r.max(axis=0)  # any(r >= b) == (max r >= b)
         out = top >= radius + slack
@@ -207,7 +216,7 @@ class IFNorm:
             return out if known is None else out | known
         first, top, radius, slack = self._by_norm(
             np.subtract(vals, centres[0], out=diffs).reshape(-1, dim), points, epsilon, t)
-        shift = self.norm(centres[1:] - centres[0]).max(axis=(1, 2))[:, None]  # a_n
+        shift = self._eval("norm", centres[1:] - centres[0]).max(axis=(1, 2))[:, None]  # a_n
         margin = (BOUND_MARGIN * (top + shift + radius)
                   if BOUND_RADII[0] <= radius <= BOUND_RADII[1] else np.inf)
         out = np.vstack([first, top - shift - margin >= radius + slack])
@@ -240,10 +249,10 @@ class IFNorm:
         about that large; nothing checks it for a sequence whose evaluation cancels badly
         or depends on how many points it is given."""
         radius, slack = self._band(epsilon, t)
-        bound = (radius + slack) * (1.0 + BOUND_MARGIN) + BOUND_MARGIN * self.norm(centres)
+        bound = (radius + slack) * (1.0 + BOUND_MARGIN) + BOUND_MARGIN * self._eval("norm", centres)
         if not BOUND_RADII[0] <= radius <= BOUND_RADII[1]:
             bound = np.full_like(bound, np.inf)
-        return self.norm(vals[None] - centres[:, None]) >= bound[:, None]
+        return self._eval("norm", vals[None] - centres[:, None]) >= bound[:, None]
 
 
 def standard_ifn(norm: Callable, tnorm: UnitIntervalOp, tconorm: UnitIntervalOp) -> IFNorm:
@@ -298,15 +307,10 @@ def default_samples(dim: int, count: int = 50, seed: int = 20240) -> list[np.nda
     decidable at the probe times: at t = 1e9 or 1e-9 the standard mu/nu are
     then within 1e-6 of their limits.
     """
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(count):
-        v = rng.uniform(-3.0, 3.0, size=dim)
-        length = float(np.sqrt(np.sum(v * v)))
-        if length < 0.05:
-            v = v + 0.1 * np.sign(v + 1e-3)
-        samples.append(v)
-    return samples
+    v = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(count, dim))
+    short = np.sqrt(np.sum(v * v, axis=1)) < 0.05
+    v[short] += 0.1 * np.sign(v[short] + 1e-3)
+    return list(v)
 
 
 def default_times(count: int = 20, lo: float = 0.1, hi: float = 10.0) -> np.ndarray:
@@ -340,13 +344,15 @@ def certify_ifn(
       mu = 1, nu = 0 at all times, so it is excluded from the t -> 0 probes).
 
     Strict-inequality axioms report the sentinel violation ``STRICT_HIT``
-    when the forbidden boundary value is attained exactly.  Every time must
-    be positive and finite (``DomainError`` otherwise); repeats are dropped.
+    when the forbidden boundary value is attained exactly.  The samples must
+    be finite vectors of one dimension, and every time positive and finite
+    (``DomainError`` otherwise); repeated times are dropped.
     """
-    vectors = [as_vector(v) for v in sample_vectors]
+    vectors = list(sample_vectors)
     if not vectors:
         raise DomainError("sample_vectors must be non-empty")
-    dim = vectors[0].shape[0]
+    dim = as_vector(vectors[0]).shape[0]
+    vectors = np.stack([as_vector(v, dim) for v in vectors])  # (V, d)
     times = np.sort(np.asarray(time_grid, dtype=float), axis=None)
     if times.size == 0:
         raise DomainError("time_grid must be non-empty")
@@ -355,38 +361,44 @@ def certify_ifn(
         raise DomainError("time_grid must be positive and finite")
 
     zero = np.zeros(dim)
-    stacked = np.stack(vectors)[:, None, :]
-    is_nonzero = np.any(stacked[:, 0] != 0.0, axis=1)
-    nonzero = [v for v, keep in zip(vectors, is_nonzero) if keep]
+    is_nonzero = np.any(vectors != 0.0, axis=1)
+    mu_tab = ifn._eval("mu", vectors[:, None], times)  # (V, T)
+    nu_tab = ifn._eval("nu", vectors[:, None], times)
 
-    mu_tab = ifn.mu(stacked, times)  # (V, T)
-    nu_tab = ifn.nu(stacked, times)
+    def argmax(arr) -> tuple:
+        return tuple(int(k) for k in np.unravel_index(np.argmax(arr), arr.shape))
 
-    def argmax2(arr):
-        i, j = np.unravel_index(np.argmax(arr), arr.shape)
-        return int(i), int(j)
+    def worst_of(gap) -> tuple:
+        """``gap``'s first largest entry above 0, or its first nan (a nan stays nan, so its
+        report fails), and the entry's index; else 0.0 and the first index."""
+        at = argmax(gap)
+        return (0.0, (0,) * gap.ndim) if gap[at] <= 0.0 else (float(gap[at]), at)
 
     excess = mu_tab + nu_tab - 1.0
-    i, j = argmax2(excess)
+    i, j = argmax(excess)
     reports = [_report("mu-nu-sum-bound", max(float(excess[i, j]), 0.0),
                        (tuple(vectors[i]), float(times[j])), tolerance)]
 
     t_pair = times[:, None] + times[None, :]  # (T, T) combined times
     step_ratio = times[:-1] / (times[1:] - times[:-1])
+    factors = np.array(SCALING_FACTORS)[:, None, None]
+    # the limit probes: t -> infinity on every sample, t -> 0 off the pinned zero vector
+    limit_x = np.concatenate([vectors, vectors[is_nonzero]])
+    limit_t = np.where(np.arange(len(limit_x)) < len(vectors), LIMIT_T_LARGE, LIMIT_T_SMALL)
 
-    # One row per degree: name, functional, (V, T) table, sign (+1 where larger
-    # is better), aggregating op, limit as t -> infinity (also the value on the
-    # zero vector), limit as t -> 0 (also the strict bound), strict-axiom name.
+    # One row per degree: name, (V, T) table, sign (+1 where larger is better),
+    # aggregating op, limit as t -> infinity (also the value on the zero
+    # vector), limit as t -> 0 (also the strict bound), strict-axiom name.
     # A value on the forbidden side of a strict bound b reports
     # STRICT_HIT - s * value + s * b, with s = sign for the t -> 0 bound and
     # s = -sign for the zero-vector value.  Keep the left-to-right grouping:
     # (STRICT_HIT + nu) - 1 and STRICT_HIT + (nu - 1) can differ in the last bit.
-    degrees = (("mu", ifn.mu, mu_tab, 1.0, ifn.tnorm.fn, 1.0, 0.0, "positive"),
-               ("nu", ifn.nu, nu_tab, -1.0, ifn.tconorm.fn, 0.0, 1.0, "below-one"))
-    for name, fn, tab, sign, combine, large, small, strict in degrees:
+    degrees = (("mu", mu_tab, 1.0, ifn.tnorm.fn, 1.0, 0.0, "positive"),
+               ("nu", nu_tab, -1.0, ifn.tconorm.fn, 0.0, 1.0, "below-one"))
+    for name, tab, sign, combine, large, small, strict in degrees:
         # Strict bound: sign * f > sign * small everywhere.
         worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
-        i, j = argmax2(-sign * tab)
+        i, j = argmax(-sign * tab)
         if sign * tab[i, j] <= sign * small:
             worst = STRICT_HIT - sign * float(tab[i, j]) + sign * small
             witness = (tuple(vectors[i]), float(times[j]))
@@ -394,57 +406,46 @@ def certify_ifn(
 
         # Zero-vector characterisation: f = large at 0, strictly short of it elsewhere.
         # The witness is the worst of the zero-vector gaps and the nonzero hits.
-        at_zero = np.abs(fn(zero, times) - large)
+        at_zero = np.abs(ifn._eval(name, zero, times) - large)
         j = int(np.argmax(at_zero))
         worst, witness = float(at_zero[j]), (tuple(zero), float(times[j]))
         hits = np.where(is_nonzero[:, None] & (sign * tab >= sign * large),
                         STRICT_HIT + sign * tab - sign * large, -np.inf)
-        i, j = argmax2(hits)
+        i, j = argmax(hits)
         if hits[i, j] > worst:
             worst, witness = float(hits[i, j]), (tuple(vectors[i]), float(times[j]))
         reports.append(_report(f"{name}-zero-characterization", worst, witness, tolerance))
 
-        # Scaling: f(a x, t) = f(x, t / |a|).
-        worst, witness = 0.0, (tuple(vectors[0]), SCALING_FACTORS[0], float(times[0]))
-        for a in SCALING_FACTORS:
-            for v in vectors:
-                gap = np.abs(fn(a * v, times) - fn(v, times / abs(a)))
-                j = int(np.argmax(gap))
-                if gap[j] > worst:
-                    worst, witness = float(gap[j]), (tuple(v), a, float(times[j]))
+        # Scaling: f(a x, t) = f(x, t / |a|), as (factor, vector, time).
+        worst, (a, i, j) = worst_of(np.abs(
+            ifn._eval(name, factors[..., None] * vectors[:, None], times)
+            - ifn._eval(name, vectors[:, None], times / np.abs(factors))))
+        witness = (tuple(vectors[i]), SCALING_FACTORS[a], float(times[j]))
         reports.append(_report(f"{name}-scaling", worst, witness, tolerance))
 
-        # Triangle law: sign * (combine(f(x, t), f(y, s)) - f(x + y, t + s)) <= 0.
-        worst = 0.0
-        witness = (tuple(vectors[0]), tuple(vectors[0]), float(times[0]), float(times[0]))
-        for i in range(len(vectors)):
-            for j in range(i, len(vectors)):
-                joint = fn(vectors[i] + vectors[j], t_pair)
-                gap = sign * (combine(tab[i][:, None], tab[j][None, :]) - joint)
-                a, b = np.unravel_index(np.argmax(gap), gap.shape)
-                if gap[a, b] > worst:
-                    worst = float(gap[a, b])
-                    witness = (tuple(vectors[i]), tuple(vectors[j]),
-                               float(times[a]), float(times[b]))
-        reports.append(_report(f"{name}-triangle", max(worst, 0.0), witness, tolerance))
+        # Triangle law: sign * (combine(f(x, t), f(y, s)) - f(x + y, t + s)) <= 0 on the
+        # pairs of samples (x, y), y from x on: a (y, t, s) table per x.
+        tops = [worst_of(sign * (combine(tab[i][:, None], tab[i:, None, :]) - ifn._eval(
+                    name, (vectors[i] + vectors[i:])[:, None, None], t_pair)))
+                for i in range(len(vectors))]
+        worst, (i,) = worst_of(np.array([top for top, _ in tops]))
+        j, a, b = tops[i][1]
+        witness = (tuple(vectors[i]), tuple(vectors[i + j]), float(times[a]), float(times[b]))
+        reports.append(_report(f"{name}-triangle", worst, witness, tolerance))
 
         # Continuity in t, relative to the step ratio.
         worst, witness = 0.0, (tuple(vectors[0]), float(times[0]))
         if times.size >= 2:
             modulus = np.abs(tab[:, 1:] - tab[:, :-1]) * step_ratio
-            i, j = argmax2(modulus)
+            i, j = argmax(modulus)
             worst = max(float(modulus[i, j]) - TIME_CONTINUITY_SLACK, 0.0)
             witness = (tuple(vectors[i]), float(times[j]))
         reports.append(_report(f"{name}-time-continuity", worst, witness, tolerance))
 
-        # Limits; the zero vector is pinned, so it sits out the t -> 0 probes.
-        worst, witness = 0.0, (tuple(vectors[0]), LIMIT_T_LARGE)
-        for t, target, probes in ((LIMIT_T_LARGE, large, vectors),
-                                  (LIMIT_T_SMALL, small, nonzero)):
-            for v in probes:
-                gap = abs(float(fn(v, t)) - target)
-                if gap > worst:
-                    worst, witness = gap, (tuple(v), t)
+        # Limits: mu -> 1, nu -> 0 as t -> infinity; mu -> 0, nu -> 1 as t -> 0.
+        worst, (i,) = worst_of(np.abs(ifn._eval(name, limit_x, limit_t)
+                                      - np.where(limit_t == LIMIT_T_LARGE, large, small)))
+        witness = (tuple(limit_x[i]), float(limit_t[i]))
         reports.append(_report(f"{name}-limits", worst, witness, limit_tolerance))
 
     return reports

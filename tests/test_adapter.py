@@ -10,7 +10,8 @@ from ifnlab import (LAMBDA_IDS, BumpIndexSet, ContinuityQuery, ConvergenceQuery,
                     build_constant_family, build_example, build_reciprocal_shift,
                     builtin_norm, certify, certify_ifn, check_equicontinuity,
                     combine_linear, default_samples, default_times, density_trace, detect,
-                    lambda_family, lambda_from_table, standard_ifn, tconorm, tnorm)
+                    detect_cauchy, lambda_family, lambda_from_table, split_triangle_check,
+                    standard_ifn, tconorm, tnorm)
 from ifnlab.algebra import _TNORM_FNS
 from ifnlab.density import _window_lows
 from ifnlab.cli import ExperimentConfig, _resolve_sequence
@@ -196,17 +197,40 @@ def test_batched_builtins_stay_unwrapped():
 
 
 def test_functionals_see_a_flat_list_of_vectors():
-    # np.abs(*x.T) answers one vector and a list of vectors alike, so the
-    # probe keeps it as given, but on (indices, points, coordinates) it
-    # would answer transposed.  The detectors pass batches as a flat list.
+    # np.abs(*x.T) and x.T[0] answer one vector and a list of vectors alike,
+    # so the probe keeps them as given, but on (indices, points, coordinates)
+    # they would answer transposed.  Every call passes its batch as a flat
+    # list.  (A pair reading x[:, 0] raises on one vector, so the probe keeps
+    # its per-element form instead.)
     space = standard_ifn(builtin_norm("abs"), tnorm("product"), tconorm("bounded-sum"))
     flat = standard_ifn(lambda x: np.abs(*x.T), space.tnorm, space.tconorm)
-    assert not isinstance(flat.norm, np.vectorize)
-    fs, limit, _ = build_example("paper-example-1", lambda_family("sqrt"), GRID)
-    q = ConvergenceQuery(mode="uniform-lambda-stat", epsilon=0.1, time=1.0,
-                         lam=lambda_family("sqrt"), n_max=1000)
-    for ifn in (flat, dataclasses.replace(flat, norm=None)):  # by the norm, then by mu and nu
-        assert detect(fs, limit, ifn, q).to_json_dict() == detect(fs, limit, space, q).to_json_dict()
+    column = IFNorm(lambda x, t: t / (t + np.abs(x.T[0])),
+                    lambda x, t: np.abs(x.T[0]) / (t + np.abs(x.T[0])), space.tnorm, space.tconorm)
+    assert not isinstance(flat.norm, np.vectorize) and not isinstance(column.mu, np.vectorize)
+    lam = lambda_family("sqrt")
+    fs, limit, _ = build_example("paper-example-1", lam, GRID)
+    shift, _ = build_reciprocal_shift(GRID)
+    config = ExperimentConfig(expression="sin(k) * x", limit="0 * x")
+    wide = _resolve_sequence(config, lam, np.linspace(0.0, 1.0, 101))[0]  # the rest pass probes
+    queries = [ConvergenceQuery(mode=mode, epsilon=0.1, time=1.0, lam=lam, n_max=n_max)
+               for mode, n_max in (("uniform-lambda-stat", 1000),
+                                   ("uniform-lambda-cauchy", 20_000),
+                                   ("pointwise-lambda-cauchy", 2000))]
+
+    def run(ifn):
+        return (detect(fs, limit, ifn, queries[0]).to_json_dict(),
+                detect_cauchy(wide, ifn, queries[1]).to_json_dict(),
+                detect_cauchy(_resolve_sequence(config, lam, GRID)[0], ifn,
+                              queries[2]).to_json_dict(),
+                certify_ifn(ifn, default_samples(1), default_times()),
+                check_equicontinuity(shift, ifn, ifn,
+                                     ContinuityQuery(point=0.5, epsilon=0.3, time=1.0)),
+                split_triangle_check(ifn, [0.1, -0.3, 0.2], 1.0))
+
+    expected = run(space)
+    # by the norm, by mu and nu, by a mu and nu that only read columns
+    for ifn in (flat, dataclasses.replace(flat, norm=None), column):
+        assert run(ifn) == expected
 
 
 def test_batched_predicate_is_called_once_on_the_range():

@@ -142,6 +142,8 @@ def test_split_triangle_rejects_bad_parts(std_space):
         split_triangle_check(std_space, (0.1, 0.2), 1.0)
     with pytest.raises(DomainError):
         split_triangle_check(std_space, (0.1, 0.2, 0.3), 0.0)
+    with pytest.raises(DomainError, match="expected dimension 2, got 1"):
+        split_triangle_check(std_space, [[0.1, 0.2], [0.1], [0.3, 0.1]], 1.0)
 
 
 def test_a_delta_grid_that_captures_no_probe_is_exhausted(std_space):

@@ -109,6 +109,41 @@ def test_certify_requires_nonempty_inputs(std_space):
         certify_ifn(std_space, [], default_times())
 
 
+def test_certify_rejects_mixed_dimensions(std_space):
+    with pytest.raises(DomainError, match="expected dimension 2, got 1"):
+        certify_ifn(std_space, [[1.0, 2.0], [1.0]], default_times())
+
+
+def nan_where(std_space, far):
+    """The standard space's mu and nu, nan where ``far(x, t)`` holds."""
+    def degree(f):
+        return lambda x, t: np.where(far(x, t), np.nan, f(x, t))
+
+    return IFNorm(degree(std_space.mu), degree(std_space.nu), std_space.tnorm, std_space.tconorm)
+
+
+def test_a_nan_gap_fails_its_report(std_space):
+    # nan only past |x| = 5: the samples (|x| <= 3) stay inside, the scaled
+    # vectors and the triangle's sums reach out; a nan gap is no pass
+    ifn = nan_where(std_space, lambda x, t: np.abs(x[..., 0]) > 5.0)
+    by = {r.axiom: r for r in certified(ifn, 1)}
+    failed = {"mu-scaling", "nu-scaling", "mu-triangle", "nu-triangle"}
+    assert {name for name, r in by.items() if not r.passed} == failed
+    for degree in ("mu", "nu"):
+        assert np.isnan(by[f"{degree}-scaling"].worst_violation)
+        (v,), a, _ = by[f"{degree}-scaling"].witness
+        assert abs(a * v) > 5.0
+        assert np.isnan(by[f"{degree}-triangle"].worst_violation)
+        (x,), (y,), _, _ = by[f"{degree}-triangle"].witness
+        assert abs(x + y) > 5.0
+    # nan only below t = 1e-6: the limit probe at t = 1e-9 alone meets it
+    ifn = nan_where(std_space, lambda x, t: np.asarray(t) < 1e-6)
+    by = {r.axiom: r for r in certified(ifn, 1)}
+    assert {name for name, r in by.items() if not r.passed} == {"mu-limits", "nu-limits"}
+    assert all(np.isnan(by[f"{d}-limits"].worst_violation) for d in ("mu", "nu"))
+    assert by["mu-limits"].witness[1] == 1e-9
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
 def test_times_must_be_positive_and_finite(std_space, bad):
     # a nan or inf time made 4-5 axioms of the standard space fail with
