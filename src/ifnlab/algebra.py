@@ -80,10 +80,11 @@ def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Call
 
     The one place where a user callable is checked for arrays.  ``fn`` is kept
     when its answer on the probe arrays ``agrees`` with its per-element form
-    (``np.vectorize``, returning floats), or when it answers the arrays but
-    raises on the first probe elements as Python numbers and has no core
-    dimensions (a numpy ``signature`` such as ``"(d),()->()"``, for which an
-    element may be shorter than ``fn`` expects): it takes arrays only.
+    (``np.vectorize``, returning floats).  It is also kept when it answers the
+    arrays but that form raises, unless there is a numpy ``signature`` (core
+    dimensions such as ``"(d),()->()"``, for which an element may be shorter
+    than ``fn`` expects): without one, that form hands ``fn`` Python numbers,
+    so ``fn`` takes arrays only.
     """
     batched = np.vectorize(fn, otypes=[float], signature=signature)
     try:
@@ -93,13 +94,7 @@ def vectorize_scalar(fn: Callable, *probe, signature: str | None = None) -> Call
     try:
         return fn if agrees(out, batched(*probe)) else batched
     except PROBE_ERRORS:
-        if signature is not None:
-            return batched
-    try:
-        fn(*(np.asarray(p).flat[0].item() for p in probe))
-    except PROBE_ERRORS:
-        return fn
-    return batched
+        return fn if signature is None else batched
 
 
 @dataclass(frozen=True)

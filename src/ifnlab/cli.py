@@ -25,13 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import (LEVEL_MIN, DomainError, TCONORM_IDS, TNORM_IDS, certify, tconorm, tnorm)
+from .algebra import (DomainError, TCONORM_IDS, TNORM_IDS, certify, check_choice, check_integer,
+                      check_level, check_time, tconorm, tnorm)
 from .convergence import (CAUCHY_MODES, MODES, ConvergenceQuery, ConvergenceVerdict,
                           detect, detect_cauchy)
 from .density import (LAMBDA_IDS, LambdaSequence, density_trace, lambda_family,
                       lambda_from_table, validate)
 from .sequences import _EXAMPLES, EXAMPLE_IDS, FunctionSequence, build_example
-from .space import NORM_IDS, builtin_norm, certify_ifn, default_samples, default_times, standard_ifn
+from .space import (NORM_IDS, as_vector, builtin_norm, certify_ifn, default_samples,
+                    default_times, standard_ifn)
 
 
 class ConfigError(Exception):
@@ -55,42 +57,32 @@ def _floats(raw: str) -> tuple:
     return tuple(float(part) for part in raw.split(","))
 
 
-# The INI schema, one row per key: (section, key, ExperimentConfig field, parser).
-# Parsing, to_ini, the messages and the flag overrides read it; defaults live in
-# ExperimentConfig.
+# The INI schema, one row per key: (section, key, ExperimentConfig field, parser, check).
+# The check is the library's rule for the key's value (a formula's is compile_expression);
+# construction runs it on every key given and names the key in its message.  Parsing,
+# to_ini, the messages and the flag overrides read the rows; defaults live in ExperimentConfig.
 _KEYS = (
-    ("space", "norm", "norm", str),
-    ("space", "dimension", "dimension", int),
-    ("space", "tnorm", "tnorm_id", str),
-    ("space", "tconorm", "tconorm_id", str),
-    ("lambda", "family", "lambda_id", str),
-    ("lambda", "table", "lambda_table", _floats),
-    ("sequence", "example", "example", str),
-    ("sequence", "expression", "expression", str),
-    ("sequence", "limit", "limit", str),
-    ("query", "mode", "mode", str),
-    ("query", "epsilon", "epsilon", float),
-    ("query", "time", "time", float),
-    ("query", "n_max", "n_max", int),
-    ("query", "stride", "stride", int),
-    ("query", "grid_low", "grid_low", float),
-    ("query", "grid_high", "grid_high", float),
-    ("query", "grid_points", "grid_points", int),
-    ("density", "set", "density_set", str),
-    ("density", "expression", "density_expression", str),
-    ("output", "directory", "out_dir", str),
+    ("space", "norm", "norm", str, lambda v: check_choice("norm", v, NORM_IDS)),
+    ("space", "dimension", "dimension", int, lambda v: check_integer("dimension", v, 1)),
+    ("space", "tnorm", "tnorm_id", str, lambda v: check_choice("t-norm", v, TNORM_IDS)),
+    ("space", "tconorm", "tconorm_id", str, lambda v: check_choice("t-conorm", v, TCONORM_IDS)),
+    ("lambda", "family", "lambda_id", str, lambda v: check_choice("lambda family", v, LAMBDA_IDS)),
+    ("lambda", "table", "lambda_table", _floats, None),  # validated against n_max at run time
+    ("sequence", "example", "example", str, lambda v: check_choice("example", v, EXAMPLE_IDS)),
+    ("sequence", "expression", "expression", str, lambda v: compile_expression(v, ("k", "x"))),
+    ("sequence", "limit", "limit", str, lambda v: compile_expression(v, ("x",))),
+    ("query", "mode", "mode", str, lambda v: check_choice("mode", v, MODES)),
+    ("query", "epsilon", "epsilon", float, lambda v: check_level(v, 1.0)),  # at a valid time
+    ("query", "time", "time", float, check_time),
+    ("query", "n_max", "n_max", int, lambda v: check_integer("n_max", v, 10)),
+    ("query", "stride", "stride", int, lambda v: check_integer("stride", v, 1)),
+    ("query", "grid_low", "grid_low", float, as_vector),
+    ("query", "grid_high", "grid_high", float, as_vector),
+    ("query", "grid_points", "grid_points", int, lambda v: check_integer("grid_points", v, 2)),
+    ("density", "set", "density_set", str, lambda v: check_choice("set", v, tuple(DENSITY_SETS))),
+    ("density", "expression", "density_expression", str, lambda v: compile_expression(v, ("k",))),
+    ("output", "directory", "out_dir", str, None),
 )
-
-# Fields that must name a known id: field -> (noun in the message, the ids).
-_CHOICES = {
-    "norm": ("norm", NORM_IDS),
-    "tnorm_id": ("t-norm", TNORM_IDS),
-    "tconorm_id": ("t-conorm", TCONORM_IDS),
-    "lambda_id": ("family", LAMBDA_IDS),
-    "example": ("example", EXAMPLE_IDS),
-    "mode": ("mode", MODES),
-    "density_set": ("set", tuple(DENSITY_SETS)),
-}
 
 
 def _ini_text(value) -> str:
@@ -130,20 +122,15 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        for section, key, name, value in self._given():
-            if name in _CHOICES and value not in _CHOICES[name][1]:
-                noun, ids = _CHOICES[name]
-                raise ConfigError(f"{section}.{key}: unknown {noun} {value!r}, choose from {ids}")
-        for ok, message in (
-            (self.dimension >= 1, f"space.dimension must be >= 1, got {self.dimension}"),
+        for section, key, check, value in self._given():
+            try:
+                if check is not None:
+                    check(value)
+            except (DomainError, ConfigError) as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from None
+        for ok, message in (  # the rules across keys
             (self.norm != "abs" or self.dimension == 1, "space.norm abs requires dimension 1"),
-            (LEVEL_MIN <= self.epsilon < 1.0,
-             f"query.epsilon outside [{LEVEL_MIN!r}, 1): {self.epsilon}"),
-            (0.0 < self.time < np.inf, f"query.time must be positive and finite: {self.time}"),
-            (self.n_max >= 10, f"query.n_max must be >= 10: {self.n_max}"),
-            (self.stride is None or self.stride >= 1, f"query.stride must be >= 1: {self.stride}"),
             (self.grid_low < self.grid_high, "query.grid_low must be below query.grid_high"),
-            (self.grid_points >= 2, f"query.grid_points must be >= 2: {self.grid_points}"),
             (self.example is None or 0.0 <= self.grid_low and self.grid_high <= 1.0,
              f"query.grid_low/grid_high: the bundled examples are defined on [0, 1], "
              f"got [{self.grid_low!r}, {self.grid_high!r}]"),
@@ -154,17 +141,13 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ConfigError(message)
-        for text, variables in ((self.expression, ("k", "x")), (self.limit, ("x",)),
-                                (self.density_expression, ("k",))):
-            if text is not None:  # reject a bad formula before any run starts
-                compile_expression(text, variables)
 
     def _given(self):
-        """(section, key, field, value) of every key set; a table stands in for the family."""
-        for section, key, name, _ in _KEYS:
+        """(section, key, check, value) of every key set; a table stands in for the family."""
+        for section, key, name, _, check in _KEYS:
             value = getattr(self, name)
             if value is not None and not (name == "lambda_id" and self.lambda_table is not None):
-                yield section, key, name, value
+                yield section, key, check, value
 
     def to_ini(self) -> str:
         sections: dict = {}
@@ -185,7 +168,7 @@ def from_ini(text: str) -> ExperimentConfig:
 
     if parser.defaults():  # ConfigParser would copy these keys into every section
         raise ConfigError(f"unknown section [{parser.default_section}]")
-    rows = {(section, key): (name, parse) for section, key, name, parse in _KEYS}
+    rows = {(section, key): (name, parse) for section, key, name, parse, _ in _KEYS}
     values = {}
     for section in parser.sections():
         if section not in {row[0] for row in _KEYS}:

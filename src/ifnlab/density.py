@@ -46,10 +46,6 @@ class LambdaSequence:
     def __post_init__(self):
         object.__setattr__(self, "values", vectorize_scalar(self.values, np.arange(1, 4)))
 
-    def table(self, n_max: int) -> np.ndarray:
-        """lambda_1 .. lambda_n_max as a float array."""
-        return np.asarray(self.values(np.arange(1, n_max + 1)), dtype=float)
-
     def at(self, n: int) -> float:
         check_integer("stage", n, 1)
         return float(self.values(np.array([n]))[0])
@@ -405,25 +401,29 @@ def validate(lam: LambdaSequence, n_max: int = 10_000) -> list[AxiomReport]:
     not finite fails the reports that read it, with violation nan or inf.
     """
     check_integer("n_max", n_max, 2)
-    tab = lam.table(n_max)
     tol = 1e-12
-    reports = []
+    axioms = ("non-decreasing", "slow-growth", "index-bound")
+    worst = dict.fromkeys(axioms)  # per report, its first largest gap and that gap's stage
+    prev = np.empty(0)  # lambda is read BLOCK_ELEMENTS stages at a time; the value before them
+    for lo in range(0, n_max, BLOCK_ELEMENTS):
+        ns = np.arange(lo + 1, min(lo + BLOCK_ELEMENTS, n_max) + 1)
+        vals = np.asarray(lam.values(ns), dtype=float)
+        if lo == 0:
+            first = vals[0]
+        with np.errstate(invalid="ignore"):  # inf - inf: a nan step, which fails its reports
+            steps = np.diff(np.concatenate((prev, vals)))
+        step_at = lo + 1 - prev.size  # the stage each step starts from, at steps[0]
+        for axiom, gaps, at in zip(axioms, (-steps, steps, vals - ns), (step_at, step_at, lo + 1)):
+            i = int(np.argmax(gaps))
+            held = worst[axiom]  # a nan wins, as in np.argmax: it stays, and it beats a number
+            if held is None or (held[0] == held[0] and not gaps[i] <= held[0]):
+                worst[axiom] = (gaps[i], at + i)
+        prev = vals[-1:]
 
-    reports.append(_report("first-value", abs(tab[0] - 1.0), (1,), tol))
-
-    with np.errstate(invalid="ignore"):  # inf - inf: a nan step, which fails its reports
-        steps = tab[1:] - tab[:-1]
-    i = int(np.argmin(steps))
-    reports.append(_report("non-decreasing", _excess(-steps[i]), (i + 1,), tol))
-
-    j = int(np.argmax(steps))
-    reports.append(_report("slow-growth", _excess(steps[j] - 1.0), (j + 1,), tol))
-
-    over = tab - np.arange(1, n_max + 1)
-    k = int(np.argmax(over))
-    reports.append(_report("index-bound", _excess(over[k]), (k + 1,), tol))
-
-    shortfall = _excess(math.log(n_max) - tab[-1])
+    reports = [_report("first-value", abs(first - 1.0), (1,), tol)]
+    for axiom, (gap, stage) in worst.items():
+        violation = gap - 1.0 if axiom == "slow-growth" else gap
+        reports.append(_report(axiom, _excess(violation), (stage,), tol))
+    shortfall = _excess(math.log(n_max) - prev[0])
     reports.append(_report("divergence", shortfall, (n_max,), tol))
-
     return reports

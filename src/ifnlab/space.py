@@ -200,9 +200,10 @@ class IFNorm:
         many as ``buf`` holds at a time.  With ``split`` each centre answers three rows: mu,
         nu and their union."""
         (points, m, dim), diffs = vals.shape, buf[:vals.size].reshape(vals.shape)
-        # on one point the gather of open pairs costs more than each centre's direct test: with
-        # the bound, pointwise Cauchy sin(k) * x at 3e5 x 101 took 5.7-6.4 s, not 2.7-3.6 s, in
-        # process on a 2-core Xeon
+        # on one point the gather of open pairs costs more than each centre's direct test: a
+        # uniform pass over a sequence read point by point, uniform Cauchy on
+        # sin(k) * x if x < 2 else x at 1e6 x 101, took 11.0-13.2 s with the bound, not
+        # 4.4-4.9 s, in process on a 2-core Xeon
         direct = split or self.norm not in SUBADDITIVE_NORMS or len(centres) < 2 or points < 2
         if not union:  # every centre in one call: vals - centre for all of them is a block
             out = self.exceptional(vals[None] - centres, epsilon, t, split=split)

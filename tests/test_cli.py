@@ -93,7 +93,7 @@ NON_DEFAULT = {
 
 @pytest.mark.parametrize("row", _KEYS, ids=lambda row: f"{row[0]}.{row[1]}")
 def test_every_key_round_trips_through_ini(row):
-    section, key, name, _ = row
+    section, key, name, *_ = row
     cfg = replace(ExperimentConfig(), **NON_DEFAULT[name])
     assert getattr(cfg, name) != getattr(ExperimentConfig(), name)
     text = cfg.to_ini()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ifnlab import (BumpIndexSet, DomainError, LAMBDA_IDS, density_trace, lambda_family,
                     lambda_from_table, validate, window)
+from ifnlab import density
 from ifnlab.density import _window_lows
 
 
@@ -52,7 +53,7 @@ def test_table_extends_past_the_end():
     assert lam.at(3) == 2.0
     assert lam.at(4) == 3.0
     assert lam.at(6) == 5.0
-    assert np.array_equal(lam.table(5), np.array([1.0, 2.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(lam.values(np.arange(1, 6)), np.array([1.0, 2.0, 2.0, 3.0, 4.0]))
 
 
 @pytest.mark.parametrize("n_max", [2.5, np.float64(100.0), True, 1])
@@ -112,6 +113,41 @@ def test_random_slow_tables_validate(increments):
         if r.axiom == "divergence":
             continue  # short prefixes with few +1 steps legitimately fail this
         assert r.passed, r.axiom
+
+
+def whole_table_validate(lam, n_max):
+    """``validate``'s (axiom, passed, repr of the violation, witness) read off the whole
+    ladder at once: the reference for its pass by blocks."""
+    tab = np.asarray(lam.values(np.arange(1, n_max + 1)), dtype=float)
+    excess = lambda v: 0.0 if v <= 0 else float(v)
+    with np.errstate(invalid="ignore"):
+        steps = tab[1:] - tab[:-1]
+    i, j = int(np.argmin(steps)), int(np.argmax(steps))
+    over = tab - np.arange(1, n_max + 1)
+    k = int(np.argmax(over))
+    reports = [("first-value", float(abs(tab[0] - 1.0)), (1,)),
+               ("non-decreasing", excess(-steps[i]), (i + 1,)),
+               ("slow-growth", excess(steps[j] - 1.0), (j + 1,)),
+               ("index-bound", excess(over[k]), (k + 1,)),
+               ("divergence", excess(math.log(n_max) - tab[-1]), (n_max,))]
+    return [(axiom, v <= 1e-12, repr(v), witness) for axiom, v, witness in reports]
+
+
+LADDER_VALUES = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 9.0, math.nan, math.inf, -math.inf)
+
+
+@given(ladder=st.one_of(st.lists(st.sampled_from(LADDER_VALUES), min_size=1, max_size=30)
+                        .map(lambda_from_table),
+                        st.sampled_from(LAMBDA_IDS).map(lambda_family)),
+       n_max=st.integers(min_value=2, max_value=40), block=st.integers(min_value=2, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_validate_by_blocks_matches_the_whole_table(ladder, n_max, block):
+    # small blocks, so that the horizons cross block edges; ties and nans test which gap is kept
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(density, "BLOCK_ELEMENTS", block)
+        reports = validate(ladder, n_max)
+    assert ([(r.axiom, r.passed, repr(r.worst_violation), r.witness) for r in reports]
+            == whole_table_validate(ladder, n_max))
 
 
 # ------------------------------------------------------------ windows
