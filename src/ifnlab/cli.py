@@ -59,15 +59,17 @@ def _floats(raw: str) -> tuple:
 
 # The INI schema, one row per key: (section, key, ExperimentConfig field, parser, check).
 # The check is the library's rule for the key's value (a formula's is compile_expression);
-# construction runs it on every key given and names the key in its message.  Parsing,
-# to_ini, the messages and the flag overrides read the rows; defaults live in ExperimentConfig.
+# construction runs it on every key given and names the key in its message.  Parsing, the
+# messages and the flag overrides read the rows; defaults live in ExperimentConfig.  The two
+# [lambda] keys set one field, the ladder: a family id or a table of values.
 _KEYS = (
     ("space", "norm", "norm", str, lambda v: check_choice("norm", v, NORM_IDS)),
     ("space", "dimension", "dimension", int, lambda v: check_integer("dimension", v, 1)),
     ("space", "tnorm", "tnorm_id", str, lambda v: check_choice("t-norm", v, TNORM_IDS)),
     ("space", "tconorm", "tconorm_id", str, lambda v: check_choice("t-conorm", v, TCONORM_IDS)),
-    ("lambda", "family", "lambda_id", str, lambda v: check_choice("lambda family", v, LAMBDA_IDS)),
-    ("lambda", "table", "lambda_table", _floats, None),  # validated against n_max at run time
+    ("lambda", "family", "ladder", str,
+     lambda v: isinstance(v, tuple) or check_choice("lambda family", v, LAMBDA_IDS)),
+    ("lambda", "table", "ladder", _floats, None),  # validated against n_max at run time
     ("sequence", "example", "example", str, lambda v: check_choice("example", v, EXAMPLE_IDS)),
     ("sequence", "expression", "expression", str, lambda v: compile_expression(v, ("k", "x"))),
     ("sequence", "limit", "limit", str, lambda v: compile_expression(v, ("x",))),
@@ -85,15 +87,9 @@ _KEYS = (
 )
 
 
-def _ini_text(value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration; ``to_ini`` round-trips through ``from_ini``.
+    """Resolved configuration.
 
     These defaults are the only ones: a key missing from the INI file keeps
     its default here.  Construction validates every field, so ``replace``
@@ -104,8 +100,7 @@ class ExperimentConfig:
     dimension: int = 1
     tnorm_id: str = "product"
     tconorm_id: str = "bounded-sum"
-    lambda_id: str = "identity"
-    lambda_table: tuple | None = None
+    ladder: str | tuple = "identity"
     example: str | None = None
     expression: str | None = None
     limit: str | None = None
@@ -122,9 +117,10 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        for section, key, check, value in self._given():
+        for section, key, name, _, check in _KEYS:
+            value = getattr(self, name)
             try:
-                if check is not None:
+                if value is not None and check is not None:
                     check(value)
             except (DomainError, ConfigError) as exc:
                 raise ConfigError(f"{section}.{key}: {exc}") from None
@@ -136,25 +132,13 @@ class ExperimentConfig:
              f"got [{self.grid_low!r}, {self.grid_high!r}]"),
             (self.example is None or self.expression is None,
              "sequence: give either example or expression, not both"),
+            (self.example is None or self.limit is None,
+             "sequence.limit: an example has its own limit; give limit with expression only"),
             (self.density_set is None or self.density_expression is None,
              "density: give either set or expression, not both"),
         ):
             if not ok:
                 raise ConfigError(message)
-
-    def _given(self):
-        """(section, key, check, value) of every key set; a table stands in for the family."""
-        for section, key, name, _, check in _KEYS:
-            value = getattr(self, name)
-            if value is not None and not (name == "lambda_id" and self.lambda_table is not None):
-                yield section, key, check, value
-
-    def to_ini(self) -> str:
-        sections: dict = {}
-        for section, key, _, value in self._given():
-            sections.setdefault(section, []).append(f"{key} = {_ini_text(value)}")
-        return "\n".join(f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
-                         for section, lines in sections.items())
 
 
 def from_ini(text: str) -> ExperimentConfig:
@@ -177,14 +161,12 @@ def from_ini(text: str) -> ExperimentConfig:
             if (section, key) not in rows:
                 raise ConfigError(f"unknown key {section}.{key}")
             name, parse = rows[section, key]
+            if name in values:  # only the ladder has two keys
+                raise ConfigError("lambda: give either family or table, not both")
             try:
                 values[name] = parse(raw)
             except ValueError:
                 raise ConfigError(f"{section}.{key}: expected a number, got {raw!r}") from None
-    if "lambda_table" in values:
-        if "lambda_id" in values:
-            raise ConfigError("lambda: give either family or table, not both")
-        values["lambda_id"] = "table"
     return ExperimentConfig(**values)
 
 
@@ -291,15 +273,14 @@ def compile_expression(text: str, variables: tuple, truth: bool = False):
 
 
 def _resolve_lambda(cfg: ExperimentConfig) -> LambdaSequence:
-    if cfg.lambda_table is not None:
-        return lambda_from_table(cfg.lambda_table)
-    return lambda_family(cfg.lambda_id)
+    ladder = cfg.ladder
+    return lambda_from_table(ladder) if isinstance(ladder, tuple) else lambda_family(ladder)
 
 
 def _admissible_lambda(cfg: ExperimentConfig) -> LambdaSequence:
     """The configured ladder for a run; a table ladder must pass ``validate``."""
     lam = _resolve_lambda(cfg)
-    if cfg.lambda_table is not None:  # the built-in families are admissible
+    if isinstance(cfg.ladder, tuple):  # the built-in families are admissible
         failed = [r.axiom for r in validate(lam, cfg.n_max) if not r.passed]
         if failed:
             raise ConfigError(f"lambda.table is not admissible: fails {', '.join(failed)}")
@@ -371,8 +352,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     fields = {row[2] for row in _KEYS}
     updates = {name: value for name, value in vars(args).items()
                if name in fields and value is not None}
-    if "lambda_id" in updates:  # a --lambda family replaces a table ladder
-        updates["lambda_table"] = None
     return replace(cfg, **updates)
 
 
@@ -432,7 +411,7 @@ def _cmd_axioms(cfg: ExperimentConfig) -> int:
         f"tconorm:{cfg.tconorm_id}": certify(tconorm(cfg.tconorm_id)),
         f"ifn:{cfg.norm}": certify_ifn(ifn, default_samples(cfg.dimension),
                                        default_times()),
-        f"lambda:{lam.name}": validate(lam, min(cfg.n_max, 10_000)),
+        f"lambda:{lam.name}": validate(lam, cfg.n_max),
     }
     all_passed = True
     payload = {}
@@ -461,7 +440,7 @@ def _reproduce_config(example_arg: str) -> ExperimentConfig:
 def _cmd_reproduce(cfg: ExperimentConfig) -> int:
     verdict, limit, path = _run_detection(cfg)
 
-    print(f"reproduce {cfg.example}: mode={cfg.mode} lambda={cfg.lambda_id} "
+    print(f"reproduce {cfg.example}: mode={cfg.mode} lambda={cfg.ladder} "
           f"epsilon={cfg.epsilon!r} time={cfg.time!r} n_max={cfg.n_max} "
           f"grid={cfg.grid_points}")
     if isinstance(verdict.traces, dict):
@@ -501,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--n-max", type=int)
         sub.add_argument("--epsilon", type=float)
         sub.add_argument("--time", type=float)
-        sub.add_argument("--lambda", dest="lambda_id", choices=LAMBDA_IDS)
+        sub.add_argument("--lambda", dest="ladder", metavar="FAMILY")
         sub.add_argument("--stride", type=int)
         sub.add_argument("--out", dest="out_dir")
         sub.set_defaults(func=handler)

@@ -28,7 +28,7 @@ def test_golden_config_parses_to_expected_values():
     cfg = load_config(DATA / "small.ini")
     assert cfg == ExperimentConfig(
         norm="abs", dimension=1, tnorm_id="product", tconorm_id="bounded-sum",
-        lambda_id="identity", lambda_table=None,
+        ladder="identity",
         example=None, expression="x + 1.0 / k", limit="x",
         mode="pointwise-lambda-stat", epsilon=0.1, time=1.0, n_max=2000,
         stride=200, grid_low=0.0, grid_high=1.0, grid_points=3,
@@ -36,15 +36,20 @@ def test_golden_config_parses_to_expected_values():
     )
 
 
-def test_config_round_trips_through_ini():
+def test_each_golden_line_parses_alone_to_its_field():
     cfg = load_config(DATA / "small.ini")
-    assert from_ini(cfg.to_ini()) == cfg
+    parser = ConfigParser(interpolation=None)
+    parser.read(DATA / "small.ini")
+    rows = {(section, key): name for section, key, name, *_ in _KEYS}
+    for section in parser.sections():
+        for key, raw in parser[section].items():
+            name = rows[section, key]
+            assert getattr(from_ini(f"[{section}]\n{key} = {raw}\n"), name) == getattr(cfg, name)
 
 
-def test_table_lambda_round_trips():
-    cfg = replace(load_config(DATA / "small.ini"),
-                  lambda_id="table", lambda_table=(1.0, 2.0, 2.0, 3.0))
-    assert from_ini(cfg.to_ini()) == cfg
+def test_table_lambda_parses_to_its_tuple():
+    cfg = from_ini("[lambda]\ntable = 1, 2, 2.0, 3e0\n")
+    assert cfg.ladder == (1.0, 2.0, 2.0, 3.0)
 
 
 def test_defaults_fill_missing_sections():
@@ -52,7 +57,7 @@ def test_defaults_fill_missing_sections():
     assert cfg.norm == "abs"
     assert cfg.epsilon == 0.1
     assert cfg.n_max == 1_000_000
-    assert cfg.lambda_id == "identity"
+    assert cfg.ladder == "identity"
 
 
 def test_empty_config_is_the_defaults():
@@ -66,41 +71,37 @@ def test_reproduce_config_differs_from_defaults_only_in_its_run(example):
     assert {"example", "out_dir"} <= changed <= {"example", "mode", "out_dir"}
 
 
-# one valid non-default value per field, with the companion fields it needs
+# one valid non-default value per key: as written, as parsed, and the lines it needs before it
 NON_DEFAULT = {
-    "norm": {"norm": "euclidean"},
-    "dimension": {"norm": "euclidean", "dimension": 2},
-    "tnorm_id": {"tnorm_id": "lukasiewicz"},
-    "tconorm_id": {"tconorm_id": "max"},
-    "lambda_id": {"lambda_id": "log"},
-    "lambda_table": {"lambda_id": "table", "lambda_table": (1.0, 1.5, 2.5)},
-    "example": {"example": "paper-example-2"},
-    "expression": {"expression": "x / k ** 2"},
-    "limit": {"limit": "0.5 * x"},
-    "mode": {"mode": "uniform-lambda-cauchy"},
-    "epsilon": {"epsilon": 0.25},
-    "time": {"time": 2.5},
-    "n_max": {"n_max": 5000},
-    "stride": {"stride": 7},
-    "grid_low": {"grid_low": -1.5},
-    "grid_high": {"grid_high": 3.0},
-    "grid_points": {"grid_points": 11},
-    "density_set": {"density_set": "squares"},
-    "density_expression": {"density_expression": "k % 3 == 0"},
-    "out_dir": {"out_dir": "elsewhere/run"},
+    ("space", "norm"): ("euclidean", "euclidean", ""),
+    ("space", "dimension"): ("2", 2, "norm = euclidean\n"),
+    ("space", "tnorm"): ("lukasiewicz", "lukasiewicz", ""),
+    ("space", "tconorm"): ("max", "max", ""),
+    ("lambda", "family"): ("log", "log", ""),
+    ("lambda", "table"): ("1, 1.5, 2.5", (1.0, 1.5, 2.5), ""),
+    ("sequence", "example"): ("paper-example-2", "paper-example-2", ""),
+    ("sequence", "expression"): ("x / k ** 2", "x / k ** 2", ""),
+    ("sequence", "limit"): ("0.5 * x", "0.5 * x", ""),
+    ("query", "mode"): ("uniform-lambda-cauchy", "uniform-lambda-cauchy", ""),
+    ("query", "epsilon"): ("0.25", 0.25, ""),
+    ("query", "time"): ("2.5", 2.5, ""),
+    ("query", "n_max"): ("5000", 5000, ""),
+    ("query", "stride"): ("7", 7, ""),
+    ("query", "grid_low"): ("-1.5", -1.5, ""),
+    ("query", "grid_high"): ("3.0", 3.0, ""),
+    ("query", "grid_points"): ("11", 11, ""),
+    ("density", "set"): ("squares", "squares", ""),
+    ("density", "expression"): ("k % 3 == 0", "k % 3 == 0", ""),
+    ("output", "directory"): ("elsewhere/run", "elsewhere/run", ""),
 }
 
 
 @pytest.mark.parametrize("row", _KEYS, ids=lambda row: f"{row[0]}.{row[1]}")
-def test_every_key_round_trips_through_ini(row):
+def test_every_key_parses_to_its_field(row):
     section, key, name, *_ = row
-    cfg = replace(ExperimentConfig(), **NON_DEFAULT[name])
-    assert getattr(cfg, name) != getattr(ExperimentConfig(), name)
-    text = cfg.to_ini()
-    parser = ConfigParser(interpolation=None)
-    parser.read_string(text)
-    assert parser.has_option(section, key)
-    assert from_ini(text) == cfg
+    written, value, before = NON_DEFAULT[section, key]
+    cfg = from_ini(f"[{section}]\n{before}{key} = {written}\n")
+    assert repr(getattr(cfg, name)) == repr(value) != repr(getattr(ExperimentConfig(), name))
 
 
 def test_replace_validates():
@@ -450,6 +451,17 @@ def test_axioms_flags_broken_lambda(tmp_path):
     ini = tmp_path / "fast.ini"
     ini.write_text("[lambda]\ntable = 1, 3, 5\n[query]\nn_max = 1000\n")
     assert run_cli("axioms", ini, "--out", tmp_path / "a") == 1
+
+
+def test_axioms_checks_a_table_up_to_n_max(tmp_path, capsys):
+    # admissible for 19,999 stages, then a step of 2 breaks slow-growth and the index bound
+    ini = tmp_path / "late.ini"
+    table = ", ".join(map(str, [*range(1, 20_000), 20_001]))
+    ini.write_text(f"[lambda]\ntable = {table}\n[query]\nn_max = 30000\n")
+    assert run_cli("axioms", ini, "--out", tmp_path / "a") == 1
+    failed = {line.split()[2] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")}
+    assert failed == {"slow-growth", "index-bound"}
 
 
 def test_analyze_rejects_inadmissible_table(tmp_path, capsys):

@@ -22,7 +22,7 @@ BAD = {
     "dimension": (0, lambda d: check_integer("dimension", d, 1)),
     "tnorm_id": ("frank", tnorm),
     "tconorm_id": ("einstein", tconorm),
-    "lambda_id": ("cubic", lambda_family),
+    "ladder": ("cubic", lambda_family),
     "example": ("paper-example-9",
                 lambda e: build_example(e, lambda_family("identity"), np.linspace(0.0, 1.0, 3))),
     "expression": ("k.real * x", lambda s: compile_expression(s, ("k", "x"))),
@@ -68,4 +68,25 @@ def test_a_non_finite_grid_bound_exits_3_naming_its_key(tmp_path, capsys, bound,
     out = tmp_path / "o"
     assert main(["analyze", str(ini), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not out.exists()
+
+
+def test_the_lambda_flag_is_checked_like_the_family_key(tmp_path, capsys):
+    with pytest.raises(DomainError) as expected:
+        lambda_family("cubic")
+    out = tmp_path / "r"
+    assert main(["reproduce", "example-2", "--n-max", "1000", "--lambda", "cubic",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"config error: lambda.family: {expected.value}\n"
+    assert not out.exists()
+
+
+def test_a_limit_with_an_example_exits_3_naming_the_limit(tmp_path, capsys):
+    # the example brings its own limit, so a limit given beside it would go unread
+    ini = tmp_path / "limit.ini"
+    ini.write_text("[sequence]\nexample = paper-example-2\nlimit = 5 * x + 3\n"
+                   "[query]\nmode = uniform-lambda-stat\nn_max = 100000\ngrid_points = 11\n")
+    out = tmp_path / "o"
+    assert main(["analyze", str(ini), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("config error: sequence.limit: ")
     assert not out.exists()

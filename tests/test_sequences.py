@@ -245,6 +245,21 @@ def test_function_sequence_validates_grid():
         FunctionSequence(lambda k, x: 0.0, np.array([0.0, np.nan]), "bad value")
 
 
+def test_an_array_only_evaluate_is_kept_as_given():
+    # len() of the numpy-scalar probe raises, so construction reads the width as 1
+    def evaluate(ks, x):
+        return np.ones(len(ks)) * x / ks
+
+    grid = np.linspace(0.0, 1.0, 5)
+    fs = FunctionSequence(evaluate, grid, "x / k, index arrays only")
+    assert fs.broadcasts
+    assert fs.per_point is evaluate
+    ks = np.arange(1, 8)
+    terms = fs.terms(ks, grid)
+    assert terms.shape == (5, 7, 1)
+    assert np.allclose(terms[..., 0], grid[:, None] / ks, rtol=0, atol=1e-15)
+
+
 def test_terms_match_scalar_evaluate(unit_grid):
     fs, _ = build_reciprocal_shift(unit_grid)
     vals = fs.terms(np.arange(1, 51), np.array([0.3]))[0, :, 0]
